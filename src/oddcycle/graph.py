@@ -9,12 +9,11 @@ inner loops at word speed for every size this package targets (n <= 2^13).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalInconsistency
 
 
 def _iter_bits(mask):
@@ -239,7 +238,11 @@ def _conflict_cycle(parents, depths, u, w):
         pu.append(parents[pu[-1]])
     while parents[pw[-1]] is not None:
         pw.append(parents[pw[-1]])
-    assert len(pu) == len(pw) and depths[u] == depths[w]
+    if len(pu) != len(pw) or depths[u] != depths[w]:
+        raise InternalInconsistency(
+            f"conflict edge ({u},{w}) does not join two vertices of one BFS layer",
+            witness={"edge": (u, w), "paths": (tuple(pu), tuple(pw))},
+        )
     t = 0
     while pu[t] != pw[t]:
         t += 1
@@ -318,8 +321,12 @@ def odd_girth(g):
 
     Runs a BFS from every active vertex in the (implicit) bipartite double
     cover: the shortest odd closed walk through v has length dist(v_even,
-    v_odd), and the minimum over v is the odd girth. The witness is extracted
-    from the minimising walk, which is necessarily a simple cycle.
+    v_odd), and the minimum over v is the odd girth. Layer d of that BFS
+    holds only parity-(d mod 2) states, so one mask per depth suffices. The
+    sweep stops at the first triangle, since no odd cycle is shorter. The
+    witness is read back from the winning root's layers, taking the
+    lowest-index neighbour in the layer below at each step; the minimising
+    walk is necessarily a simple cycle.
     """
     # Bipartite graphs would otherwise force every BFS to exhaust its
     # component; one parity sweep settles them up front.
@@ -327,61 +334,43 @@ def odd_girth(g):
         return None
     masks = g.row_masks()
     best = None
-    best_root = None
+    best_root = best_layers = None
     for v in g.active_vertices():
         v = int(v)
-        even_reach = 1 << v
-        odd_reach = 0
-        even_frontier = even_reach
-        odd_frontier = 0
+        reach = [1 << v, 0]  # states (w, parity) seen so far, per parity
+        frontier = 1 << v
+        layers = [frontier]
         depth = 0
         while True:
             depth += 1
             if best is not None and depth >= best - 1:
                 break
-            new_odd = _union_rows(masks, even_frontier) & ~odd_reach
-            new_even = _union_rows(masks, odd_frontier) & ~even_reach
-            if not new_odd and not new_even:
+            frontier = _union_rows(masks, frontier) & ~reach[depth & 1]
+            if not frontier:
                 break
-            odd_reach |= new_odd
-            even_reach |= new_even
-            if (new_odd >> v) & 1:
-                best = depth
-                best_root = v
+            reach[depth & 1] |= frontier
+            layers.append(frontier)
+            if (frontier >> v) & 1:
+                best, best_root, best_layers = depth, v, layers
                 break
-            even_frontier, odd_frontier = new_even, new_odd
+        if best == 3:
+            break
     if best is None:
         return None
-    walk = _double_cover_walk(masks, best_root)
+    # Back from (root, odd) at depth best: the walk reads root, x_{best-1},
+    # ..., x_1, where x_d lies in layer d.
+    walk = [best_root]
+    cur = best_root
+    for d in range(best - 1, 0, -1):
+        cur = next(_iter_bits(masks[cur] & best_layers[d]))
+        walk.append(cur)
     cert = odd_cycle_from_walk(OddClosedWalk(tuple(walk)), g)
-    assert cert.length == best
+    if cert.length != best:
+        raise InternalInconsistency(
+            f"odd-girth witness has length {cert.length}, expected {best}",
+            witness={"walk": tuple(walk), "cycle": cert.vertices, "length": best},
+        )
     return best, cert
-
-
-def _double_cover_walk(masks, root):
-    """Shortest closed odd walk through ``root`` via parent-tracked BFS over
-    (vertex, parity) states."""
-    start = (root, 0)
-    goal = (root, 1)
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        u, p = state
-        if state == goal:
-            walk = []
-            cur = state
-            while cur is not None:
-                walk.append(cur[0])
-                cur = parents[cur]
-            walk.reverse()      # root ... root, length = odd girth through root
-            return walk[:-1]    # cyclic form, closure implicit
-        for w in _iter_bits(masks[u]):
-            nxt = (w, 1 - p)
-            if nxt not in parents:
-                parents[nxt] = state
-                queue.append(nxt)
-    raise AssertionError("double-cover BFS lost its target state")
 
 
 def odd_cycle_from_walk(walk, g):

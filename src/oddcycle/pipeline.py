@@ -148,7 +148,21 @@ def min_colour_odd_cycle(c, girths=None):
         length, cert = got
         if best is None or length < best[1]:
             best = (i, length, cert.with_colour(i))
+            if length == 3:  # no odd cycle is shorter
+                break
     return best
+
+
+def _residual_bipartition(g, i, lvl):
+    """Bipartition of colour i minus the pooled deleted set; peeling leaves
+    no odd cycle there."""
+    bip = check_bipartite(g)
+    if not isinstance(bip, Bipartition):
+        raise InternalInconsistency(
+            f"residual of decomposed colour {i} holds an odd cycle",
+            witness={"colour": i, "cycle": bip.vertices, "trace": lvl.to_record()},
+        )
+    return bip
 
 
 def find_mono_odd_cycle(c, params=None):
@@ -234,7 +248,11 @@ def _find_level(c, params, trace, level):
         decompositions[i] = outcome
     girths = [odd_girth(classes[i]) for i in range(q)]
     best = min_colour_odd_cycle(c, girths)
-    assert best is not None  # every class is non-bipartite here
+    if best is None:
+        raise InternalInconsistency(
+            "every colour class failed the bipartite test, yet none has an odd cycle",
+            witness={"trace": lvl.to_record()},
+        )
     if best[1] <= 2 * k + 1:
         i, length, cert = best
         lvl.branch = "short-cycle"
@@ -307,8 +325,7 @@ def _find_level(c, params, trace, level):
     pairs = []
     delta = None
     for i in range(q):
-        bip = check_bipartite(residual[i])
-        assert isinstance(bip, Bipartition)  # residual of a decomposed colour
+        bip = _residual_bipartition(residual[i], i, lvl)
         big_union = set()
         for comp in big_sets[i]:
             big_union.update(int(v) for v in comp)
@@ -477,8 +494,7 @@ def proposition_pipeline(c, delta, q=None):
     lvl.sizes["removed_total"] = len(removed)
     bips = []
     for i in range(c.q):
-        bip = check_bipartite(colour_class(c, i).without(removed))
-        assert isinstance(bip, Bipartition)
+        bip = _residual_bipartition(colour_class(c, i).without(removed), i, lvl)
         bips.append(bip)
     sig = signatures(c, removed, bips)
     lvl.sizes["survivor_count"] = len(sig)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, RetryExhausted
+from .errors import InputError, InternalInconsistency, RetryExhausted
 
 
 class SelectorInstance:
@@ -137,7 +137,11 @@ def _derandomized(inst):
         choices.append(choice)
     result = _assemble(inst, choices)
     # total is now |survivors| * 2^q by construction
-    assert total == len(result.survivors) << q
+    if total != len(result.survivors) << q:
+        raise InternalInconsistency(
+            f"expected survivor weight {total} is not {len(result.survivors)} * 2^{q}",
+            witness={"total": total, "survivors": result.survivors.tolist(), "choices": choices},
+        )
     return result
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalInconsistency
 from .graph import (
     OddClosedWalk,
     OddCycleCertificate,
@@ -117,7 +117,11 @@ def shorten_cycle(g, components, target_ids, r, seed):
         x, y = cycle[a], cycle[b]
         path = shortest_path_within(g, comps[t][0], x, y)
         plen = len(path) - 1
-        assert plen <= 2 * r
+        if plen > 2 * r:
+            raise InternalInconsistency(
+                f"path {x}-{y} inside component {t} has length {plen} > 2r = {2 * r}",
+                witness={"component": t, "path": tuple(path), "radius": r},
+            )
         forward = (b - a) % length  # edges on the arc a -> b walking forward
         # Exactly one arc has the parity of the path (cycle length is odd);
         # that arc is >= 2r+1 > plen, so the walk below is odd and shorter.
@@ -130,7 +134,12 @@ def shorten_cycle(g, components, target_ids, r, seed):
             walk = [cycle[(a + i) % length] for i in range(forward + 1)]
             walk += path[1:plen][::-1]
         shorter = odd_cycle_from_walk(OddClosedWalk(tuple(walk)), g)
-        assert shorter.length < length
+        if shorter.length >= length:
+            raise InternalInconsistency(
+                f"splice through component {t} gave length {shorter.length}, "
+                f"not shorter than {length}",
+                witness={"component": t, "cycle": tuple(cycle), "walk": tuple(walk)},
+            )
         cycle = list(shorter.vertices)
 
     return OddCycleCertificate(vertices=tuple(cycle), colour=seed.colour)

@@ -19,6 +19,7 @@ from oddcycle import (
     odd_girth,
     path_graph,
     petersen_graph,
+    random_bipartite_graph,
     random_graph,
     shortest_path_within,
     verify_mono_odd_cycle,
@@ -152,6 +153,76 @@ class TestOddGirth:
         assert odd_girth(g)[0] == 3
         # deactivating two leaves a single edge
         assert odd_girth(complete_graph(4).without([2, 3])) is None
+
+
+def blown_up_odd_cycle(m, s, p, seed):
+    """C_m with each vertex replaced by s independent copies and each cycle
+    edge by a random bipartite graph of density p, vertices shuffled: every
+    odd closed walk winds around, so the odd girth is at least m."""
+    rng = np.random.default_rng(seed)
+    n = m * s
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(m):
+        j = (i + 1) % m
+        adj[i * s:(i + 1) * s, j * s:(j + 1) * s] = rng.random((s, s)) < p
+    adj |= adj.T
+    perm = rng.permutation(n)
+    return Graph(adj[np.ix_(perm, perm)])
+
+
+def networkx_odd_girth(g):
+    """Minimum over v of dist((v,0), (v,1)) in the bipartite double cover."""
+    nx = pytest.importorskip("networkx")
+    cover = nx.Graph()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                cover.add_edge((u, 0), (v, 1))
+                cover.add_edge((u, 1), (v, 0))
+    best = None
+    for v in range(g.n):
+        if (v, 0) not in cover:
+            continue
+        try:
+            d = nx.shortest_path_length(cover, (v, 0), (v, 1))
+        except nx.NetworkXNoPath:
+            continue
+        best = d if best is None else min(best, d)
+    return best
+
+
+class TestOddGirthAgainstNetworkx:
+    def check(self, g):
+        expected = networkx_odd_girth(g)
+        got = odd_girth(g)
+        if expected is None:
+            assert got is None
+            return None
+        length, cert = got
+        assert length == expected
+        assert cert.length == expected
+        assert verify_mono_odd_cycle(g, cert) is None
+        return length
+
+    def test_sparse_random(self):
+        girths = []
+        for seed in range(12):
+            n = int(np.random.default_rng(seed).integers(50, 301))
+            girths.append(self.check(random_graph(n, 1.5 / n, seed)))
+        # the mix holds triangles, longer odd girths and a bipartite graph
+        assert {3, None} <= set(girths)
+        assert max(x for x in girths if x is not None) >= 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_random(self, seed):
+        assert self.check(random_graph(60 + 40 * seed, 0.2, seed)) == 3
+
+    @pytest.mark.parametrize("m,s,p", [(5, 12, 0.3), (7, 20, 0.15), (11, 10, 0.4), (21, 14, 0.2)])
+    def test_blown_up_odd_cycles(self, m, s, p):
+        assert self.check(blown_up_odd_cycle(m, s, p, m)) >= 5
+
+    def test_bipartite(self):
+        assert self.check(random_bipartite_graph(120, 0.1, 3)) is None
 
 
 class TestOddCycleFromWalk:

@@ -65,6 +65,26 @@ class TestFindExamples:
         assert got.certificate.length <= 9
         assert got.certificate.length >= min_girth(c)
 
+    @pytest.mark.parametrize(
+        "make,vertices,colour",
+        [
+            (lambda: random_colouring(513, 9, 1), (0, 9, 248), 0),
+            (lambda: random_colouring(1025, 10, 2), (0, 3, 78), 0),
+            (lambda: hamilton_colouring(5), (0, 1, 9, 2, 8, 3, 7, 4, 6, 5, 10), 0),
+            (
+                lambda: product_colouring(binary_colouring(3), hamilton_colouring(3)),
+                (0, 1, 5, 2, 4, 3, 6),
+                3,
+            ),
+        ],
+        ids=["random-513", "random-1025", "hamilton-11", "binary3-x-hamilton7"],
+    )
+    def test_seeded_witness_pinned(self, make, vertices, colour):
+        # seeded runs are byte-reproducible, so the exact witness is pinned
+        got = find_mono_odd_cycle(make()).certificate
+        assert got.vertices == vertices
+        assert got.colour == colour
+
     def test_all_bipartite_raises(self):
         with pytest.raises(NoMonochromaticOddCycle):
             find_mono_odd_cycle(binary_colouring(3))
