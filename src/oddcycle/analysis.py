@@ -96,7 +96,6 @@ class SearchState:
     table: np.ndarray
     girths: list
     objective: int
-    step: int = 0
     temperature: float = 1.0
     best_objective: int = 0
     best_table: np.ndarray | None = None
@@ -132,7 +131,6 @@ def anneal_search(q, n, iterations, seed, init=None):
     for step in range(iterations):
         if q < 2:
             break  # no alternative colours to move to
-        state.step = step
         state.temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
         u, v = edges[int(rng.integers(len(edges)))]
         old = int(state.table[u, v])

@@ -56,13 +56,3 @@ def random_bipartite_graph(n, p, seed):
     adj = np.triu(upper & cross, 1)
     adj = adj | adj.T
     return Graph(adj)
-
-
-def disjoint_union(graphs):
-    n = sum(g.n for g in graphs)
-    adj = np.zeros((n, n), dtype=bool)
-    offset = 0
-    for g in graphs:
-        adj[offset : offset + g.n, offset : offset + g.n] = g.masked_matrix()
-        offset += g.n
-    return Graph(adj)

@@ -6,8 +6,10 @@ Exit codes: 0 ok, 1 violation/invalid certificate, 2 input error,
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
+import operator
 import sys
 
 import click
@@ -151,14 +153,49 @@ def find(infile, method, eps, big_c, delta, k_rule, small_rule, fallback, out_ce
     )
 
 
-def _rule(expr):
-    def rule(q):
-        try:
-            return int(eval(expr, {"__builtins__": {}}, {"q": q}))
-        except Exception as exc:
-            raise InputError(f"bad rule expression {expr!r}: {exc}") from None
+_RULE_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+    ast.Pow: operator.pow,
+}
 
-    return rule
+
+def _rule(expr):
+    """Integer rule in q, checked when parsed: only integer literals, the name
+    q, + - * // **, unary minus and parentheses; never passed to ``eval``."""
+
+    def bad(why):
+        return InputError(f"bad rule expression {expr!r}: {why}")
+
+    # a length cap bounds the nesting that parsing and evaluation recurse on
+    if len(expr) > 200:
+        raise bad("longer than 200 characters")
+    try:
+        tree = ast.parse(expr, mode="eval").body
+    except SyntaxError as exc:
+        raise bad(exc.msg) from None
+    for node in ast.walk(tree):
+        leaf = (isinstance(node, ast.Name) and node.id == "q"
+                or isinstance(node, ast.Constant) and type(node.value) is int)
+        if not (leaf or isinstance(node, (ast.BinOp, ast.UnaryOp, ast.USub, ast.Load, *_RULE_OPS))):
+            raise bad("only integers, q, + - * // ** and parentheses are allowed")
+
+    def value(node, q):
+        if isinstance(node, (ast.Name, ast.Constant)):
+            return q if isinstance(node, ast.Name) else node.value
+        if isinstance(node, ast.UnaryOp):
+            return -value(node.operand, q)
+        left, right = value(node.left, q), value(node.right, q)
+        # bound the result's size up front: q**q**q would not finish
+        if isinstance(node.op, ast.Pow) and not 0 <= right * left.bit_length() <= 4096:
+            raise bad("power out of range")
+        if isinstance(node.op, ast.FloorDiv) and right == 0:
+            raise bad("division by zero")
+        return _RULE_OPS[type(node.op)](left, right)
+
+    return lambda q: value(tree, q)
 
 
 @main.command()

@@ -15,7 +15,6 @@ File format (text, bit-exact):
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +23,6 @@ from .errors import InputError, ParseError
 from .graph import Graph
 
 FORMAT_MAGIC = "oddcycle-colouring v1"
-
-
-@dataclass(frozen=True)
-class ColouringHeader:
-    version: str
-    n: int
-    q: int
-    provenance: str | None = None
 
 
 class EdgeColouring:
@@ -66,10 +57,6 @@ class EdgeColouring:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise InputError(f"({u},{v}) is not a vertex pair")
         return int(self.table[u, v])
-
-    @property
-    def header(self):
-        return ColouringHeader(FORMAT_MAGIC, self.n, self.q, self.provenance)
 
     def is_complete(self):
         off = self.table[~np.eye(self.n, dtype=bool)]
@@ -208,11 +195,18 @@ def read_colouring(stream):
         raise ParseError("dimensions must be integers", line=2) from None
     if n < 1 or q < 0:
         raise ParseError(f"bad dimensions n={n} q={q}", line=2)
+    # Every row must be present, and long enough for its entries (e entries
+    # take >= 2e-1 characters), before the n x n table is allocated: a short
+    # or hollow file cannot make a small header ask for n^2 memory.
+    for u in range(n - 1):
+        if 2 + u >= len(lines):
+            raise ParseError(f"truncated table: missing row for vertex {u}", line=3 + u)
+        if len(lines[2 + u]) < 2 * (n - 1 - u) - 1:
+            raise ParseError(f"row for vertex {u} has {len(lines[2 + u].split())} entries, "
+                             f"expected {n - 1 - u}", line=3 + u)
     table = np.full((n, n), -1, dtype=np.int16)
     for u in range(n - 1):
         lineno = 3 + u
-        if lineno - 1 >= len(lines):
-            raise ParseError(f"truncated table: missing row for vertex {u}", line=lineno)
         row = lines[lineno - 1].split()
         expected = n - 1 - u
         if len(row) != expected:

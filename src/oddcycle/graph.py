@@ -1,15 +1,20 @@
-"""Compact undirected graphs and the BFS/parity kernels everything builds on.
+"""Compact undirected graphs and the BFS/parity kernel everything builds on.
 
 A ``Graph`` wraps an immutable boolean adjacency matrix plus an active-vertex
 mask. Subgraphs of the form "G minus a deleted set" are views sharing the
-matrix, so the peeling pipeline never copies adjacency. The BFS kernels run
-on per-row Python-int bitmasks (arbitrary-precision words), which keeps the
-inner loops at word speed for every size this package targets (n <= 2^13).
+matrix, so the peeling pipeline never copies adjacency. Every BFS in the
+package runs through one kernel on per-row Python-int bitmasks
+(arbitrary-precision words), which keeps the inner loops at word speed for
+every size this package targets (n <= 2^13): ``_bfs`` yields one frontier
+mask per layer and stores no parent; ``_walk_back`` recovers a witness path
+on demand, the parent of a layer-d vertex being its lowest neighbour in
+layer d-1. Only the odd-girth double-cover sweep keeps its own loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -161,10 +166,6 @@ class LayeredBall:
     def depth(self):
         return len(self.layers) - 1
 
-    def cumulative_sizes(self):
-        sizes = [len(layer) for layer in self.layers]
-        return list(np.cumsum(sizes))
-
     def vertices(self):
         return np.concatenate([np.sort(layer) for layer in self.layers])
 
@@ -210,6 +211,58 @@ def _union_rows(masks, frontier):
     return out
 
 
+def _bfs(masks, root, allowed=-1):
+    """Yield the frontier masks of the BFS layers from ``root``: layer 0 is
+    the root alone, each later layer the unseen ``allowed`` neighbours of the
+    one before. Stops when a frontier comes out empty."""
+    seen = frontier = 1 << root
+    while frontier:
+        yield frontier
+        frontier = _union_rows(masks, frontier) & allowed & ~seen
+        seen |= frontier
+
+
+def _walk_back(masks, layers, v):
+    """The path ``v, p(v), ..., root`` from a vertex v of the last of
+    ``layers``, where the parent of a layer-i vertex is its lowest neighbour
+    in layer i-1."""
+    path = [v]
+    for layer in reversed(layers[:-1]):
+        below = masks[v] & layer
+        v = (below & -below).bit_length() - 1
+        path.append(v)
+    return path
+
+
+def _layer_edge(masks, layer):
+    """First edge (v, u) inside one layer: v the lowest vertex with a higher
+    neighbour in the layer, u the lowest such neighbour; None if the layer is
+    independent. Such an edge is exactly a BFS parity conflict."""
+    rest = layer
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        hit = masks[v] & rest
+        if hit:
+            return v, (hit & -hit).bit_length() - 1
+    return None
+
+
+def _conflict_cycle(masks, layers):
+    """Odd cycle through the first edge v-u inside the last of ``layers``, or
+    None if that layer is independent. Both ends walk back to their first
+    common vertex, so all cycle vertices are distinct."""
+    edge = _layer_edge(masks, layers[-1])
+    if edge is None:
+        return None
+    v, u = edge
+    pv, pu = _walk_back(masks, layers, v), _walk_back(masks, layers, u)
+    t = 0
+    while pv[t] != pu[t]:
+        t += 1
+    return OddCycleCertificate(vertices=tuple(pv[: t + 1] + pu[:t][::-1]))
+
+
 def bfs_layers(g, root, max_depth):
     """Exact BFS layers from ``root``, stopping at ``max_depth`` or when the
     frontier empties."""
@@ -217,37 +270,8 @@ def bfs_layers(g, root, max_depth):
         raise InputError(f"root {root} is not an active vertex")
     if max_depth < 0:
         raise InputError("max_depth must be >= 0")
-    masks = g.row_masks()
-    seen = 1 << root
-    frontier = seen
-    layers = [_bits_to_array(seen)]
-    for _ in range(max_depth):
-        frontier = _union_rows(masks, frontier) & ~seen
-        if frontier == 0:
-            break
-        seen |= frontier
-        layers.append(_bits_to_array(frontier))
-    return LayeredBall(root=root, layers=tuple(layers))
-
-
-def _conflict_cycle(parents, depths, u, w):
-    """Odd cycle from a same-layer edge u-w: climb the two parent paths to
-    their first common vertex, so all cycle vertices are distinct."""
-    pu, pw = [u], [w]
-    while parents[pu[-1]] is not None:
-        pu.append(parents[pu[-1]])
-    while parents[pw[-1]] is not None:
-        pw.append(parents[pw[-1]])
-    if len(pu) != len(pw) or depths[u] != depths[w]:
-        raise InternalInconsistency(
-            f"conflict edge ({u},{w}) does not join two vertices of one BFS layer",
-            witness={"edge": (u, w), "paths": (tuple(pu), tuple(pw))},
-        )
-    t = 0
-    while pu[t] != pw[t]:
-        t += 1
-    cycle = pu[: t + 1] + pw[:t][::-1]
-    return OddCycleCertificate(vertices=tuple(int(v) for v in cycle))
+    layers = islice(_bfs(g.row_masks(), root), max_depth + 1)
+    return LayeredBall(root=root, layers=tuple(_bits_to_array(layer) for layer in layers))
 
 
 def check_bipartite(g):
@@ -260,41 +284,20 @@ def check_bipartite(g):
     """
     masks = g.row_masks()
     visited = 0
-    side0 = 0
-    side1 = 0
+    sides = [0, 0]
     for root in g.active_vertices():
         root = int(root)
         if (visited >> root) & 1:
             continue
-        parents = {root: None}
-        depths = {root: 0}
-        comp_seen = 1 << root
-        frontier = comp_seen
-        side0 |= frontier
-        depth = 0
-        while frontier:
-            # parity conflict <=> an edge inside a single BFS layer
-            for v in _iter_bits(frontier):
-                hit = masks[v] & frontier & ~((1 << (v + 1)) - 1)
-                if hit:
-                    u = next(_iter_bits(hit))
-                    return _conflict_cycle(parents, depths, v, u)
-            nxt = _union_rows(masks, frontier) & ~comp_seen
-            if nxt == 0:
-                break
-            depth += 1
-            for v in _iter_bits(nxt):
-                pmask = masks[v] & frontier
-                parents[v] = next(_iter_bits(pmask))
-                depths[v] = depth
-            comp_seen |= nxt
-            if depth % 2 == 0:
-                side0 |= nxt
-            else:
-                side1 |= nxt
-            frontier = nxt
-        visited |= comp_seen
-    return Bipartition(side0=_bits_to_array(side0), side1=_bits_to_array(side1))
+        layers = []
+        for layer in _bfs(masks, root):
+            layers.append(layer)
+            cycle = _conflict_cycle(masks, layers)
+            if cycle is not None:
+                return cycle
+            sides[(len(layers) - 1) & 1] |= layer
+            visited |= layer
+    return Bipartition(side0=_bits_to_array(sides[0]), side1=_bits_to_array(sides[1]))
 
 
 def components(g):
@@ -306,11 +309,9 @@ def components(g):
         root = int(root)
         if (visited >> root) & 1:
             continue
-        comp = 1 << root
-        frontier = comp
-        while frontier:
-            frontier = _union_rows(masks, frontier) & ~comp
-            comp |= frontier
+        comp = 0
+        for layer in _bfs(masks, root):
+            comp |= layer
         visited |= comp
         comps.append(_bits_to_array(comp))
     return comps
@@ -358,12 +359,9 @@ def odd_girth(g):
     if best is None:
         return None
     # Back from (root, odd) at depth best: the walk reads root, x_{best-1},
-    # ..., x_1, where x_d lies in layer d.
-    walk = [best_root]
-    cur = best_root
-    for d in range(best - 1, 0, -1):
-        cur = next(_iter_bits(masks[cur] & best_layers[d]))
-        walk.append(cur)
+    # ..., x_1, where x_d lies in layer d; the final step back to the root
+    # closes the walk and is dropped.
+    walk = _walk_back(masks, best_layers, best_root)[:-1]
     cert = odd_cycle_from_walk(OddClosedWalk(tuple(walk)), g)
     if cert.length != best:
         raise InternalInconsistency(
@@ -410,24 +408,10 @@ def shortest_path_within(g, component, x, y):
     for v in (x, y):
         if not ((comp_mask >> v) & 1) or not g.is_active(v):
             raise InputError(f"vertex {v} is not an active member of the component")
-    if x == y:
-        return [x]
     masks = g.row_masks()
-    parents = {x: None}
-    frontier = 1 << x
-    seen = frontier
-    while frontier:
-        nxt = _union_rows(masks, frontier) & comp_mask & ~seen
-        if nxt == 0:
-            break
-        for v in _iter_bits(nxt):
-            parents[v] = next(_iter_bits(masks[v] & frontier))
-        seen |= nxt
-        if (nxt >> y) & 1:
-            path = [y]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            path.reverse()
-            return path
-        frontier = nxt
+    layers = []
+    for layer in _bfs(masks, x, comp_mask):
+        layers.append(layer)
+        if (layer >> y) & 1:
+            return _walk_back(masks, layers, y)[::-1]
     raise InputError(f"vertices {x} and {y} are not connected within the component")

@@ -19,10 +19,10 @@ from .errors import InputError
 from .graph import (
     Bipartition,
     OddCycleCertificate,
+    _array_to_bits,
+    _bfs,
     _bits_to_array,
     _conflict_cycle,
-    _iter_bits,
-    _union_rows,
 )
 
 
@@ -111,45 +111,30 @@ def peel(g, k):
         def arrested(layer, cum):
             return layer * k <= cum * log2n
 
-    active = 0
-    for v in g.active_vertices():
-        active |= 1 << int(v)
-
+    active = _array_to_bits(g.active_vertices())
     removed = 0
     comps = []
     while active:
         root = (active & -active).bit_length() - 1
-        parents = {root: None}
-        depths = {root: 0}
-        ball = 1 << root
-        ball_layers = [1 << root]
-        frontier = ball
-        boundary = 0
-        radius = 0
+        layers = _bfs(masks, root, active)
+        ball_layers = [next(layers)]
+        ball = ball_layers[0]
         for depth in range(1, k + 1):
-            nxt = _union_rows(masks, frontier) & active & ~ball
-            size = nxt.bit_count()
-            cum = ball.bit_count()
+            nxt = next(layers, 0)
             # Arrest at depth k is forced: growth past the factor for k
             # straight steps would overshoot n, so in exact arithmetic an
             # arrest exists by then; the depth==k clause only guards float
             # rounding at the boundary.
-            if arrested(size, cum) or depth == k:
+            if arrested(nxt.bit_count(), ball.bit_count()) or depth == k:
                 boundary = nxt
                 radius = depth - 1
                 break
             # layer joins the ball: check it for a parity conflict first
-            for v in _iter_bits(nxt):
-                parents[v] = next(_iter_bits(masks[v] & frontier))
-                depths[v] = depth
-            for v in _iter_bits(nxt):
-                hit = masks[v] & nxt & ~((1 << (v + 1)) - 1)
-                if hit:
-                    u = next(_iter_bits(hit))
-                    return ShortCycle(_conflict_cycle(parents, depths, v, u))
-            ball |= nxt
             ball_layers.append(nxt)
-            frontier = nxt
+            cycle = _conflict_cycle(masks, ball_layers)
+            if cycle is not None:
+                return ShortCycle(cycle)
+            ball |= nxt
         even = 0
         odd = 0
         for i, layer in enumerate(ball_layers):

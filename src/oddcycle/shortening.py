@@ -12,12 +12,17 @@ hold more than 4r+1 cycle vertices, which yields the length bound
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .errors import InputError, InternalInconsistency
 from .graph import (
     OddClosedWalk,
     OddCycleCertificate,
+    _array_to_bits,
+    _bfs,
+    _iter_bits,
     odd_cycle_from_walk,
     shortest_path_within,
 )
@@ -26,21 +31,14 @@ from .graph import (
 def _validate_component(g, vertices, center, r):
     """Component must be induced-connected with centre eccentricity <= r."""
     verts = set(int(v) for v in vertices)
-    if int(center) not in verts:
-        raise InputError(f"centre {center} not in its component")
-    seen = {int(center)}
-    frontier = [int(center)]
-    depth = 0
-    while frontier and depth < r:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbours(u):
-                w = int(w)
-                if w in verts and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    center = int(center)
+    if center not in verts or not g.is_active(center):
+        raise InputError(f"centre {center} is not an active vertex of its component")
+    allowed = _array_to_bits(v for v in verts if 0 <= v < g.n)
+    reached = 0
+    for layer in islice(_bfs(g.row_masks(), center, allowed), r + 1):
+        reached |= layer
+    seen = set(_iter_bits(reached))
     if seen != verts:
         raise InputError(
             f"component radius claim false: centre {center} does not reach "

@@ -149,6 +149,29 @@ def random_adjacency_sets(n, p, rng):
     return adj
 
 
+def blown_up_odd_cycle(m, s, p, seed):
+    """C_m with each vertex replaced by s independent copies and each cycle
+    edge by a random bipartite graph of density p, vertices shuffled: every
+    odd closed walk winds around, so the odd girth is at least m."""
+    rng = np.random.default_rng(seed)
+    n = m * s
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(m):
+        j = (i + 1) % m
+        adj[i * s:(i + 1) * s, j * s:(j + 1) * s] = rng.random((s, s)) < p
+    adj |= adj.T
+    perm = rng.permutation(n)
+    return Graph(adj[np.ix_(perm, perm)])
+
+
+def grid_graph(rows, cols):
+    """rows x cols grid, vertex i*cols + j; bipartite, with many equal-length
+    shortest paths, so BFS tie-breaking shows in its outputs."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
 def graph_from_sets(adj):
     n = len(adj)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])

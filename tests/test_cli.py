@@ -3,8 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from oddcycle import InternalInconsistency, read_colouring
-from oddcycle.cli import main
+from oddcycle import InputError, InternalInconsistency, read_colouring
+from oddcycle.cli import _rule, main
 
 
 @pytest.fixture
@@ -93,6 +93,41 @@ class TestFindVerify:
              "--out-cert", str(tmp_path / "c2.cert"), "--trace", str(tmp_path / "c2.trace")],
         )
         assert result.exit_code == 0, result.output
+
+    def test_rule_evaluates_integer_arithmetic(self):
+        assert _rule("8*q**3")(3) == 216
+        assert _rule("4*q**10")(2) == 4096
+        assert _rule("-(q + 1) // 2")(5) == -3
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "().__class__.__base__.__subclasses__().__len__()",
+            "__import__('os')",
+            "q / 2",
+            "1.5 * q",
+            "abs(q)",
+            "True + q",
+            "q ** -1",
+            "9 ** 9 ** 9 ** 9",
+            "q // 0",
+            "(q",
+            "-" * 100_000 + "q",
+        ],
+    )
+    def test_rule_rejects_anything_else(self, expr):
+        with pytest.raises(InputError):
+            _rule(expr)(3)
+
+    def test_object_graph_rule_exits_2(self, runner, tmp_path):
+        col = gen_random(runner, tmp_path / "c.txt")
+        result = runner.invoke(
+            main,
+            ["find", "--in", str(col), "--method", "pipeline",
+             "--k-rule", "().__class__.__base__.__subclasses__().__len__()",
+             "--out-cert", str(tmp_path / "x.cert"), "--trace", str(tmp_path / "x.trace")],
+        )
+        assert result.exit_code == 2
 
     def test_violation_exits_1(self, runner, tmp_path):
         col = gen_random(runner, tmp_path / "c.txt")

@@ -24,7 +24,13 @@ from oddcycle import (
     shortest_path_within,
     verify_mono_odd_cycle,
 )
-from oracles import adjacency_sets, naive_distance_matrix, odd_girth_by_enumeration
+from oracles import (
+    adjacency_sets,
+    blown_up_odd_cycle,
+    grid_graph,
+    naive_distance_matrix,
+    odd_girth_by_enumeration,
+)
 
 
 def layer_lists(ball):
@@ -43,7 +49,8 @@ class TestBfsLayers:
     def test_petersen_cumulative(self):
         # frozen from direct BFS on the standard Petersen labelling
         ball = bfs_layers(petersen_graph(), 0, 2)
-        assert ball.cumulative_sizes() == [1, 4, 10]
+        sizes = [len(layer) for layer in ball.layers]
+        assert [sum(sizes[: i + 1]) for i in range(len(sizes))] == [1, 4, 10]
 
     def test_depth_zero(self):
         ball = bfs_layers(cycle_graph(5), 2, 0)
@@ -96,6 +103,25 @@ class TestCheckBipartite:
         assert isinstance(got, OddCycleCertificate)
         assert got.length == 3
         assert verify_mono_odd_cycle(complete_graph(4), got) is None
+
+    @pytest.mark.parametrize(
+        "n,seed,vertices",
+        [
+            (50, 0, (25, 13, 2, 11, 0, 3, 46, 28, 41)),
+            (100, 1, (51, 48, 50, 15, 74, 27, 52)),
+            (150, 2, (25, 54, 120, 10, 41)),
+            (200, 3, (42, 172, 52, 154, 186, 0, 20, 120, 86, 99, 109)),
+            (300, 4, (61, 120, 195, 87, 170, 54, 20, 160, 1, 13, 138, 218, 66, 251, 74, 9, 175)),
+        ],
+    )
+    def test_seeded_odd_cycle_pinned(self, n, seed, vertices):
+        # seeded runs are byte-reproducible, so the exact conflict cycle
+        # (lowest-index parents, first conflict edge) is pinned
+        assert check_bipartite(random_graph(n, 1.5 / n, seed)).vertices == vertices
+
+    def test_blown_up_c7_pinned(self):
+        got = check_bipartite(blown_up_odd_cycle(7, 6, 0.3, 7))
+        assert got.vertices == (7, 11, 24, 0, 36, 16, 33)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 10))
@@ -153,21 +179,6 @@ class TestOddGirth:
         assert odd_girth(g)[0] == 3
         # deactivating two leaves a single edge
         assert odd_girth(complete_graph(4).without([2, 3])) is None
-
-
-def blown_up_odd_cycle(m, s, p, seed):
-    """C_m with each vertex replaced by s independent copies and each cycle
-    edge by a random bipartite graph of density p, vertices shuffled: every
-    odd closed walk winds around, so the odd girth is at least m."""
-    rng = np.random.default_rng(seed)
-    n = m * s
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(m):
-        j = (i + 1) % m
-        adj[i * s:(i + 1) * s, j * s:(j + 1) * s] = rng.random((s, s)) < p
-    adj |= adj.T
-    perm = rng.permutation(n)
-    return Graph(adj[np.ix_(perm, perm)])
 
 
 def networkx_odd_girth(g):
@@ -275,6 +286,37 @@ class TestShortestPathWithin:
         edges = [(i, (i + 1) % 11) for i in range(11)] + [(11, 0), (11, 5)]
         g = Graph.from_edges(12, edges)
         assert shortest_path_within(g, [0, 5, 11], 0, 5) == [0, 11, 5]
+
+    @pytest.mark.parametrize(
+        "x,y,path",
+        [
+            (0, 39, [0, 1, 2, 3, 4, 5, 6, 7, 15, 23, 31, 39]),
+            (39, 0, [39, 31, 23, 15, 7, 6, 5, 4, 3, 2, 1, 0]),
+            (7, 32, [7, 6, 5, 4, 3, 2, 1, 0, 8, 16, 24, 32]),
+            (12, 27, [12, 11, 19, 27]),
+        ],
+    )
+    def test_grid_paths_pinned(self, x, y, path):
+        # many shortest paths tie on a grid; the lowest-index parent decides
+        assert shortest_path_within(grid_graph(5, 8), range(40), x, y) == path
+
+    def test_paths_pinned(self):
+        grid = grid_graph(5, 8)
+        # column 3 removed except its bottom cell: paths detour through it
+        detour = [v for v in range(40) if v % 8 != 3 or v >= 32]
+        assert shortest_path_within(grid, detour, 0, 7) == [
+            0, 1, 2, 10, 18, 26, 34, 35, 36, 28, 20, 12, 4, 5, 6, 7
+        ]
+        assert shortest_path_within(grid, detour, 16, 23) == [
+            16, 17, 18, 26, 34, 35, 36, 28, 20, 21, 22, 23
+        ]
+        g = random_graph(80, 0.05, 11)
+        comp = max(components(g), key=len)
+        assert len(comp) == 80
+        assert shortest_path_within(g, comp, 67, 50) == [67, 51, 71, 79, 35, 50]
+        assert shortest_path_within(g, comp, 24, 21) == [24, 54, 21]
+        assert shortest_path_within(g, comp, 1, 5) == [1, 40, 0, 3, 5]
+        assert shortest_path_within(g, comp, 64, 51) == [64, 68, 62, 14, 51]
 
     def test_disconnected_rejected(self):
         g = cycle_graph(6)

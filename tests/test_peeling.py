@@ -18,7 +18,13 @@ from oddcycle import (
     verify_mono_odd_cycle,
     verify_peel,
 )
-from oracles import graph_from_sets, random_adjacency_sets, simulate_peel
+from oracles import (
+    blown_up_odd_cycle,
+    graph_from_sets,
+    grid_graph,
+    random_adjacency_sets,
+    simulate_peel,
+)
 
 
 class TestPeelParams:
@@ -115,6 +121,92 @@ class TestPeelAgainstSimulation:
             g = g.without(drop)
             masked = [s - set(drop) if v not in drop else set() for v, s in enumerate(adj)]
             self.check(masked, int(rng.integers(1, 8)), g=g)
+
+
+class TestPeelPinned:
+    # seeded runs are byte-reproducible, so the exact outcome is pinned
+
+    @pytest.mark.parametrize(
+        "n,p,seed,k,vertices",
+        [
+            (200, 0.01, 3, 8, (99, 86, 120, 20, 106, 182, 109)),
+            (300, 2 / 300, 4, 9, (98, 150, 4, 117, 178)),
+            (120, 2 / 120, 5, 6, (41, 112, 0, 31, 46)),
+            (80, 0.05, 2, 4, (12, 6, 1, 61, 26)),
+        ],
+    )
+    def test_short_cycle_pinned(self, n, p, seed, k, vertices):
+        out = peel(random_graph(n, p, seed), k)
+        assert isinstance(out, ShortCycle)
+        assert out.cycle.vertices == vertices
+
+    def test_grid_decomposition_pinned(self):
+        out = peel(grid_graph(5, 8), 6)
+        assert isinstance(out, PeelDecomposition)
+        assert [int(v) for v in out.removed] == [
+            3, 7, 10, 14, 17, 19, 21, 24, 28, 30, 33, 35, 39
+        ]
+        got = [
+            (c.center, c.radius, [int(v) for v in c.bipartition.side0],
+             [int(v) for v in c.bipartition.side1])
+            for c in out.components
+        ]
+        assert got == [
+            (0, 2, [0, 2, 9, 16], [1, 8]),
+            (4, 2, [4, 6, 11, 13, 20], [5, 12]),
+            (15, 2, [15, 22, 31], [23]),
+            (18, 2, [18, 25, 27, 34], [26]),
+            (29, 2, [29, 36, 38], [37]),
+            (32, 0, [32], []),
+        ]
+
+
+class TestPeelAgainstNetworkx:
+    """Every peel outcome re-derived with networkx on 50-300 vertices."""
+
+    def check(self, g, k):
+        nx = pytest.importorskip("networkx")
+        out = peel(g, k)
+        assert verify_peel(g, k, out) is None
+        if isinstance(out, ShortCycle):
+            assert out.cycle.length <= 2 * k + 1
+            assert verify_mono_odd_cycle(g, out.cycle) is None
+            return out
+        us, vs = np.nonzero(np.triu(g.masked_matrix()))
+        host = nx.Graph()
+        host.add_nodes_from(g.active_vertices().tolist())
+        host.add_edges_from(zip(us.tolist(), vs.tolist()))
+        for comp in out.components:
+            sub = host.subgraph(int(v) for v in comp.vertices)
+            assert nx.is_connected(sub)
+            assert nx.is_bipartite(sub)
+            assert nx.eccentricity(sub, comp.center) <= comp.radius
+        assert len(out.removed) <= PeelParams(k).removed_bound(g.active_count)
+        return out
+
+    def test_sparse_random(self):
+        outcomes = []
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(50, 301))
+            k = int(rng.integers(2, 10))
+            outcomes.append(type(self.check(random_graph(n, 2.0 / n, seed), k)))
+        assert {ShortCycle, PeelDecomposition} <= set(outcomes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bipartite(self, seed):
+        n = 50 + 80 * seed
+        assert isinstance(self.check(random_bipartite_graph(n, 3.0 / n, seed), 3 + seed),
+                          PeelDecomposition)
+
+    @pytest.mark.parametrize("m,s,p,k", [(7, 8, 0.3, 2), (11, 10, 0.3, 4), (21, 12, 0.2, 6)])
+    def test_blown_up_odd_cycles(self, m, s, p, k):
+        # odd girth >= m > 2k+1: no ball can hold a parity conflict
+        assert isinstance(self.check(blown_up_odd_cycle(m, s, p, m), k), PeelDecomposition)
+
+    def test_masked_grid(self):
+        g = grid_graph(12, 20).without(range(0, 240, 7))
+        assert isinstance(self.check(g, 5), PeelDecomposition)
 
 
 class TestPeelGuarantees:

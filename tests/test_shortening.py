@@ -51,7 +51,7 @@ class TestWholeGraphComponent:
         # to 4r+1, and the output can never beat the odd girth
         g = petersen_graph()
         ball = bfs_layers(g, 0, 2)
-        assert ball.cumulative_sizes()[-1] == 10  # radius 2 from vertex 0
+        assert sum(len(layer) for layer in ball.layers) == 10  # radius 2 from vertex 0
         comps = [(list(range(10)), 0)]
         seed = check_bipartite(g)
         assert isinstance(seed, OddCycleCertificate)
