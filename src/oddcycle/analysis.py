@@ -14,7 +14,7 @@ import io
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -160,19 +160,6 @@ def anneal_search(q, n, iterations, seed, init=None):
     return state.best_objective, best
 
 
-CSV_COLUMNS = [
-    "q",
-    "n",
-    "seed",
-    "method",
-    "cycle_length",
-    "bound_claimed",
-    "branch",
-    "wall_time_ms",
-    "error",
-]
-
-
 @dataclass
 class ExperimentRow:
     q: int
@@ -186,20 +173,10 @@ class ExperimentRow:
     error: str = ""
 
     def as_csv_row(self):
-        def fmt(x):
-            return "" if x is None else str(x)
+        return ["" if x is None else str(x) for x in astuple(self)]
 
-        return [
-            fmt(self.q),
-            fmt(self.n),
-            fmt(self.seed),
-            self.method,
-            fmt(self.cycle_length),
-            fmt(self.bound_claimed),
-            self.branch,
-            fmt(self.wall_time_ms),
-            self.error,
-        ]
+
+CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
 def _build_colouring(spec):

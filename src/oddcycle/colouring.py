@@ -20,9 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import Graph
+from .graph import Graph, _pack_rows
 
 FORMAT_MAGIC = "oddcycle-colouring v1"
+
+_MAX_N = 1 << 14  # largest n given a dense table: 512 MiB of int16 entries
+
+
+def _check_size(n):
+    if n > _MAX_N:
+        raise InputError(f"n={n} exceeds the dense-table limit of {_MAX_N} vertices")
 
 
 class EdgeColouring:
@@ -79,11 +86,12 @@ def binary_colouring(q):
     the lowest bit where u and v differ, so colour class i is complete
     bipartite between the bit-i=0 and bit-i=1 vertices.
 
-    Tables are dense (n^2 entries, n = 2^q); sizes beyond q ~ 14 will not fit
-    in memory even though the guard admits q <= 30.
+    Tables are dense (n^2 entries, n = 2^q), so q is capped where n reaches
+    the dense-table limit.
     """
-    if not 1 <= q <= 30:
-        raise InputError(f"q must be in [1, 30], got {q}")
+    max_q = _MAX_N.bit_length() - 1
+    if not 1 <= q <= max_q:
+        raise InputError(f"q must be in [1, {max_q}], got {q}")
     n = 1 << q
     ids = np.arange(n, dtype=np.int64)
     table = np.full((n, n), -1, dtype=np.int16)
@@ -103,6 +111,7 @@ def product_colouring(c1, c2):
     c1's colour on {a,a'}; pairs with a == a' take q1 + c2's colour on {b,b'}."""
     n1, n2 = c1.n, c2.n
     n = n1 * n2
+    _check_size(n)
     a = np.repeat(np.arange(n1), n2)
     b = np.tile(np.arange(n2), n1)
     t1 = c1.table[np.ix_(a, a)].astype(np.int32)
@@ -125,6 +134,7 @@ def random_colouring(n, q, seed):
         raise InputError("random colouring needs n >= 2")
     if q < 1:
         raise InputError("random colouring needs q >= 1")
+    _check_size(n)
     rng = np.random.default_rng(seed)
     table = np.full((n, n), -1, dtype=np.int16)
     iu = np.triu_indices(n, 1)
@@ -139,6 +149,7 @@ def colouring_from_classes(n, classes, validate=True):
     Pairs not listed anywhere stay uncoloured (-1), which is rejected unless
     ``validate=False``; that switch exists to craft corrupted instances.
     """
+    _check_size(n)
     table = np.full((n, n), -1, dtype=np.int16)
     for colour, edges in enumerate(classes):
         for u, v in edges:
@@ -154,7 +165,8 @@ def colour_class(c, i):
     """Graph on all n vertices whose edges are exactly the colour-i pairs."""
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range [0, {c.q})")
-    return Graph(c.table == i)
+    # symmetric with a -1 diagonal by the EdgeColouring invariant: no re-check
+    return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
 
 
 def write_colouring(c, stream):
@@ -195,6 +207,8 @@ def read_colouring(stream):
         raise ParseError("dimensions must be integers", line=2) from None
     if n < 1 or q < 0:
         raise ParseError(f"bad dimensions n={n} q={q}", line=2)
+    if n > _MAX_N:
+        raise ParseError(f"n={n} exceeds the dense-table limit of {_MAX_N} vertices", line=2)
     # Every row must be present, and long enough for its entries (e entries
     # take >= 2e-1 characters), before the n x n table is allocated: a short
     # or hollow file cannot make a small header ask for n^2 memory.

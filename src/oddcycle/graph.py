@@ -1,14 +1,15 @@
 """Compact undirected graphs and the BFS/parity kernel everything builds on.
 
-A ``Graph`` wraps an immutable boolean adjacency matrix plus an active-vertex
-mask. Subgraphs of the form "G minus a deleted set" are views sharing the
-matrix, so the peeling pipeline never copies adjacency. Every BFS in the
-package runs through one kernel on per-row Python-int bitmasks
-(arbitrary-precision words), which keeps the inner loops at word speed for
-every size this package targets (n <= 2^13): ``_bfs`` yields one frontier
-mask per layer and stores no parent; ``_walk_back`` recovers a witness path
-on demand, the parent of a layer-d vertex being its lowest neighbour in
-layer d-1. Only the odd-girth double-cover sweep keeps its own loop.
+A ``Graph`` is one Python-int bitmask per row (arbitrary-precision words)
+holding the row's active neighbours, plus an int mask of the active
+vertices. Subgraphs of the form "G minus a deleted set" are new row lists
+cut down by one AND per row, so the peeling pipeline never touches a dense
+matrix. Every BFS in the package runs through one kernel on these rows,
+which keeps the inner loops at word speed for every size this package
+targets (n <= 2^13): ``_bfs`` yields one frontier mask per layer and stores
+no parent; ``_walk_back`` recovers a witness path on demand, the parent of
+a layer-d vertex being its lowest neighbour in layer d-1. Only the
+odd-girth double-cover sweep keeps its own loop.
 """
 
 from __future__ import annotations
@@ -33,19 +34,39 @@ def _bits_to_array(mask):
     return np.fromiter(_iter_bits(mask), dtype=np.int64)
 
 
-def _array_to_bits(vertices):
+def _array_to_bits(vertices, n):
+    """Int mask of ``vertices``; InputError for an id outside [0, n)."""
     mask = 0
     for v in vertices:
-        mask |= 1 << int(v)
+        v = int(v)
+        if not 0 <= v < n:
+            raise InputError(f"vertex {v} out of range [0, {n})")
+        mask |= 1 << v
     return mask
+
+
+def _pack_rows(matrix):
+    """One int per row of a bool matrix, bit j set iff column j is."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
+def _unpack_rows(masks, n):
+    """Fresh bool matrix whose row i holds bits 0..n-1 of ``masks[i]``."""
+    width = (n + 7) // 8
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
 class Graph:
     """Undirected graph on vertices 0..n-1 with an active-vertex mask.
 
     Immutable after construction; ``without``/``restricted_to`` return new
-    views over the same adjacency matrix. Masked-out vertices have no
-    incident active edges.
+    graphs over the same vertex ids. Masked-out vertices have no incident
+    active edges.
     """
 
     def __init__(self, adjacency, active=None):
@@ -56,18 +77,31 @@ class Graph:
             raise InputError("graph must be irreflexive (no self-loops)")
         if not np.array_equal(adj, adj.T):
             raise InputError("adjacency must be symmetric")
-        self.n = adj.shape[0]
-        self._adj = adj
-        self._adj.setflags(write=False)
+        n = adj.shape[0]
         if active is None:
-            act = np.ones(self.n, dtype=bool)
+            act = (1 << n) - 1
         else:
             act = np.array(active, dtype=bool)
-            if act.shape != (self.n,):
+            if act.shape != (n,):
                 raise InputError("active mask has wrong shape")
-        self._active = act
-        self._active.setflags(write=False)
-        self._row_masks = None  # built lazily, cached (graph is immutable)
+            act = _pack_rows(act[None, :])[0]
+        self._set(_pack_rows(adj), act)
+
+    @classmethod
+    def _from_rows(cls, rows, active):
+        """Graph on ``rows``, taken as symmetric and irreflexive unchecked."""
+        g = cls.__new__(cls)
+        g._set(rows, active)
+        return g
+
+    def _set(self, rows, active):
+        # The one place the row invariant is made: a row holds only active
+        # neighbours, and an inactive vertex's row is 0.
+        self.n = len(rows)
+        self._active = active
+        self._rows = [row & active for row in rows]
+        for v in _iter_bits(~active & ((1 << self.n) - 1)):
+            self._rows[v] = 0
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -84,72 +118,51 @@ class Graph:
 
     def without(self, vertices):
         """View of this graph with ``vertices`` deactivated."""
-        act = self._active.copy()
-        idx = np.asarray(list(vertices), dtype=np.int64)
-        if idx.size:
-            act[idx] = False
-        return Graph(self._adj, act)
+        return Graph._from_rows(self._rows, self._active & ~_array_to_bits(vertices, self.n))
 
     def restricted_to(self, vertices):
         """View keeping only ``vertices`` (intersected with the current mask)."""
-        keep = np.zeros(self.n, dtype=bool)
-        idx = np.asarray(list(vertices), dtype=np.int64)
-        if idx.size:
-            keep[idx] = True
-        return Graph(self._adj, self._active & keep)
+        return Graph._from_rows(self._rows, self._active & _array_to_bits(vertices, self.n))
 
     # -- queries ----------------------------------------------------------
 
     @property
     def active_mask(self):
-        return self._active
+        mask = _unpack_rows([self._active], self.n)[0]
+        mask.setflags(write=False)
+        return mask
 
     def active_vertices(self):
-        return np.flatnonzero(self._active)
+        return _bits_to_array(self._active)
 
     @property
     def active_count(self):
-        return int(self._active.sum())
+        return self._active.bit_count()
 
     def is_active(self, v):
-        return 0 <= v < self.n and bool(self._active[v])
+        return 0 <= v < self.n and bool(self._active >> int(v) & 1)
 
     def has_edge(self, u, v):
-        return (
-            0 <= u < self.n
-            and 0 <= v < self.n
-            and bool(self._adj[u, v] and self._active[u] and self._active[v])
-        )
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self._rows[u] >> int(v) & 1)
 
     def neighbours(self, v):
         if not self.is_active(v):
             raise InputError(f"vertex {v} is not active")
-        return np.flatnonzero(self._adj[v] & self._active)
+        return _bits_to_array(self._rows[v])
 
     def degree(self, v):
         return int(self.neighbours(v).size)
 
     def edge_count(self):
-        sub = self._adj & self._active[:, None] & self._active[None, :]
-        return int(sub.sum()) // 2
+        return sum(row.bit_count() for row in self._rows) // 2
 
     def masked_matrix(self):
         """Fresh boolean matrix of the active subgraph (verifier fodder)."""
-        return self._adj & self._active[:, None] & self._active[None, :]
+        return _unpack_rows(self._rows, self.n)
 
     def row_masks(self):
         """Per-vertex int bitmask of active neighbours (0 for inactive rows)."""
-        if self._row_masks is None:
-            sub = self._adj & self._active[None, :]
-            packed = np.packbits(sub, axis=1, bitorder="little")
-            masks = []
-            for v in range(self.n):
-                if self._active[v]:
-                    masks.append(int.from_bytes(packed[v].tobytes(), "little"))
-                else:
-                    masks.append(0)
-            self._row_masks = masks
-        return self._row_masks
+        return self._rows
 
     def __repr__(self):
         return f"Graph(n={self.n}, active={self.active_count}, edges={self.edge_count()})"
@@ -270,7 +283,7 @@ def bfs_layers(g, root, max_depth):
         raise InputError(f"root {root} is not an active vertex")
     if max_depth < 0:
         raise InputError("max_depth must be >= 0")
-    layers = islice(_bfs(g.row_masks(), root), max_depth + 1)
+    layers = islice(_bfs(g.row_masks(), int(root)), max_depth + 1)
     return LayeredBall(root=root, layers=tuple(_bits_to_array(layer) for layer in layers))
 
 
@@ -285,8 +298,7 @@ def check_bipartite(g):
     masks = g.row_masks()
     visited = 0
     sides = [0, 0]
-    for root in g.active_vertices():
-        root = int(root)
+    for root in _iter_bits(g._active):
         if (visited >> root) & 1:
             continue
         layers = []
@@ -305,8 +317,7 @@ def components(g):
     masks = g.row_masks()
     visited = 0
     comps = []
-    for root in g.active_vertices():
-        root = int(root)
+    for root in _iter_bits(g._active):
         if (visited >> root) & 1:
             continue
         comp = 0
@@ -336,8 +347,7 @@ def odd_girth(g):
     masks = g.row_masks()
     best = None
     best_root = best_layers = None
-    for v in g.active_vertices():
-        v = int(v)
+    for v in _iter_bits(g._active):
         reach = [1 << v, 0]  # states (w, parity) seen so far, per parity
         frontier = 1 << v
         layers = [frontier]
@@ -403,7 +413,7 @@ def odd_cycle_from_walk(walk, g):
 
 def shortest_path_within(g, component, x, y):
     """Shortest x-y path using only ``component`` vertices; list of vertices."""
-    comp_mask = _array_to_bits(component)
+    comp_mask = _array_to_bits(component, g.n)
     x, y = int(x), int(y)
     for v in (x, y):
         if not ((comp_mask >> v) & 1) or not g.is_active(v):

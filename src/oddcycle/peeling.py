@@ -111,7 +111,7 @@ def peel(g, k):
         def arrested(layer, cum):
             return layer * k <= cum * log2n
 
-    active = _array_to_bits(g.active_vertices())
+    active = _array_to_bits(g.active_vertices(), g.n)
     removed = 0
     comps = []
     while active:

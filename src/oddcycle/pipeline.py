@@ -476,9 +476,11 @@ def proposition_pipeline(c, delta, q=None):
     lvl.params = {"k": k, "delta": float(d)}
     trace.append(lvl)
 
+    classes = []  # built one at a time: the first short cycle ends the run
     decompositions = {}
     for i in range(c.q):
-        outcome = peel(colour_class(c, i), k)
+        classes.append(colour_class(c, i))
+        outcome = peel(classes[i], k)
         if isinstance(outcome, ShortCycle):
             lvl.branch = "short-cycle"
             lvl.sizes["colour"] = i
@@ -492,10 +494,7 @@ def proposition_pipeline(c, delta, q=None):
     for i in range(c.q):
         removed.update(int(v) for v in decompositions[i].removed)
     lvl.sizes["removed_total"] = len(removed)
-    bips = []
-    for i in range(c.q):
-        bip = _residual_bipartition(colour_class(c, i).without(removed), i, lvl)
-        bips.append(bip)
+    bips = [_residual_bipartition(classes[i].without(removed), i, lvl) for i in range(c.q)]
     sig = signatures(c, removed, bips)
     lvl.sizes["survivor_count"] = len(sig)
     seen = {}

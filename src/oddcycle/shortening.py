@@ -34,7 +34,7 @@ def _validate_component(g, vertices, center, r):
     center = int(center)
     if center not in verts or not g.is_active(center):
         raise InputError(f"centre {center} is not an active vertex of its component")
-    allowed = _array_to_bits(v for v in verts if 0 <= v < g.n)
+    allowed = _array_to_bits(verts, g.n)
     reached = 0
     for layer in islice(_bfs(g.row_masks(), center, allowed), r + 1):
         reached |= layer

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oddcycle import (
     Bipartition,
     EdgeColouring,
+    Graph,
     InputError,
     ParseError,
     binary_colouring,
@@ -17,6 +18,7 @@ from oddcycle import (
     random_colouring,
     read_colouring,
 )
+from oddcycle import colouring
 from oddcycle.colouring import colouring_to_text
 
 
@@ -53,6 +55,20 @@ class TestBinaryColouring:
             binary_colouring(0)
         with pytest.raises(InputError):
             binary_colouring(31)
+
+
+def test_dense_tables_over_size_limit_rejected():
+    # each raises before its n x n table is allocated
+    over = 2**14 + 1
+    with pytest.raises(InputError):
+        binary_colouring(15)
+    with pytest.raises(InputError):
+        random_colouring(over, 2, 0)
+    with pytest.raises(InputError):
+        colouring_from_classes(over, [])
+    small = random_colouring(129, 2, 0)
+    with pytest.raises(InputError):
+        product_colouring(small, small)  # n = 129^2 = 16641
 
 
 class TestProductColouring:
@@ -134,6 +150,27 @@ class TestColourClass:
         with pytest.raises(InputError):
             colour_class(random_colouring(4, 2, 0), 2)
 
+    def test_matches_validating_graph(self):
+        # colour_class packs the table unchecked; the validating Graph and
+        # the dense table itself must agree with it
+        incomplete = colouring_from_classes(6, [[(0, 1), (1, 2)], [(3, 4), (0, 5)]], validate=False)
+        cases = [
+            random_colouring(2, 1, 0),
+            random_colouring(17, 3, 1),
+            random_colouring(130, 5, 2),
+            binary_colouring(4),
+            product_colouring(binary_colouring(2), random_colouring(5, 2, 3)),
+            incomplete,
+            product_colouring(incomplete, binary_colouring(1)),
+        ]
+        for c in cases:
+            for i in range(c.q):
+                got, want = colour_class(c, i), Graph(c.table == i)
+                assert got.row_masks() == want.row_masks()
+                assert np.array_equal(got.masked_matrix(), c.table == i)
+                assert np.array_equal(got.active_mask, want.active_mask)
+                assert got.edge_count() == want.edge_count()
+
 
 class TestValidation:
     def test_incomplete_rejected_unless_opted_in(self):
@@ -199,12 +236,20 @@ class TestIO:
         ],
         ids=["short", "hollow"],
     )
-    def test_large_header_fails_before_allocating(self, text, line):
-        # the n x n table would take ~200 TB and ~20 GB here: the rows are
-        # checked before it is allocated
+    def test_large_header_fails_before_allocating(self, text, line, monkeypatch):
+        # the n x n table would take ~200 TB and ~20 GB here: with the size
+        # limit lifted past n, the rows are still checked before it is
+        # allocated
+        monkeypatch.setattr(colouring, "_MAX_N", 10**8)
         with pytest.raises(ParseError) as err:
             read_colouring(io.StringIO(text))
         assert err.value.line == line
+
+    @pytest.mark.parametrize("n", [2**14 + 1, 10_000_000])
+    def test_header_over_size_limit(self, n):
+        with pytest.raises(ParseError) as err:
+            read_colouring(io.StringIO(f"oddcycle-colouring v1\n{n} 3\n0 1 2\n"))
+        assert err.value.line == 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 20), st.integers(1, 8), st.integers(0, 10_000))

@@ -56,6 +56,11 @@ class TestBfsLayers:
         ball = bfs_layers(cycle_graph(5), 2, 0)
         assert layer_lists(ball) == [[2]]
 
+    def test_numpy_root_past_word_size(self):
+        # a numpy int root must not overflow the shift that seeds the BFS
+        ball = bfs_layers(cycle_graph(100), np.int64(70), 1)
+        assert layer_lists(ball) == [[70], [69, 71]]
+
     def test_inactive_root_rejected(self):
         g = cycle_graph(5).without([2])
         with pytest.raises(InputError):
@@ -325,6 +330,11 @@ class TestShortestPathWithin:
         with pytest.raises(InputError):
             shortest_path_within(g, [0, 1], 0, 5)
 
+    @pytest.mark.parametrize("component", [[-1, 0, 1], [0, 1, 5], [0, 1, 9]])
+    def test_out_of_range_component_rejected(self, component):
+        with pytest.raises(InputError):
+            shortest_path_within(cycle_graph(5), component, 0, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_path_lengths_match_distances(self, seed):
@@ -363,3 +373,62 @@ class TestViews:
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]).without([1])
         comps = components(g)
         assert [sorted(int(v) for v in c) for c in comps] == [[0], [2, 3], [4, 5]]
+
+    @pytest.mark.parametrize("ids", [[-1], [0, -5], [5], [7]])
+    def test_out_of_range_ids_rejected(self, ids):
+        g = cycle_graph(5)
+        with pytest.raises(InputError):
+            g.without(ids)
+        with pytest.raises(InputError):
+            g.restricted_to(ids)
+
+
+def assert_matches_dense(g, adj, active):
+    """Every query of g against dense numpy on the input matrix and mask."""
+    n = len(adj)
+    sub = adj & active[:, None] & active[None, :]
+    assert g.n == n
+    got = g.masked_matrix()
+    assert got.dtype == bool and np.array_equal(got, sub)
+    assert g.row_masks() == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in sub]
+    assert g.edge_count() == int(sub.sum()) // 2
+    assert g.active_mask.dtype == bool and np.array_equal(g.active_mask, active)
+    assert g.active_count == int(active.sum())
+    assert np.array_equal(g.active_vertices(), np.flatnonzero(active))
+    for v in range(n):
+        if active[v]:
+            assert np.array_equal(g.neighbours(v), np.flatnonzero(sub[v]))
+            assert g.degree(v) == int(sub[v].sum())
+        else:
+            with pytest.raises(InputError):
+                g.neighbours(v)
+    rng = np.random.default_rng(n)
+    for u, v in rng.integers(-1, n + 1, size=(300, 2)):
+        expect = 0 <= u < n and 0 <= v < n and bool(sub[u, v])
+        assert g.has_edge(int(u), int(v)) == expect
+
+
+class TestRowsAgainstDense:
+    """The packed rows against dense numpy computed from the input matrix.
+    ``masked_matrix`` comes from the same rows the BFS kernel reads, so this
+    is what keeps the verifier's Graph-host checks independent of the
+    packing."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_view_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 201)) if seed > 1 else (1, 200)[seed]
+        upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+        adj = upper | upper.T
+        active = rng.random(n) < 0.8 if seed % 2 else np.ones(n, dtype=bool)
+        g = Graph(adj, active if seed % 2 else None)
+        for _ in range(5):
+            assert_matches_dense(g, adj, active)
+            ids = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            picked = np.zeros(n, dtype=bool)
+            picked[ids] = True
+            if rng.random() < 0.5:
+                g, active = g.without(ids), active & ~picked
+            else:
+                g, active = g.restricted_to(ids.tolist()), active & picked
+        assert_matches_dense(g, adj, active)
