@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from oddcycle import Graph
-from oddcycle.colouring import colouring_from_classes
+from oddcycle import EdgeColouring, Graph, ParseError
+from oddcycle import colouring as colouring_module
+from oddcycle.colouring import FORMAT_MAGIC, colouring_from_classes
 
 
 def adjacency_sets(g):
@@ -213,3 +214,62 @@ def pentagon_colouring():
     pentagon = [(i, (i + 1) % 5) for i in range(5)]
     pentagram = [(i, (i + 2) % 5) for i in range(5)]
     return colouring_from_classes(5, [pentagon, pentagram])
+
+
+def write_colouring_by_entries(c, stream):
+    """The colouring writer formatting one entry at a time with ``str``."""
+    stream.write(f"{FORMAT_MAGIC}\n")
+    stream.write(f"{c.n} {c.q}\n")
+    for u in range(c.n - 1):
+        stream.write(" ".join(str(int(x)) for x in c.table[u, u + 1 :]))
+        stream.write("\n")
+
+
+def read_colouring_by_rows(stream):
+    """The colouring reader parsing row by row with ``str.split`` and ``int``."""
+    lines = stream.read().split("\n")
+    if not lines or lines[0] != FORMAT_MAGIC:
+        raise ParseError(f"expected header {FORMAT_MAGIC!r}", line=1)
+    if len(lines) < 2:
+        raise ParseError("missing dimension line", line=2)
+    parts = lines[1].split()
+    if len(parts) != 2:
+        raise ParseError("dimension line must be '<n> <q>'", line=2)
+    try:
+        n, q = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("dimensions must be integers", line=2) from None
+    if n < 1 or q < 0:
+        raise ParseError(f"bad dimensions n={n} q={q}", line=2)
+    max_n = colouring_module._MAX_N
+    if n > max_n:
+        raise ParseError(f"n={n} exceeds the dense-table limit of {max_n} vertices", line=2)
+    for u in range(n - 1):
+        if 2 + u >= len(lines):
+            raise ParseError(f"truncated table: missing row for vertex {u}", line=3 + u)
+        if len(lines[2 + u]) < 2 * (n - 1 - u) - 1:
+            raise ParseError(f"row for vertex {u} has {len(lines[2 + u].split())} entries, "
+                             f"expected {n - 1 - u}", line=3 + u)
+    table = np.full((n, n), -1, dtype=np.int16)
+    for u in range(n - 1):
+        lineno = 3 + u
+        row = lines[lineno - 1].split()
+        expected = n - 1 - u
+        if len(row) != expected:
+            raise ParseError(
+                f"row for vertex {u} has {len(row)} entries, expected {expected}",
+                line=lineno,
+            )
+        for off, tok in enumerate(row):
+            try:
+                val = int(tok)
+            except ValueError:
+                raise ParseError(f"non-integer colour {tok!r}", line=lineno) from None
+            if not 0 <= val < q:
+                raise ParseError(f"colour {val} out of range [0, {q})", line=lineno)
+            v = u + 1 + off
+            table[u, v] = table[v, u] = val
+    for idx, extra in enumerate(lines[n + 1 :]):
+        if extra.strip():
+            raise ParseError("unexpected trailing content", line=n + 2 + idx)
+    return EdgeColouring(n, q, table)

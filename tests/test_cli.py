@@ -172,6 +172,23 @@ class TestFindVerify:
         )
         assert result.exit_code == 2
 
+    def test_colour_count_past_int16_exits_2(self, runner, tmp_path):
+        # colour 70000 would not fit the int16 table: an input error, not a crash
+        big = tmp_path / "big.txt"
+        big.write_text("oddcycle-colouring v1\n2 100000\n70000\n")
+        result = runner.invoke(
+            main,
+            ["find", "--in", str(big), "--method", "oracle",
+             "--out-cert", str(tmp_path / "x.cert"), "--trace", str(tmp_path / "x.trace")],
+        )
+        assert result.exit_code == 2
+        assert "line 2" in result.output
+        result = runner.invoke(
+            main, ["gen", "--kind", "random", "--q", "40000", "--n", "3", "--seed", "1",
+                   "--out", str(tmp_path / "g.txt")]
+        )
+        assert result.exit_code == 2
+
 
 class TestPeelCommand:
     def test_decomposition_summary(self, runner, tmp_path):

@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import read_colouring_by_rows, write_colouring_by_entries
 
 from oddcycle import (
     Bipartition,
@@ -19,7 +21,7 @@ from oddcycle import (
     read_colouring,
 )
 from oddcycle import colouring
-from oddcycle.colouring import colouring_to_text
+from oddcycle.colouring import colouring_to_text, write_colouring
 
 
 class TestBinaryColouring:
@@ -189,6 +191,38 @@ class TestValidation:
         with pytest.raises(InputError):
             EdgeColouring(3, 1, t)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array([[-1, 65536], [65536, -1]]),
+            [[-1, 65536], [65536, -1]],
+            np.array([[-1, -(2**40)], [-(2**40), -1]]),
+            [[-1, 2**70], [2**70, -1]],
+            [[-1, 0.7], [0.7, -1]],
+            [[-1, [0]], [0, -1]],
+        ],
+        ids=["int64-wraps-to-0", "list-overflows", "negative-wraps-to-0", "python-int", "float", "ragged"],
+    )
+    def test_table_rejected_before_int16_cast(self, table):
+        with pytest.raises(InputError):
+            EdgeColouring(2, 3, table)
+
+    def test_colour_limit(self):
+        top = 2**15 - 1
+        c = EdgeColouring(2, 2**15, [[-1, top], [top, -1]])
+        assert c.colour_of(0, 1) == top
+        assert read_colouring(io.StringIO(colouring_to_text(c))) == c
+        assert random_colouring(3, 2**15, 1).q == 2**15
+        with pytest.raises(InputError):
+            EdgeColouring(2, 2**15 + 1, [[-1, 0], [0, -1]])
+        with pytest.raises(InputError):
+            random_colouring(3, 40000, 1)
+        with pytest.raises(InputError):
+            colouring_from_classes(2, [[]] * 2**15 + [[(0, 1)]])
+        half = random_colouring(2, 2**14 + 1, 0)
+        with pytest.raises(InputError):
+            product_colouring(half, half)
+
 
 class TestIO:
     def test_exact_format(self):
@@ -251,8 +285,176 @@ class TestIO:
             read_colouring(io.StringIO(f"oddcycle-colouring v1\n{n} 3\n0 1 2\n"))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("q", [2**15 + 1, 100_000])
+    def test_header_over_colour_limit(self, q):
+        with pytest.raises(ParseError) as err:
+            read_colouring(io.StringIO(f"oddcycle-colouring v1\n2 {q}\n70000\n"))
+        assert err.value.line == 2
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 20), st.integers(1, 8), st.integers(0, 10_000))
     def test_round_trip_property(self, n, q, seed):
         c = random_colouring(n, q, seed)
         assert read_colouring(io.StringIO(colouring_to_text(c))) == c
+
+
+def _outcome(reader, text):
+    """What a reader makes of a text: the colouring, or the error raised."""
+    try:
+        c = reader(io.StringIO(text))
+    except Exception as exc:  # compared by type, line and message
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return c.n, c.q, c.table.tobytes()
+
+
+ODD_TOKENS = ["x", "+1", "01", "-0", "\u0663", "1_0"]
+EXTRA_LINES = ["", " ", "\t", "0", "1 2", "x"]
+
+
+def _mutate(lines, draw):
+    """One damage to the text's lines, of a kind drawn at random."""
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "replace", "whitespace", "cr", "remove-line", "add-line",
+         "trailing"]))
+    tokens = lines[i].split(" ")
+    j = draw(st.integers(0, len(tokens) - 1))
+    if kind == "drop":
+        del tokens[j]
+    elif kind == "duplicate":
+        tokens.insert(j, tokens[j])
+    elif kind == "swap":
+        k = draw(st.integers(0, len(tokens) - 1))
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    elif kind == "replace":
+        tokens[j] = draw(st.sampled_from(ODD_TOKENS))
+    if kind in ("drop", "duplicate", "swap", "replace"):
+        lines[i] = " ".join(tokens)
+    elif kind == "whitespace":  # at 0 or the end: a leading or trailing one
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(["\t", " ", "  "])) + lines[i][at:]
+    elif kind == "cr":
+        lines[i] += "\r"
+    elif kind == "remove-line":
+        del lines[i]
+    elif kind == "add-line":
+        lines.insert(i, draw(st.sampled_from(EXTRA_LINES)))
+    else:
+        lines.extend(draw(st.lists(st.sampled_from(EXTRA_LINES), min_size=1, max_size=3)))
+    return lines
+
+
+@st.composite
+def damaged_texts(draw):
+    n = draw(st.integers(1, 40))
+    q = draw(st.integers(1, 1200))
+    c = random_colouring(n, q, draw(st.integers(0, 2**31))) if n > 1 else EdgeColouring(1, q, [[-1]])
+    lines = colouring_to_text(c).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        lines = _mutate(lines, draw)
+    return "\n".join(lines)
+
+
+class TestReaderAgainstRowParser:
+    """The blocked reader against the row-by-row parser it replaced: the same
+    colouring, or the same error with the same line and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(damaged_texts())
+    def test_damaged_texts(self, text):
+        assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: row.replace(" ", "  ", 1),
+            lambda row: row.replace(" ", "\t", 1),
+            lambda row: " " + row,
+            lambda row: row + "\r",
+            lambda row: "+1" + row[row.index(" "):],
+            lambda row: "000001" + row[row.index(" "):],
+            lambda row: "\u0663" + row[row.index(" "):],
+            lambda row: "x" + row[row.index(" "):],
+            lambda row: "1000" + row[row.index(" "):],
+            lambda row: str(2**32 + 1) + row[row.index(" "):],
+            lambda row: row[row.index(" ") + 1 :],
+            lambda row: row + " 0",
+        ],
+        ids=["double-space", "tab", "leading-space", "cr", "plus", "zero-padded",
+             "arabic-digit", "not-a-number", "out-of-range", "past-int32", "entry-missing", "entry-extra"],
+    )
+    def test_damage_in_second_block(self, damage, monkeypatch):
+        # n = 400 spans three blocks; row 200 lies in the second
+        n, row = 400, 200
+        blocks = colouring._row_blocks(n)
+        assert len(blocks) >= 3 and blocks[1][0] <= row < blocks[1][1]
+        lines = colouring_to_text(random_colouring(n, 1000, 5)).split("\n")
+        lines[2 + row] = damage(lines[2 + row])
+        text = "\n".join(lines)
+        decoded = []
+        parse_block = colouring._parse_block
+        monkeypatch.setattr(colouring, "_parse_block",
+                            lambda *args: decoded.append(parse_block(*args)) or decoded[-1])
+        assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
+        assert decoded == [True, False]  # rows from the damaged block on go row by row
+
+
+def _writer_cases():
+    rng = np.random.default_rng(0)
+    cases = []
+    for q in (1, 10, 11, 1000, 2**15):
+        for n in (1, 2, 3, 400):
+            if n == 1:
+                cases.append(EdgeColouring(1, q, [[-1]]))
+                continue
+            c = random_colouring(n, q, n + q)
+            table = np.array(c.table)
+            gaps = np.triu(rng.random((n, n)) < 0.2, 1)
+            gaps[0, n - 1] = True
+            table[gaps | gaps.T] = -1
+            cases += [c, EdgeColouring(n, q, table, validate=False)]
+        if q > 1:
+            cases.append(product_colouring(random_colouring(20, q // 2, q),
+                                           random_colouring(20, q - q // 2, q + 1)))
+    incomplete = colouring_from_classes(6, [[(0, 1), (1, 2)], [(3, 4), (0, 5)]], validate=False)
+    cases += [binary_colouring(k) for k in (1, 2, 5, 8)]
+    cases += [product_colouring(binary_colouring(2), random_colouring(100, 9, 1)),
+              product_colouring(incomplete, binary_colouring(6))]
+    return cases
+
+
+class TestWriterAgainstEntryFormatter:
+    @pytest.mark.parametrize("c", _writer_cases(), ids=repr)
+    def test_byte_identical(self, c):
+        expected = io.StringIO()
+        write_colouring_by_entries(c, expected)
+        text = colouring_to_text(c)
+        # compared line by line: pytest's diff of two long strings is slow
+        assert text.split("\n") == expected.getvalue().split("\n")
+        if c.is_complete():
+            assert read_colouring(io.StringIO(text)) == c
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("block,bounded", [(colouring._BLOCK, True), (1 << 30, False)],
+                         ids=["blocked", "whole-body"])
+def test_io_scratch_memory_bounded(block, bounded, monkeypatch):
+    # n = 1025, q = 10: 1.05 MB of text, 2.1 MB of table. Over 2^16-entry
+    # blocks reading peaks near 12.7 MB (the row-by-row reader: the same) and
+    # writing near 1.7 MB; decoding or formatting the whole body at once peaks
+    # near 28 MB and 14 MB
+    monkeypatch.setattr(colouring, "_BLOCK", block)
+    c = random_colouring(1025, 10, 3)
+    text = colouring_to_text(c)
+    read_peak = _peak_bytes(lambda: read_colouring(io.StringIO(text)))
+    write_peak = _peak_bytes(lambda: write_colouring(c, io.StringIO()))
+    assert (read_peak < 16e6, write_peak < 4e6) == (bounded, bounded)
