@@ -83,6 +83,15 @@ class EdgeColouring:
         self.table.setflags(write=False)
         self.provenance = provenance
 
+    @classmethod
+    def _from_table(cls, n, q, table):
+        """Colouring on an n x n int16 ``table`` taken as symmetric, -1 on
+        the diagonal and complete in [0, q), unchecked; frozen in place."""
+        c = cls.__new__(cls)
+        c.n, c.q, c.table, c.provenance = n, q, table, None
+        table.setflags(write=False)
+        return c
+
     def colour_of(self, u, v):
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise InputError(f"({u},{v}) is not a vertex pair")
@@ -336,12 +345,22 @@ def read_colouring(stream):
             try:
                 val = int(tok)
             except ValueError:
-                raise ParseError(f"non-integer colour {tok!r}", line=lineno) from None
+                digits = tok[1:] if tok[:1] in ("+", "-") else tok
+                if digits.isascii() and digits.isdigit():  # past int()'s digit limit
+                    raise ParseError(f"colour {_clip(tok)} out of range [0, {q})",
+                                     line=lineno) from None
+                raise ParseError(f"non-integer colour {_clip(tok)!r}", line=lineno) from None
             if not 0 <= val < q:
-                raise ParseError(f"colour {val} out of range [0, {q})", line=lineno)
+                raise ParseError(f"colour {_clip(str(val))} out of range [0, {q})", line=lineno)
             v = u + 1 + off
             table[u, v] = table[v, u] = val
     for idx, extra in enumerate(lines[n + 1 :]):
         if extra.strip():
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
-    return EdgeColouring(n, q, table)
+    # every row held n-1-u colours in [0, q), written to both halves
+    return EdgeColouring._from_table(n, q, table)
+
+
+def _clip(token):
+    """A token as quoted in an error message: at most 20 characters."""
+    return token if len(token) <= 20 else token[:17] + "..."

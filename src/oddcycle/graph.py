@@ -8,8 +8,7 @@ matrix. Every BFS in the package runs through one kernel on these rows,
 which keeps the inner loops at word speed for every size this package
 targets (n <= 2^13): ``_bfs`` yields one frontier mask per layer and stores
 no parent; ``_walk_back`` recovers a witness path on demand, the parent of
-a layer-d vertex being its lowest neighbour in layer d-1. Only the
-odd-girth double-cover sweep keeps its own loop.
+a layer-d vertex being its lowest neighbour in layer d-1.
 """
 
 from __future__ import annotations
@@ -331,54 +330,45 @@ def components(g):
 def odd_girth(g):
     """Exact odd girth with a witness cycle, or None when g is bipartite.
 
-    Runs a BFS from every active vertex in the (implicit) bipartite double
-    cover: the shortest odd closed walk through v has length dist(v_even,
-    v_odd), and the minimum over v is the odd girth. Layer d of that BFS
-    holds only parity-(d mod 2) states, so one mask per depth suffices. The
-    sweep stops at the first triangle, since no odd cycle is shorter. The
-    witness is read back from the winning root's layers, taking the
-    lowest-index neighbour in the layer below at each step; the minimising
-    walk is necessarily a simple cycle.
+    Sweeps the active vertices as BFS roots in ascending order, each BFS
+    confined to the vertices not yet ruled out. If a shortest odd cycle has
+    length 2m+1, the BFS from its first root finds an edge inside a layer
+    at depth <= m (Itai & Rodeh), and the first such edge closes a simple
+    odd cycle of length <= 2d+1 by walking both ends back. So each finished
+    root can be dropped, a BFS stops before any depth d with 2d+1 >= the
+    best length so far, and a BFS that exhausts its component without a
+    conflict drops the whole (bipartite) component. The sweep stops at the
+    first triangle, since no odd cycle is shorter.
     """
-    # Bipartite graphs would otherwise force every BFS to exhaust its
-    # component; one parity sweep settles them up front.
-    if isinstance(check_bipartite(g), Bipartition):
-        return None
     masks = g.row_masks()
+    allowed = g._active
     best = None
-    best_root = best_layers = None
-    for v in _iter_bits(g._active):
-        reach = [1 << v, 0]  # states (w, parity) seen so far, per parity
-        frontier = 1 << v
-        layers = [frontier]
-        depth = 0
-        while True:
-            depth += 1
-            if best is not None and depth >= best - 1:
+    while allowed:
+        # every lower vertex is done or dropped, so the root is the lowest left
+        root = (allowed & -allowed).bit_length() - 1
+        layers = []
+        for layer in _bfs(masks, root, allowed):
+            layers.append(layer)
+            cycle = _conflict_cycle(masks, layers)
+            if cycle is not None:
+                depth = len(layers) - 1
+                if cycle.length % 2 == 0 or cycle.length > 2 * depth + 1:
+                    raise InternalInconsistency(
+                        f"odd-girth witness has length {cycle.length} at depth {depth}",
+                        witness={"root": root, "cycle": cycle.vertices, "depth": depth},
+                    )
+                if best is None or cycle.length < best.length:
+                    best = cycle
                 break
-            frontier = _union_rows(masks, frontier) & ~reach[depth & 1]
-            if not frontier:
+            if best is not None and 2 * len(layers) + 1 >= best.length:
                 break
-            reach[depth & 1] |= frontier
-            layers.append(frontier)
-            if (frontier >> v) & 1:
-                best, best_root, best_layers = depth, v, layers
-                break
-        if best == 3:
+        else:  # no conflict anywhere in the component: it is bipartite
+            for layer in layers:
+                allowed &= ~layer
+        allowed &= ~(1 << root)
+        if best is not None and best.length == 3:
             break
-    if best is None:
-        return None
-    # Back from (root, odd) at depth best: the walk reads root, x_{best-1},
-    # ..., x_1, where x_d lies in layer d; the final step back to the root
-    # closes the walk and is dropped.
-    walk = _walk_back(masks, best_layers, best_root)[:-1]
-    cert = odd_cycle_from_walk(OddClosedWalk(tuple(walk)), g)
-    if cert.length != best:
-        raise InternalInconsistency(
-            f"odd-girth witness has length {cert.length}, expected {best}",
-            witness={"walk": tuple(walk), "cycle": cert.vertices, "length": best},
-        )
-    return best, cert
+    return None if best is None else (best.length, best)
 
 
 def odd_cycle_from_walk(walk, g):

@@ -51,6 +51,39 @@ def odd_girth_by_enumeration(adj):
     return best[0]
 
 
+def odd_girth_by_double_cover(g):
+    """Odd girth, or None, by the double-cover sweep ``odd_girth`` used to
+    run: from every active vertex v, BFS over (vertex, parity) states until
+    (v, odd) is reached; the minimum depth over v is the odd girth. Each
+    depth's frontier holds only states of that depth's parity, so one mask
+    per parity records what was seen. Stops at the first triangle."""
+    masks = g.row_masks()
+    best = None
+    for v in (int(x) for x in g.active_vertices()):
+        reach = [1 << v, 0]
+        frontier = 1 << v
+        depth = 0
+        while True:
+            depth += 1
+            if best is not None and depth >= best - 1:
+                break
+            nxt, rest = 0, frontier
+            while rest:
+                low = rest & -rest
+                nxt |= masks[low.bit_length() - 1]
+                rest ^= low
+            frontier = nxt & ~reach[depth & 1]
+            if not frontier:
+                break
+            reach[depth & 1] |= frontier
+            if (frontier >> v) & 1:
+                best = depth
+                break
+        if best == 3:
+            break
+    return best
+
+
 def naive_distance_matrix(g):
     """All-pairs distances by Floyd-Warshall over the masked matrix."""
     matrix = g.masked_matrix()

@@ -279,6 +279,26 @@ class TestIO:
             read_colouring(io.StringIO(text))
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "token,kind",
+        [
+            ("7" * 100_000, "out of range"),
+            ("-" + "1" * 100_000, "out of range"),
+            ("7" * 4000, "out of range"),  # int() still parses it
+            ("x" * 100_000, "non-integer"),
+        ],
+        ids=["huge", "huge-negative", "long", "huge-non-integer"],
+    )
+    def test_huge_token_reported_short(self, token, kind):
+        # a colour past int()'s 4300-digit limit is an out-of-range integer,
+        # and no message quotes a token at full length
+        text = f"oddcycle-colouring v1\n4 2\n0 1 1\n1 {token}\n0\n"
+        with pytest.raises(ParseError) as err:
+            read_colouring(io.StringIO(text))
+        assert err.value.line == 4
+        assert kind in str(err.value)
+        assert len(str(err.value)) < 200
+
     @pytest.mark.parametrize("n", [2**14 + 1, 10_000_000])
     def test_header_over_size_limit(self, n):
         with pytest.raises(ParseError) as err:
@@ -449,9 +469,9 @@ def _peak_bytes(fn):
                          ids=["blocked", "whole-body"])
 def test_io_scratch_memory_bounded(block, bounded, monkeypatch):
     # n = 1025, q = 10: 1.05 MB of text, 2.1 MB of table. Over 2^16-entry
-    # blocks reading peaks near 12.7 MB (the row-by-row reader: the same) and
-    # writing near 1.7 MB; decoding or formatting the whole body at once peaks
-    # near 28 MB and 14 MB
+    # blocks reading peaks near 9.8 MB (the row-by-row reader, whose table
+    # is copied and checked again: 12.7 MB) and writing near 1.7 MB; decoding
+    # or formatting the whole body at once peaks near 28 MB and 14 MB
     monkeypatch.setattr(colouring, "_BLOCK", block)
     c = random_colouring(1025, 10, 3)
     text = colouring_to_text(c)

@@ -10,7 +10,9 @@ from oddcycle import (
     OddClosedWalk,
     OddCycleCertificate,
     bfs_layers,
+    binary_colouring,
     check_bipartite,
+    colour_class,
     complete_graph,
     components,
     cycle_graph,
@@ -19,7 +21,9 @@ from oddcycle import (
     odd_girth,
     path_graph,
     petersen_graph,
+    product_colouring,
     random_bipartite_graph,
+    random_colouring,
     random_graph,
     shortest_path_within,
     verify_mono_odd_cycle,
@@ -28,7 +32,9 @@ from oracles import (
     adjacency_sets,
     blown_up_odd_cycle,
     grid_graph,
+    hamilton_colouring,
     naive_distance_matrix,
+    odd_girth_by_double_cover,
     odd_girth_by_enumeration,
 )
 
@@ -239,6 +245,56 @@ class TestOddGirthAgainstNetworkx:
 
     def test_bipartite(self):
         assert self.check(random_bipartite_graph(120, 0.1, 3)) is None
+
+
+def _masked(g, rng, frac):
+    """g with a random ``frac`` of its vertices deactivated."""
+    return g.without(np.flatnonzero(rng.random(g.n) < frac))
+
+
+def _girth_corpus():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for seed in range(16):
+        n = int(rng.integers(40, 241))
+        g = random_graph(n, 1.5 / n, seed)
+        cases += [(f"sparse-{seed}", g), (f"sparse-{seed}-masked", _masked(g, rng, 0.2))]
+    for seed in range(6):
+        g = random_graph(30 + 20 * seed, 0.3, 100 + seed)
+        cases += [(f"dense-{seed}", g), (f"dense-{seed}-masked", _masked(g, rng, 0.5))]
+    for m in range(5, 23, 2):
+        g = blown_up_odd_cycle(m, 6, 0.4, m)
+        cases += [(f"C{m}-blown-up", g), (f"C{m}-blown-up-masked", _masked(g, rng, 0.1))]
+    colourings = [(f"hamilton-{m}", hamilton_colouring(m)) for m in range(2, 9)]
+    colourings += [(f"binary3-x-hamilton-{m}",
+                    product_colouring(binary_colouring(3), hamilton_colouring(m)))
+                   for m in range(1, 5)]
+    colourings += [(f"random-q{q}-s{s}", random_colouring(2**q + 1, q, s))
+                   for q in range(1, 9) for s in range(2)]
+    for name, c in colourings:
+        for i in range(c.q):
+            g = colour_class(c, i)
+            cases += [(f"{name}-c{i}", g), (f"{name}-c{i}-masked", _masked(g, rng, 0.3))]
+    return cases
+
+
+class TestOddGirthAgainstDoubleCover:
+    """The root sweep against the double-cover sweep it replaced."""
+
+    def test_corpus(self):
+        girths = set()
+        for name, g in _girth_corpus():
+            expected = odd_girth_by_double_cover(g)
+            got = odd_girth(g)
+            if expected is None:
+                assert got is None, name
+            else:
+                length, cert = got
+                assert length == expected == cert.length, name
+                assert verify_mono_odd_cycle(g, cert) is None, name
+            girths.add(expected)
+        # triangles, long odd girths and bipartite graphs are all in the mix
+        assert {None, 3, 5, 7, 17, 21} <= girths
 
 
 class TestOddCycleFromWalk:

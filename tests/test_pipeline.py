@@ -33,6 +33,10 @@ from oracles import (
 OVERRIDE = dict(k_of_q=lambda q: 3, small_threshold_of_q=lambda q: 4)
 
 
+def cycle_edges(vertices):
+    return {frozenset(e) for e in zip(vertices, vertices[1:] + vertices[:1])}
+
+
 def min_girth(c):
     vals = []
     for i in range(c.q):
@@ -66,24 +70,32 @@ class TestFindExamples:
         assert got.certificate.length >= min_girth(c)
 
     @pytest.mark.parametrize(
-        "make,vertices,colour",
+        "make,vertices,colour,before",
         [
-            (lambda: random_colouring(513, 9, 1), (0, 9, 248), 0),
-            (lambda: random_colouring(1025, 10, 2), (0, 3, 78), 0),
-            (lambda: hamilton_colouring(5), (0, 1, 9, 2, 8, 3, 7, 4, 6, 5, 10), 0),
+            (lambda: random_colouring(513, 9, 1), (9, 0, 248), 0, (0, 9, 248)),
+            (lambda: random_colouring(1025, 10, 2), (3, 0, 78), 0, (0, 3, 78)),
+            (
+                lambda: hamilton_colouring(5),
+                (3, 8, 2, 9, 1, 0, 10, 5, 6, 4, 7),
+                0,
+                (0, 1, 9, 2, 8, 3, 7, 4, 6, 5, 10),
+            ),
             (
                 lambda: product_colouring(binary_colouring(3), hamilton_colouring(3)),
-                (0, 1, 5, 2, 4, 3, 6),
+                (2, 5, 1, 0, 6, 3, 4),
                 3,
+                (0, 1, 5, 2, 4, 3, 6),
             ),
         ],
         ids=["random-513", "random-1025", "hamilton-11", "binary3-x-hamilton7"],
     )
-    def test_seeded_witness_pinned(self, make, vertices, colour):
-        # seeded runs are byte-reproducible, so the exact witness is pinned
+    def test_seeded_witness_pinned(self, make, vertices, colour, before):
+        # seeded runs are byte-reproducible, so the exact witness is pinned;
+        # ``before`` is the same cycle as the double-cover sweep wrote it
         got = find_mono_odd_cycle(make()).certificate
         assert got.vertices == vertices
         assert got.colour == colour
+        assert cycle_edges(vertices) == cycle_edges(before)
 
     def test_all_bipartite_raises(self):
         with pytest.raises(NoMonochromaticOddCycle):
