@@ -16,6 +16,7 @@ from oddcycle import (
     binary_colouring,
     colouring_from_classes,
     find_mono_odd_cycle,
+    hamilton_colouring,
     product_colouring,
     proposition_pipeline,
     random_colouring,
@@ -32,20 +33,6 @@ def show(result, colouring):
         rec = json.loads(line)
         rec.pop("params", None)
         print(f"  trace: {rec}")
-
-
-def hamilton_colouring(m):
-    """K_{2m+1} decomposed into m Hamilton cycles (Walecki zigzag)."""
-    n = 2 * m + 1
-    classes = []
-    for j in range(m):
-        path = []
-        for t in range(2 * m):
-            off = (t + 1) // 2
-            path.append((j + off) % (2 * m) if t % 2 == 1 else (j - off) % (2 * m))
-        cyc = [2 * m] + path
-        classes.append([(cyc[i], cyc[(i + 1) % n]) for i in range(n)])
-    return colouring_from_classes(n, classes)
 
 
 print("=" * 72)

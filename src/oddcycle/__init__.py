@@ -28,6 +28,7 @@ from .colouring import (
     binary_colouring,
     colour_class,
     colouring_from_classes,
+    hamilton_colouring,
     product_colouring,
     random_colouring,
     read_colouring,

@@ -18,9 +18,9 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .colouring import EdgeColouring, binary_colouring, random_colouring
+from .colouring import EdgeColouring, _class_graph, binary_colouring, random_colouring
 from .errors import InputError, InternalInconsistency, NoMonochromaticOddCycle
-from .graph import Graph, odd_girth
+from .graph import odd_girth
 from .pipeline import (
     LevelTrace,
     MonoOddCycle,
@@ -45,7 +45,7 @@ def _objective(table, n, q):
 
 
 def odd_girth_of_class(table, i):
-    got = odd_girth(Graph(table == i))
+    got = odd_girth(_class_graph(table, i))
     return None if got is None else got[0]
 
 

@@ -138,6 +138,25 @@ def binary_colouring(q):
     return EdgeColouring(n, q, table, provenance=f"binary q={q}")
 
 
+def hamilton_colouring(m):
+    """Complete colouring of K_{2m+1} whose m colour classes are Hamilton
+    cycles (Walecki's zigzag decomposition, apex vertex 2m), so every class
+    has odd girth 2m+1."""
+    max_m = (_MAX_N - 1) // 2
+    if not 1 <= m <= max_m:
+        raise InputError(f"m must be in [1, {max_m}], got {m}")
+    n = 2 * m + 1
+    classes = []
+    for j in range(m):
+        path = []
+        for t in range(2 * m):
+            off = (t + 1) // 2
+            path.append((j + off) % (2 * m) if t % 2 == 1 else (j - off) % (2 * m))
+        cyc = [2 * m] + path
+        classes.append([(cyc[i], cyc[(i + 1) % n]) for i in range(n)])
+    return colouring_from_classes(n, classes)
+
+
 def product_colouring(c1, c2):
     """Colouring of K_{n1*n2} on vertex pairs (a,b). Pairs with a != a' take
     c1's colour on {a,a'}; pairs with a == a' take q1 + c2's colour on {b,b'}."""
@@ -200,8 +219,13 @@ def colour_class(c, i):
     """Graph on all n vertices whose edges are exactly the colour-i pairs."""
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range [0, {c.q})")
-    # symmetric with a -1 diagonal by the EdgeColouring invariant: no re-check
-    return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
+    return _class_graph(c.table, i)
+
+
+def _class_graph(table, i):
+    """Graph of the colour-i pairs of ``table``, taken unchecked as symmetric
+    with a -1 diagonal (the ``EdgeColouring`` invariant)."""
+    return Graph._from_rows(_pack_rows(table == i), (1 << len(table)) - 1)
 
 
 def write_colouring(c, stream):
@@ -307,10 +331,8 @@ def read_colouring(stream):
     parts = lines[1].split()
     if len(parts) != 2:
         raise ParseError("dimension line must be '<n> <q>'", line=2)
-    try:
-        n, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("dimensions must be integers", line=2) from None
+    n = _dimension(parts[0], "n", f"the dense-table limit of {_MAX_N} vertices")
+    q = _dimension(parts[1], "q", f"the colour limit of {_MAX_Q}")
     if n < 1 or q < 0:
         raise ParseError(f"bad dimensions n={n} q={q}", line=2)
     if n > _MAX_N:
@@ -345,8 +367,7 @@ def read_colouring(stream):
             try:
                 val = int(tok)
             except ValueError:
-                digits = tok[1:] if tok[:1] in ("+", "-") else tok
-                if digits.isascii() and digits.isdigit():  # past int()'s digit limit
+                if _past_int_limit(tok):
                     raise ParseError(f"colour {_clip(tok)} out of range [0, {q})",
                                      line=lineno) from None
                 raise ParseError(f"non-integer colour {_clip(tok)!r}", line=lineno) from None
@@ -359,6 +380,25 @@ def read_colouring(stream):
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
     # every row held n-1-u colours in [0, q), written to both halves
     return EdgeColouring._from_table(n, q, table)
+
+
+def _dimension(token, name, limit):
+    """A header field as an int, else ParseError on line 2. Signed ASCII
+    digits that ``int()`` refuses are past ``limit``, or negative."""
+    try:
+        return int(token)
+    except ValueError:
+        if not _past_int_limit(token):
+            raise ParseError("dimensions must be integers", line=2) from None
+        past = "is negative" if token[0] == "-" else f"exceeds {limit}"
+        raise ParseError(f"{name}={_clip(token)} {past}", line=2) from None
+
+
+def _past_int_limit(token):
+    """Whether a token ``int()`` refused is signed ASCII digits, so an
+    integer past ``int()``'s 4300-digit limit."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return digits.isascii() and digits.isdigit()
 
 
 def _clip(token):

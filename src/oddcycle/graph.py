@@ -6,9 +6,11 @@ vertices. Subgraphs of the form "G minus a deleted set" are new row lists
 cut down by one AND per row, so the peeling pipeline never touches a dense
 matrix. Every BFS in the package runs through one kernel on these rows,
 which keeps the inner loops at word speed for every size this package
-targets (n <= 2^13): ``_bfs`` yields one frontier mask per layer and stores
-no parent; ``_walk_back`` recovers a witness path on demand, the parent of
-a layer-d vertex being its lowest neighbour in layer d-1.
+targets (n <= 2^13). ``_bfs`` ORs each layer's rows once; that union gives
+the next layer and the layer's *inner* mask, its vertices with a neighbour
+in the layer (BFS parity conflicts), so no layer is scanned twice. It
+stores no parent: ``_walk_back`` recovers a witness path on demand, the
+parent of a layer-d vertex being its lowest neighbour in layer d-1.
 """
 
 from __future__ import annotations
@@ -224,13 +226,16 @@ def _union_rows(masks, frontier):
 
 
 def _bfs(masks, root, allowed=-1):
-    """Yield the frontier masks of the BFS layers from ``root``: layer 0 is
+    """Yield ``(layer, inner)`` for the BFS layers from ``root``: layer 0 is
     the root alone, each later layer the unseen ``allowed`` neighbours of the
-    one before. Stops when a frontier comes out empty."""
+    one before, and ``inner`` the layer's vertices with a neighbour inside
+    it. One row union per layer gives both ``inner`` and the next layer.
+    Stops when a frontier comes out empty."""
     seen = frontier = 1 << root
     while frontier:
-        yield frontier
-        frontier = _union_rows(masks, frontier) & allowed & ~seen
+        union = _union_rows(masks, frontier)
+        yield frontier, union & frontier
+        frontier = union & allowed & ~seen
         seen |= frontier
 
 
@@ -246,28 +251,16 @@ def _walk_back(masks, layers, v):
     return path
 
 
-def _layer_edge(masks, layer):
-    """First edge (v, u) inside one layer: v the lowest vertex with a higher
-    neighbour in the layer, u the lowest such neighbour; None if the layer is
-    independent. Such an edge is exactly a BFS parity conflict."""
-    rest = layer
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        hit = masks[v] & rest
-        if hit:
-            return v, (hit & -hit).bit_length() - 1
-    return None
-
-
-def _conflict_cycle(masks, layers):
-    """Odd cycle through the first edge v-u inside the last of ``layers``, or
-    None if that layer is independent. Both ends walk back to their first
-    common vertex, so all cycle vertices are distinct."""
-    edge = _layer_edge(masks, layers[-1])
-    if edge is None:
+def _conflict_cycle(masks, layers, inner):
+    """Odd cycle through the first edge v-u inside the last of ``layers``
+    (``inner`` its inner mask), or None if there is none: v is the lowest
+    vertex of ``inner``, u its lowest neighbour in the layer. Both ends walk
+    back to their first common vertex, so all cycle vertices are distinct."""
+    if not inner:
         return None
-    v, u = edge
+    v = (inner & -inner).bit_length() - 1
+    hit = masks[v] & layers[-1]
+    u = (hit & -hit).bit_length() - 1
     pv, pu = _walk_back(masks, layers, v), _walk_back(masks, layers, u)
     t = 0
     while pv[t] != pu[t]:
@@ -283,7 +276,7 @@ def bfs_layers(g, root, max_depth):
     if max_depth < 0:
         raise InputError("max_depth must be >= 0")
     layers = islice(_bfs(g.row_masks(), int(root)), max_depth + 1)
-    return LayeredBall(root=root, layers=tuple(_bits_to_array(layer) for layer in layers))
+    return LayeredBall(root=root, layers=tuple(_bits_to_array(layer) for layer, _ in layers))
 
 
 def check_bipartite(g):
@@ -301,9 +294,9 @@ def check_bipartite(g):
         if (visited >> root) & 1:
             continue
         layers = []
-        for layer in _bfs(masks, root):
+        for layer, inner in _bfs(masks, root):
             layers.append(layer)
-            cycle = _conflict_cycle(masks, layers)
+            cycle = _conflict_cycle(masks, layers, inner)
             if cycle is not None:
                 return cycle
             sides[(len(layers) - 1) & 1] |= layer
@@ -320,7 +313,7 @@ def components(g):
         if (visited >> root) & 1:
             continue
         comp = 0
-        for layer in _bfs(masks, root):
+        for layer, _ in _bfs(masks, root):
             comp |= layer
         visited |= comp
         comps.append(_bits_to_array(comp))
@@ -347,9 +340,9 @@ def odd_girth(g):
         # every lower vertex is done or dropped, so the root is the lowest left
         root = (allowed & -allowed).bit_length() - 1
         layers = []
-        for layer in _bfs(masks, root, allowed):
+        for layer, inner in _bfs(masks, root, allowed):
             layers.append(layer)
-            cycle = _conflict_cycle(masks, layers)
+            cycle = _conflict_cycle(masks, layers, inner)
             if cycle is not None:
                 depth = len(layers) - 1
                 if cycle.length % 2 == 0 or cycle.length > 2 * depth + 1:
@@ -410,7 +403,7 @@ def shortest_path_within(g, component, x, y):
             raise InputError(f"vertex {v} is not an active member of the component")
     masks = g.row_masks()
     layers = []
-    for layer in _bfs(masks, x, comp_mask):
+    for layer, _ in _bfs(masks, x, comp_mask):
         layers.append(layer)
         if (layer >> y) & 1:
             return _walk_back(masks, layers, y)[::-1]

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import (
-    Bipartition,
-    OddCycleCertificate,
-    _array_to_bits,
-    _bfs,
-    _bits_to_array,
-    _conflict_cycle,
-)
+from .graph import Bipartition, OddCycleCertificate, _bfs, _bits_to_array, _conflict_cycle
 
 
 @dataclass(frozen=True)
@@ -111,16 +104,16 @@ def peel(g, k):
         def arrested(layer, cum):
             return layer * k <= cum * log2n
 
-    active = _array_to_bits(g.active_vertices(), g.n)
+    active = g._active
     removed = 0
     comps = []
     while active:
         root = (active & -active).bit_length() - 1
         layers = _bfs(masks, root, active)
-        ball_layers = [next(layers)]
+        ball_layers = [next(layers)[0]]
         ball = ball_layers[0]
         for depth in range(1, k + 1):
-            nxt = next(layers, 0)
+            nxt, inner = next(layers, (0, 0))
             # Arrest at depth k is forced: growth past the factor for k
             # straight steps would overshoot n, so in exact arithmetic an
             # arrest exists by then; the depth==k clause only guards float
@@ -131,25 +124,16 @@ def peel(g, k):
                 break
             # layer joins the ball: check it for a parity conflict first
             ball_layers.append(nxt)
-            cycle = _conflict_cycle(masks, ball_layers)
+            cycle = _conflict_cycle(masks, ball_layers, inner)
             if cycle is not None:
                 return ShortCycle(cycle)
             ball |= nxt
-        even = 0
-        odd = 0
+        sides = [0, 0]
         for i, layer in enumerate(ball_layers):
-            if i % 2 == 0:
-                even |= layer
-            else:
-                odd |= layer
-        comps.append(
-            PeelComponent(
-                vertices=_bits_to_array(ball),
-                center=root,
-                radius=radius,
-                bipartition=Bipartition(_bits_to_array(even), _bits_to_array(odd)),
-            )
-        )
+            sides[i & 1] |= layer
+        bipartition = Bipartition(_bits_to_array(sides[0]), _bits_to_array(sides[1]))
+        comps.append(PeelComponent(vertices=_bits_to_array(ball), center=root,
+                                   radius=radius, bipartition=bipartition))
         removed |= boundary
         active &= ~(ball | boundary)
     return PeelDecomposition(removed=_bits_to_array(removed), components=tuple(comps))

@@ -36,7 +36,7 @@ def _validate_component(g, vertices, center, r):
         raise InputError(f"centre {center} is not an active vertex of its component")
     allowed = _array_to_bits(verts, g.n)
     reached = 0
-    for layer in islice(_bfs(g.row_masks(), center, allowed), r + 1):
+    for layer, _ in islice(_bfs(g.row_masks(), center, allowed), r + 1):
         reached |= layer
     seen = set(_iter_bits(reached))
     if seen != verts:

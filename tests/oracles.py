@@ -84,6 +84,21 @@ def odd_girth_by_double_cover(g):
     return best
 
 
+def layer_edge_by_scan(masks, layer):
+    """First edge (v, u) inside one BFS layer by scanning it vertex by vertex,
+    as the kernel did before it read conflicts off its row union: v the
+    lowest vertex with a higher neighbour in the layer, u the lowest such
+    neighbour; None if the layer is independent."""
+    rest = layer
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        hit = masks[v] & rest
+        if hit:
+            return v, (hit & -hit).bit_length() - 1
+    return None
+
+
 def naive_distance_matrix(g):
     """All-pairs distances by Floyd-Warshall over the masked matrix."""
     matrix = g.masked_matrix()
@@ -209,27 +224,6 @@ def grid_graph(rows, cols):
 def graph_from_sets(adj):
     n = len(adj)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-
-
-def hamilton_decomposition_classes(m):
-    """Edge classes of the Walecki decomposition of K_{2m+1} into m
-    Hamilton cycles (apex vertex 2m)."""
-    n = 2 * m + 1
-    classes = []
-    for j in range(m):
-        path = []
-        for t in range(2 * m):
-            off = (t + 1) // 2
-            path.append((j + off) % (2 * m) if t % 2 == 1 else (j - off) % (2 * m))
-        cyc = [2 * m] + path
-        classes.append([(cyc[i], cyc[(i + 1) % n]) for i in range(n)])
-    return classes
-
-
-def hamilton_colouring(m):
-    """Complete colouring of K_{2m+1} whose colour classes are all Hamilton
-    cycles (odd girth 2m+1 each)."""
-    return colouring_from_classes(2 * m + 1, hamilton_decomposition_classes(m))
 
 
 def shifted_cycle_classes(m, copies):

@@ -28,6 +28,7 @@ from oddcycle import (
     cycle_graph,
     exhaustive_L,
     find_mono_odd_cycle,
+    hamilton_colouring,
     odd_girth,
     peel,
     product_colouring,
@@ -46,7 +47,6 @@ from oddcycle.graph import Graph
 from oddcycle.selector import ceil_expected_survivors
 from oracles import (
     adjacency_sets,
-    hamilton_colouring,
     odd_girth_by_enumeration,
     shifted_cycle_classes,
 )

@@ -16,6 +16,9 @@ from oddcycle import (
     check_bipartite,
     colour_class,
     colouring_from_classes,
+    components,
+    hamilton_colouring,
+    odd_girth,
     product_colouring,
     random_colouring,
     read_colouring,
@@ -57,6 +60,24 @@ class TestBinaryColouring:
             binary_colouring(0)
         with pytest.raises(InputError):
             binary_colouring(31)
+
+
+class TestHamiltonColouring:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_class_is_a_hamilton_cycle(self, m):
+        n = 2 * m + 1
+        c = hamilton_colouring(m)
+        assert (c.n, c.q) == (n, m) and c.is_complete()
+        for i in range(m):
+            g = colour_class(c, i)
+            assert all(g.degree(v) == 2 for v in range(n))
+            assert len(components(g)) == 1
+            assert odd_girth(g)[0] == n
+
+    @pytest.mark.parametrize("m", [0, -1, 2**13])  # 2^14 + 1 vertices is past the limit
+    def test_guard(self, m):
+        with pytest.raises(InputError):
+            hamilton_colouring(m)
 
 
 def test_dense_tables_over_size_limit_rejected():
@@ -172,6 +193,13 @@ class TestColourClass:
                 assert np.array_equal(got.masked_matrix(), c.table == i)
                 assert np.array_equal(got.active_mask, want.active_mask)
                 assert got.edge_count() == want.edge_count()
+        # analysis packs its raw, mutable search tables the same unchecked way
+        table = np.array(random_colouring(9, 3, 4).table)
+        table[2, 5] = table[5, 2] = (table[2, 5] + 1) % 3
+        for i in range(3):
+            got, want = colouring._class_graph(table, i), Graph(table == i)
+            assert got.row_masks() == want.row_masks()
+            assert np.array_equal(got.active_mask, want.active_mask)
 
 
 class TestValidation:
@@ -296,6 +324,24 @@ class TestIO:
         with pytest.raises(ParseError) as err:
             read_colouring(io.StringIO(text))
         assert err.value.line == 4
+        assert kind in str(err.value)
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize(
+        "header,kind",
+        [
+            ("7" * 5000 + " 3", "n=77777777777777777... exceeds the dense-table limit"),
+            ("3 " + "7" * 5000, "q=77777777777777777... exceeds the colour limit"),
+            ("-" + "7" * 5000 + " 3", "n=-7777777777777777... is negative"),
+        ],
+        ids=["huge-n", "huge-q", "huge-negative-n"],
+    )
+    def test_huge_header_dimension_reported_short(self, header, kind):
+        # a dimension past int()'s 4300-digit limit is an out-of-range
+        # integer, not a non-integer, and is quoted cut short
+        with pytest.raises(ParseError) as err:
+            read_colouring(io.StringIO(f"oddcycle-colouring v1\n{header}\n0 1\n0\n"))
+        assert err.value.line == 2
         assert kind in str(err.value)
         assert len(str(err.value)) < 200
 

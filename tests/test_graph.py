@@ -17,6 +17,7 @@ from oddcycle import (
     components,
     cycle_graph,
     empty_graph,
+    hamilton_colouring,
     odd_cycle_from_walk,
     odd_girth,
     path_graph,
@@ -28,11 +29,12 @@ from oddcycle import (
     shortest_path_within,
     verify_mono_odd_cycle,
 )
+from oddcycle.graph import _bfs, _conflict_cycle
 from oracles import (
     adjacency_sets,
     blown_up_odd_cycle,
     grid_graph,
-    hamilton_colouring,
+    layer_edge_by_scan,
     naive_distance_matrix,
     odd_girth_by_double_cover,
     odd_girth_by_enumeration,
@@ -295,6 +297,35 @@ class TestOddGirthAgainstDoubleCover:
             girths.add(expected)
         # triangles, long odd girths and bipartite graphs are all in the mix
         assert {None, 3, 5, 7, 17, 21} <= girths
+
+
+class TestConflictCycleAgainstLayerScan:
+    """The kernel's inner masks and same-layer edges against the per-layer
+    scan they replaced, on every layer of a BFS from every root, with and
+    without an ``allowed`` mask cutting off the vertices below the root."""
+
+    def test_corpus(self):
+        hits = misses = 0
+        for name, g in _girth_corpus():
+            if name.startswith(("binary3", "random-q")):
+                continue
+            masks = g.row_masks()
+            for root in (int(v) for v in g.active_vertices()):
+                for allowed in (-1, g._active >> root << root):
+                    layers = []
+                    for layer, inner in _bfs(masks, root, allowed):
+                        layers.append(layer)
+                        where = (name, root, allowed, len(layers) - 1)
+                        scanned = sum(1 << v for v in range(g.n)
+                                      if (layer >> v) & 1 and masks[v] & layer)
+                        assert inner == scanned, where
+                        edge = layer_edge_by_scan(masks, layer)
+                        cycle = _conflict_cycle(masks, layers, inner)
+                        got = None if cycle is None else (cycle.vertices[0], cycle.vertices[-1])
+                        assert got == edge, where
+                        hits += edge is not None
+                        misses += edge is None
+        assert hits > 1000 and misses > 1000
 
 
 class TestOddCycleFromWalk:

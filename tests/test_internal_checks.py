@@ -1,6 +1,7 @@
 """Source scans of the package. Checks the code relies on must survive
 ``python -O``, which strips ``assert``, so the package raises
-InternalInconsistency instead; and every BFS runs on the one kernel."""
+InternalInconsistency instead; every BFS runs on the one kernel; and only
+matrices from outside go through the validating ``Graph`` constructor."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,46 @@ def test_only_the_bfs_kernel_unions_rows():
                 if name == "_union_rows":
                     users.add(f"{path.stem}.{func.name}")
     assert users == {"graph._bfs"}
+
+
+class _GraphBuilds(ast.NodeVisitor):
+    """(scope, kind) of every ``Graph`` built in a module: ``validating`` for
+    a ``Graph(...)`` call (``cls(...)`` inside the class), ``unchecked`` for
+    a bare ``Graph.__new__``."""
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.found = set()
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Call(self, node):
+        names = {"Graph", "cls"} if self.scope[:2] == ["graph", "Graph"] else {"Graph"}
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            self.found.add((".".join(self.scope), "validating"))
+        if (isinstance(func, ast.Attribute) and func.attr == "__new__"
+                and isinstance(func.value, ast.Name) and func.value.id in names):
+            self.found.add((".".join(self.scope), "unchecked"))
+        self.generic_visit(node)
+
+
+def test_only_builders_validate_graphs():
+    # Graph(...) checks a matrix handed in from outside; a graph the package
+    # builds itself (colour classes, views) is packed unchecked through
+    # Graph._from_rows, so no other function may construct one.
+    builds = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _GraphBuilds(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        builds |= visitor.found
+    assert any(scope.startswith("builders.") for scope, _ in builds)
+    assert {b for b in builds if not b[0].startswith("builders.")} == {
+        ("graph.Graph.from_edges", "validating"),
+        ("graph.Graph._from_rows", "unchecked"),
+    }

@@ -14,6 +14,7 @@ from oddcycle import (
     colour_class,
     colouring_from_classes,
     find_mono_odd_cycle,
+    hamilton_colouring,
     odd_girth,
     product_colouring,
     proposition_pipeline,
@@ -23,7 +24,6 @@ from oddcycle import (
     verify_mono_odd_cycle,
 )
 from oracles import (
-    hamilton_colouring,
     odd_girth_by_enumeration,
     adjacency_sets,
     pentagon_colouring,
