@@ -4,7 +4,10 @@ experiment grid.
 The small-case quantity is the worst colouring's best cycle: over all
 q-colourings of K_n, maximize the minimum monochromatic odd cycle length.
 Internally "no monochromatic odd cycle" is the sentinel n+1 so maximization
-is total; the public value is None in that case.
+is total; the public value is None in that case. Both searches keep each
+colour class as one row int per vertex, bit v of row u set iff {u, v} has
+that colour; an annealing move flips two bits in each of the two colours it
+touches, and a colouring table is built only for the result.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .colouring import EdgeColouring, _class_graph, binary_colouring, random_colouring
+from .colouring import EdgeColouring, binary_colouring, random_colouring
 from .errors import InputError, InternalInconsistency, NoMonochromaticOddCycle
-from .graph import odd_girth
+from .graph import Graph, odd_girth
 from .pipeline import (
     LevelTrace,
     MonoOddCycle,
@@ -34,19 +37,27 @@ from .pipeline import (
 ENUMERATION_GUARD = 2**24
 
 
-def _objective(table, n, q):
-    """min over colours of the odd girth, with n+1 for bipartite classes."""
-    best = n + 1
-    for i in range(q):
-        got = odd_girth_of_class(table, i)
-        if got is not None and got < best:
-            best = got
-    return best
+def _class_rows(n, q, edges, colours):
+    """rows[c][u] of each colour c: bit v set iff the pair {u, v} has colour c."""
+    rows = [[0] * n for _ in range(q)]
+    for (u, v), c in zip(edges, colours):
+        rows[c][u] |= 1 << v
+        rows[c][v] |= 1 << u
+    return rows
 
 
-def odd_girth_of_class(table, i):
-    got = odd_girth(_class_graph(table, i))
-    return None if got is None else got[0]
+def _girth(rows, sentinel):
+    """Odd girth of the class on ``rows``, or ``sentinel`` when it is bipartite."""
+    got = odd_girth(Graph._from_rows(rows, (1 << len(rows)) - 1))
+    return sentinel if got is None else got[0]
+
+
+def _colouring(n, q, edges, colours, provenance):
+    """The colouring giving ``edges[k]`` the colour ``colours[k]``."""
+    table = np.full((n, n), -1, dtype=np.int16)
+    u, v = np.array(edges).T
+    table[u, v] = table[v, u] = colours
+    return EdgeColouring(n, q, table, provenance=provenance)
 
 
 def exhaustive_L(q, n):
@@ -63,42 +74,30 @@ def exhaustive_L(q, n):
     if n < 3:
         raise InputError("need n >= 3")
     n_edges = n * (n - 1) // 2
-    count = q ** (n_edges - 1)
-    if count > ENUMERATION_GUARD:
+    # the most free pairs whose q^free colourings fit the guard, counted up
+    if q == 1:
+        free = ENUMERATION_GUARD  # one colouring: bound the pairs themselves
+    else:
+        free, power = 0, q
+        while power <= ENUMERATION_GUARD:
+            free, power = free + 1, power * q
+    if n_edges - 1 > free:
         raise InputError(
-            f"infeasible: would enumerate {q}^{n_edges - 1} = {count} colourings "
-            f"(guard {ENUMERATION_GUARD})"
+            f"infeasible: would enumerate {q}^{n_edges - 1} colourings of "
+            f"{n_edges} pairs (guard 2^{ENUMERATION_GUARD.bit_length() - 1})"
         )
     edges = list(itertools.combinations(range(n), 2))
-    best_val = -1
-    best_table = None
+    sentinel = n + 1
+    best_val, best = -1, None
     for rest in itertools.product(range(q), repeat=n_edges - 1):
-        table = np.full((n, n), -1, dtype=np.int16)
         colours = (0,) + rest
-        for (u, v), colour in zip(edges, colours):
-            table[u, v] = table[v, u] = colour
-        val = _objective(table, n, q)
+        val = min(_girth(rows, sentinel) for rows in _class_rows(n, q, edges, colours))
         if val > best_val:
-            best_val = val
-            best_table = table
-            if best_val == n + 1:
+            best_val, best = val, colours
+            if best_val == sentinel:
                 break  # sentinel is the maximum possible
-    witness = EdgeColouring(n, q, best_table, provenance=f"exhaustive q={q} n={n}")
-    value = None if best_val == n + 1 else best_val
-    return value, witness
-
-
-@dataclass
-class SearchState:
-    """Annealing state; ``objective`` always matches recomputation from the
-    table."""
-
-    table: np.ndarray
-    girths: list
-    objective: int
-    temperature: float = 1.0
-    best_objective: int = 0
-    best_table: np.ndarray | None = None
+    witness = _colouring(n, q, edges, best, f"exhaustive q={q} n={n}")
+    return (None if best_val == sentinel else best_val), witness
 
 
 def anneal_search(q, n, iterations, seed, init=None):
@@ -115,49 +114,41 @@ def anneal_search(q, n, iterations, seed, init=None):
     start = init if init is not None else random_colouring(n, q, seed)
     if start.n != n or start.q != q:
         raise InputError("init colouring does not match (n, q)")
-    table = np.array(start.table, dtype=np.int16)
-    girths = [odd_girth_of_class(table, i) for i in range(q)]
-    sentinel = n + 1
-    values = [g if g is not None else sentinel for g in girths]
-    state = SearchState(
-        table=table,
-        girths=values,
-        objective=min(values),
-        best_objective=min(values),
-        best_table=table.copy(),
-    )
+    if not start.is_complete():
+        raise InputError("init colouring leaves pairs uncoloured")
     edges = list(itertools.combinations(range(n), 2))
+    colours = start.table[np.triu_indices(n, 1)].tolist()
+    rows = _class_rows(n, q, edges, colours)
+    sentinel = n + 1
+    girths = [_girth(r, sentinel) for r in rows]
+    objective = best_value = min(girths)
+    best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
-    for step in range(iterations):
-        if q < 2:
-            break  # no alternative colours to move to
-        state.temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
-        u, v = edges[int(rng.integers(len(edges)))]
-        old = int(state.table[u, v])
-        shift = int(rng.integers(1, q))
-        new = (old + shift) % q
-        state.table[u, v] = state.table[v, u] = new
-        changed = {}
-        for i in (old, new):
-            changed[i] = state.girths[i]
-            got = odd_girth_of_class(state.table, i)
-            state.girths[i] = got if got is not None else sentinel
-        proposed = min(state.girths)
-        delta = proposed - state.objective
-        accept = delta >= 0 or rng.random() < math.exp(delta / state.temperature)
-        if accept:
-            state.objective = proposed
-            if proposed > state.best_objective:
-                state.best_objective = proposed
-                state.best_table = state.table.copy()
+    for step in range(iterations if q > 1 else 0):  # one colour: no move exists
+        temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
+        k = int(rng.integers(len(edges)))
+        u, v = edges[k]
+        old = colours[k]
+        new = (old + int(rng.integers(1, q))) % q
+        before = girths[old], girths[new]
+        for c in (old, new):
+            rows[c][u] ^= 1 << v
+            rows[c][v] ^= 1 << u
+            girths[c] = _girth(rows[c], sentinel)
+        proposed = min(girths)
+        delta = proposed - objective
+        if delta >= 0 or rng.random() < math.exp(delta / temperature):
+            colours[k] = new
+            objective = proposed
+            if proposed > best_value:
+                best_value = proposed
+                best = colours.copy()
         else:
-            state.table[u, v] = state.table[v, u] = old
-            for i, g in changed.items():
-                state.girths[i] = g
-    best = EdgeColouring(
-        n, q, state.best_table, provenance=f"anneal q={q} n={n} seed={seed}"
-    )
-    return state.best_objective, best
+            for c in (old, new):
+                rows[c][u] ^= 1 << v
+                rows[c][v] ^= 1 << u
+            girths[old], girths[new] = before
+    return best_value, _colouring(n, q, edges, best, f"anneal q={q} n={n} seed={seed}")
 
 
 @dataclass

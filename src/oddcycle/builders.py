@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .graph import Graph
+
+
+def _check_sizes(*sizes):
+    if min(sizes) < 0:
+        raise InputError(f"graph size must be >= 0, got {min(sizes)}")
 
 
 def cycle_graph(m):
@@ -16,11 +22,13 @@ def path_graph(m):
 
 
 def complete_graph(n):
+    _check_sizes(n)
     adj = ~np.eye(n, dtype=bool)
     return Graph(adj)
 
 
 def complete_bipartite_graph(a, b):
+    _check_sizes(a, b)
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     adj[a:, :a] = True
@@ -35,10 +43,12 @@ def petersen_graph():
 
 
 def empty_graph(n):
+    _check_sizes(n)
     return Graph(np.zeros((n, n), dtype=bool))
 
 
 def random_graph(n, p, seed):
+    _check_sizes(n)
     rng = np.random.default_rng(seed)
     upper = rng.random((n, n)) < p
     adj = np.triu(upper, 1)
@@ -49,6 +59,7 @@ def random_graph(n, p, seed):
 def random_bipartite_graph(n, p, seed):
     """Random bipartite graph: vertices split uniformly into two sides, each
     cross pair an edge with probability p."""
+    _check_sizes(n)
     rng = np.random.default_rng(seed)
     side = rng.integers(0, 2, size=n).astype(bool)
     cross = side[:, None] != side[None, :]

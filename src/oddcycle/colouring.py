@@ -219,13 +219,8 @@ def colour_class(c, i):
     """Graph on all n vertices whose edges are exactly the colour-i pairs."""
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range [0, {c.q})")
-    return _class_graph(c.table, i)
-
-
-def _class_graph(table, i):
-    """Graph of the colour-i pairs of ``table``, taken unchecked as symmetric
-    with a -1 diagonal (the ``EdgeColouring`` invariant)."""
-    return Graph._from_rows(_pack_rows(table == i), (1 << len(table)) - 1)
+    # packed unchecked: the table is symmetric with a -1 diagonal by invariant
+    return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
 
 
 def write_colouring(c, stream):

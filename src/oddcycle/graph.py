@@ -106,6 +106,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
+        if n < 0:
+            raise InputError(f"graph size must be >= 0, got {n}")
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -6,11 +6,12 @@ package's optimized kernels have something honest to disagree with.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from oddcycle import EdgeColouring, Graph, ParseError
+from oddcycle import EdgeColouring, Graph, ParseError, odd_girth, random_colouring
 from oddcycle import colouring as colouring_module
 from oddcycle.colouring import FORMAT_MAGIC, colouring_from_classes
 
@@ -300,3 +301,67 @@ def read_colouring_by_rows(stream):
         if extra.strip():
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
     return EdgeColouring(n, q, table)
+
+
+def table_girth(table, i):
+    """Odd girth of ``table == i`` through the validating ``Graph``, or n+1
+    when the class is bipartite."""
+    got = odd_girth(Graph(table == i))
+    return len(table) + 1 if got is None else got[0]
+
+
+def exhaustive_L_by_tables(q, n):
+    """``exhaustive_L`` as a numpy table per candidate colouring: the same
+    enumeration order, value and witness, for small (q, n) only."""
+    n_edges = n * (n - 1) // 2
+    edges = list(itertools.combinations(range(n), 2))
+    best_val, best_table = -1, None
+    for rest in itertools.product(range(q), repeat=n_edges - 1):
+        table = np.full((n, n), -1, dtype=np.int16)
+        for (u, v), colour in zip(edges, (0,) + rest):
+            table[u, v] = table[v, u] = colour
+        val = min(table_girth(table, i) for i in range(q))
+        if val > best_val:
+            best_val, best_table = val, table
+            if best_val == n + 1:
+                break
+    witness = EdgeColouring(n, q, best_table, provenance=f"exhaustive q={q} n={n}")
+    return (None if best_val == n + 1 else best_val), witness
+
+
+def anneal_search_by_tables(q, n, iterations, seed, init=None):
+    """``anneal_search`` on a numpy table that each move edits and each
+    re-girthed class is cut from: the same RNG draws, accept test and best
+    colouring, for a complete ``init``."""
+    rng = np.random.default_rng(seed)
+    start = init if init is not None else random_colouring(n, q, seed)
+    table = np.array(start.table, dtype=np.int16)
+    girths = [table_girth(table, i) for i in range(q)]
+    objective = best_objective = min(girths)
+    best_table = table.copy()
+    edges = list(itertools.combinations(range(n), 2))
+    t_hot, t_cold = 1.0, 0.05
+    for step in range(iterations):
+        if q < 2:
+            break
+        temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
+        u, v = edges[int(rng.integers(len(edges)))]
+        old = int(table[u, v])
+        new = (old + int(rng.integers(1, q))) % q
+        table[u, v] = table[v, u] = new
+        changed = {}
+        for i in (old, new):
+            changed[i] = girths[i]
+            girths[i] = table_girth(table, i)
+        proposed = min(girths)
+        delta = proposed - objective
+        if delta >= 0 or rng.random() < math.exp(delta / temperature):
+            objective = proposed
+            if proposed > best_objective:
+                best_objective, best_table = proposed, table.copy()
+        else:
+            table[u, v] = table[v, u] = old
+            for i, g in changed.items():
+                girths[i] = g
+    best = EdgeColouring(n, q, best_table, provenance=f"anneal q={q} n={n} seed={seed}")
+    return best_objective, best

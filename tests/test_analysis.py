@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oddcycle import (
@@ -6,16 +8,22 @@ from oddcycle import (
     binary_colouring,
     check_bipartite,
     colour_class,
+    colouring_from_classes,
     exhaustive_L,
     odd_girth,
 )
 from oddcycle.analysis import (
     anneal_search,
     experiment_table,
-    odd_girth_of_class,
     rows_to_csv,
 )
 from oddcycle.colouring import colouring_to_text
+from oracles import anneal_search_by_tables, exhaustive_L_by_tables
+
+
+def girth_or(c, i, sentinel):
+    got = odd_girth(colour_class(c, i))
+    return sentinel if got is None else got[0]
 
 
 class TestExhaustive:
@@ -43,6 +51,23 @@ class TestExhaustive:
             exhaustive_L(3, 8)
         assert "3^27" in str(err.value)
 
+    @pytest.mark.parametrize("q, n", [(2, 200), (3, 10**6), (1, 6000)])
+    def test_guard_refuses_huge_counts_quickly(self, q, n):
+        # the refusal compares exponents: it builds and prints no power
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="infeasible") as err:
+            exhaustive_L(q, n)
+        assert time.perf_counter() - start < 0.1
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("q, n", [(1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 4)])
+    def test_matches_table_enumeration(self, q, n):
+        value, witness = exhaustive_L(q, n)
+        want_value, want = exhaustive_L_by_tables(q, n)
+        assert value == want_value
+        assert witness.table.tobytes() == want.table.tobytes()
+        assert witness.provenance == want.provenance
+
     def test_deterministic_witness(self):
         a = exhaustive_L(2, 5)
         b = exhaustive_L(2, 5)
@@ -53,7 +78,7 @@ class TestAnneal:
     def test_matches_exhaustive_optimum(self):
         obj, best = anneal_search(2, 5, 3000, seed=5)
         assert obj == 5  # the exhaustive optimum for (2,5)
-        assert min(odd_girth_of_class(best.table, i) or 6 for i in range(2)) == 5
+        assert min(girth_or(best, i, 6) for i in range(2)) == 5
 
     def test_never_exceeds_exhaustive_optimum(self):
         value, _ = exhaustive_L(2, 5)
@@ -71,9 +96,7 @@ class TestAnneal:
     def test_objective_matches_recomputation(self):
         obj, best = anneal_search(3, 9, 200, seed=1)
         sentinel = 10
-        recomputed = min(
-            (odd_girth_of_class(best.table, i) or sentinel) for i in range(3)
-        )
+        recomputed = min(girth_or(best, i, sentinel) for i in range(3))
         assert recomputed == obj
 
     def test_sentinel_reached_when_seeded_all_bipartite(self):
@@ -81,6 +104,30 @@ class TestAnneal:
         assert obj == 9  # sentinel n+1: no monochromatic odd cycle
         for i in range(3):
             assert isinstance(check_bipartite(colour_class(best, i)), Bipartition)
+
+    def test_incomplete_init_rejected_before_any_move(self):
+        init = colouring_from_classes(8, [[(0, 1)], [], []], validate=False)
+        with pytest.raises(InputError, match="init colouring leaves pairs uncoloured"):
+            anneal_search(3, 8, 50, seed=0, init=init)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [3, 5, 8, 9, 17])
+    def test_matches_table_search(self, q, n):
+        for seed in (0, 1, 2):
+            for iterations in (1, 40, 250):
+                obj, best = anneal_search(q, n, iterations, seed)
+                want_obj, want = anneal_search_by_tables(q, n, iterations, seed)
+                assert obj == want_obj
+                assert best.table.tobytes() == want.table.tobytes()
+                assert best.provenance == want.provenance
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_matches_table_search_from_binary_init(self, seed):
+        init = binary_colouring(3)
+        obj, best = anneal_search(3, 8, 300, seed, init=init)
+        want_obj, want = anneal_search_by_tables(3, 8, 300, seed, init=init)
+        assert obj == want_obj
+        assert best.table.tobytes() == want.table.tobytes()
 
 
 CONFIG = {

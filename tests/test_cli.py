@@ -225,6 +225,11 @@ class TestAnalysisCommands:
         result = runner.invoke(main, ["lq-exact", "--q", "3", "--n", "8"])
         assert result.exit_code == 2
 
+    def test_lq_exact_guard_on_a_huge_count(self, runner):
+        result = runner.invoke(main, ["lq-exact", "--q", "2", "--n", "200"])
+        assert result.exit_code == 2
+        assert "input error:" in result.output
+
     def test_search_writes_colouring(self, runner, tmp_path):
         out = tmp_path / "best.txt"
         result = runner.invoke(

@@ -193,13 +193,6 @@ class TestColourClass:
                 assert np.array_equal(got.masked_matrix(), c.table == i)
                 assert np.array_equal(got.active_mask, want.active_mask)
                 assert got.edge_count() == want.edge_count()
-        # analysis packs its raw, mutable search tables the same unchecked way
-        table = np.array(random_colouring(9, 3, 4).table)
-        table[2, 5] = table[5, 2] = (table[2, 5] + 1) % 3
-        for i in range(3):
-            got, want = colouring._class_graph(table, i), Graph(table == i)
-            assert got.row_masks() == want.row_masks()
-            assert np.array_equal(got.active_mask, want.active_mask)
 
 
 class TestValidation:

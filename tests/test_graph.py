@@ -13,6 +13,7 @@ from oddcycle import (
     binary_colouring,
     check_bipartite,
     colour_class,
+    complete_bipartite_graph,
     complete_graph,
     components,
     cycle_graph,
@@ -468,6 +469,25 @@ class TestViews:
             g.without(ids)
         with pytest.raises(InputError):
             g.restricted_to(ids)
+
+
+NEGATIVE_SIZES = {
+    "from_edges": lambda: Graph.from_edges(-1, []),
+    "cycle": lambda: cycle_graph(-2),
+    "path": lambda: path_graph(-2),
+    "complete": lambda: complete_graph(-1),
+    "complete_bipartite_a": lambda: complete_bipartite_graph(-1, 3),
+    "complete_bipartite_b": lambda: complete_bipartite_graph(3, -1),
+    "empty": lambda: empty_graph(-3),
+    "random": lambda: random_graph(-1, 0.5, 0),
+    "random_bipartite": lambda: random_bipartite_graph(-1, 0.5, 0),
+}
+
+
+@pytest.mark.parametrize("builder", NEGATIVE_SIZES)
+def test_builders_reject_negative_sizes(builder):
+    with pytest.raises(InputError, match="graph size must be >= 0"):
+        NEGATIVE_SIZES[builder]()
 
 
 def assert_matches_dense(g, adj, active):

@@ -1,7 +1,8 @@
 """Source scans of the package. Checks the code relies on must survive
 ``python -O``, which strips ``assert``, so the package raises
-InternalInconsistency instead; every BFS runs on the one kernel; and only
-matrices from outside go through the validating ``Graph`` constructor."""
+InternalInconsistency instead; every BFS runs on the one kernel; only
+matrices from outside go through the validating ``Graph`` constructor; and
+only that constructor and ``colour_class`` pack a bool matrix into rows."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,40 @@ def test_only_builders_validate_graphs():
         ("graph.Graph.from_edges", "validating"),
         ("graph.Graph._from_rows", "unchecked"),
     }
+
+
+class _NameUses(ast.NodeVisitor):
+    """Scopes (``module.Class.function``) whose code names ``target``."""
+
+    def __init__(self, module, target):
+        self.scope = [module]
+        self.target = target
+        self.found = set()
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Name(self, node):
+        if node.id == self.target:
+            self.found.add(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == self.target:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_table_packing_has_one_home():
+    # Packing a bool matrix into row ints is for a matrix from outside
+    # (Graph.__init__) and the validated colouring table (colour_class);
+    # searches keep their classes as row ints and never pack a table.
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _NameUses(path.stem, "_pack_rows")
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        users |= visitor.found
+    assert users == {"graph.Graph.__init__", "colouring.colour_class"}
