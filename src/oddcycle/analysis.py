@@ -52,6 +52,12 @@ def _girth(rows, sentinel):
     return sentinel if got is None else got[0]
 
 
+def _shown(x):
+    """A size as quoted in a message: decimal up to 64 bits, else its bit
+    length, so no huge int is formatted (``str`` refuses 4300+ digits)."""
+    return str(x) if x.bit_length() <= 64 else f"({x.bit_length()}-bit number)"
+
+
 def _colouring(n, q, edges, colours, provenance):
     """The colouring giving ``edges[k]`` the colour ``colours[k]``."""
     table = np.full((n, n), -1, dtype=np.int16)
@@ -83,8 +89,8 @@ def exhaustive_L(q, n):
             free, power = free + 1, power * q
     if n_edges - 1 > free:
         raise InputError(
-            f"infeasible: would enumerate {q}^{n_edges - 1} colourings of "
-            f"{n_edges} pairs (guard 2^{ENUMERATION_GUARD.bit_length() - 1})"
+            f"infeasible: would enumerate {_shown(q)}^{_shown(n_edges - 1)} colourings "
+            f"of {_shown(n_edges)} pairs (guard 2^{ENUMERATION_GUARD.bit_length() - 1})"
         )
     edges = list(itertools.combinations(range(n), 2))
     sentinel = n + 1

@@ -84,11 +84,12 @@ class EdgeColouring:
         self.provenance = provenance
 
     @classmethod
-    def _from_table(cls, n, q, table):
+    def _from_table(cls, n, q, table, provenance=None):
         """Colouring on an n x n int16 ``table`` taken as symmetric, -1 on
-        the diagonal and complete in [0, q), unchecked; frozen in place."""
+        the diagonal and every other entry in [0, q) (or -1, carried over
+        from an incomplete source), unchecked; frozen in place."""
         c = cls.__new__(cls)
-        c.n, c.q, c.table, c.provenance = n, q, table, None
+        c.n, c.q, c.table, c.provenance = n, q, table, provenance
         table.setflags(write=False)
         return c
 

@@ -366,6 +366,18 @@ def odd_girth(g):
     return None if best is None else (best.length, best)
 
 
+def _twin_free(g):
+    """View of g keeping the lowest active vertex of each set of active
+    vertices with equal rows (false twins). Twins are non-adjacent, so
+    mapping each vertex to its kept twin is a homomorphism onto the view:
+    the view has g's odd girth, and its cycles are cycles of g."""
+    rows = g._rows
+    lowest = {}  # row -> bit of its lowest vertex
+    for v in _iter_bits(g._active):
+        lowest.setdefault(rows[v], 1 << v)
+    return Graph._from_rows(rows, sum(lowest.values()))
+
+
 def odd_cycle_from_walk(walk, g):
     """Extract a simple odd cycle (length <= |walk|) from an odd closed walk.
 

@@ -7,9 +7,15 @@ edge-coloured graphs, composed from the certified primitives.
       q <= 2), return the overall shortest monochromatic odd cycle from the
       per-colour odd-girth oracle.
   (2) bipartite reduction: a bipartite colour class lets us recurse on its
-      larger side with that colour dropped.
+      larger side with that colour dropped. Classes are built as the test
+      reaches them, so the first bipartite colour ends the level before
+      the later classes are built.
   (3) short-cycle probe: peel each colour with budget k; any parity conflict
-      or any colour of odd girth <= 2k+1 ends the run.
+      or any colour of odd girth <= 2k+1 ends the run. The odd girth is
+      swept over one vertex per twin class (vertices with equal rows):
+      twins are non-adjacent, so mapping each vertex to its lowest twin is
+      a homomorphism onto that induced subgraph, which therefore has the
+      same odd girth, and its witness is a cycle of the class itself.
   (4) otherwise every peel decomposed; pool the deleted sets.
   (5) per colour, split the residual components at the small-size threshold.
   (6) if some colour carries few small-component vertices, shorten a seed
@@ -45,7 +51,14 @@ from .errors import (
     NoMonochromaticOddCycle,
     PipelineAssertError,
 )
-from .graph import Bipartition, OddCycleCertificate, check_bipartite, components, odd_girth
+from .graph import (
+    Bipartition,
+    OddCycleCertificate,
+    _twin_free,
+    check_bipartite,
+    components,
+    odd_girth,
+)
 from .peeling import ShortCycle, peel
 from .selector import SelectorInstance, select_complement
 from .shortening import shorten_cycle
@@ -207,9 +220,10 @@ def _find_level(c, params, trace, level):
 
     # (2) bipartite reduction: drop a bipartite colour, recurse on the
     # larger side
-    classes = [colour_class(c, i) for i in range(q)]
+    classes = []  # built one at a time: the first bipartite colour ends the level
     seeds = {}
     for i in range(q):
+        classes.append(colour_class(c, i))
         got = check_bipartite(classes[i])
         if isinstance(got, Bipartition):
             lvl.branch = "bipartite-reduction"
@@ -246,7 +260,7 @@ def _find_level(c, params, trace, level):
             lvl.bound_claimed = 2 * k + 1
             return outcome.cycle.with_colour(i), 2 * k + 1
         decompositions[i] = outcome
-    girths = [odd_girth(classes[i]) for i in range(q)]
+    girths = [odd_girth(_twin_free(classes[i])) for i in range(q)]
     best = min_colour_odd_cycle(c, girths)
     if best is None:
         raise InternalInconsistency(
@@ -409,9 +423,9 @@ def reduce_bipartite_colour(c, i, bipartition):
                 raise InputError(f"bipartition invalid: colour-{i} edge inside one side")
     side = s0 if len(s0) >= len(s1) else s1
     kept = np.sort(side)
-    sub = c.table[np.ix_(kept, kept)].copy()
+    sub = c.table[np.ix_(kept, kept)]  # a fresh principal submatrix
     sub[sub > i] -= 1
-    reduced = EdgeColouring(len(kept), c.q - 1, sub, provenance=f"reduce(drop {i})")
+    reduced = EdgeColouring._from_table(len(kept), c.q - 1, sub, provenance=f"reduce(drop {i})")
     return reduced, kept
 
 

@@ -16,6 +16,7 @@ from oddcycle import (
     complete_bipartite_graph,
     complete_graph,
     components,
+    EdgeColouring,
     cycle_graph,
     empty_graph,
     hamilton_colouring,
@@ -30,7 +31,7 @@ from oddcycle import (
     shortest_path_within,
     verify_mono_odd_cycle,
 )
-from oddcycle.graph import _bfs, _conflict_cycle
+from oddcycle.graph import _bfs, _conflict_cycle, _twin_free
 from oracles import (
     adjacency_sets,
     blown_up_odd_cycle,
@@ -39,6 +40,7 @@ from oracles import (
     naive_distance_matrix,
     odd_girth_by_double_cover,
     odd_girth_by_enumeration,
+    pentagon_colouring,
 )
 
 
@@ -298,6 +300,77 @@ class TestOddGirthAgainstDoubleCover:
             girths.add(expected)
         # triangles, long odd girths and bipartite graphs are all in the mix
         assert {None, 3, 5, 7, 17, 21} <= girths
+
+
+def _relabelled(c, rng):
+    perm = rng.permutation(c.n)
+    return EdgeColouring(c.n, c.q, c.table[np.ix_(perm, perm)])
+
+
+def _random_blow_up(k, p, seed):
+    """A random graph on k vertices with vertex v replaced by 0-4 pairwise
+    non-adjacent copies (each copy joined to every copy of v's neighbours),
+    plus three isolated vertices, shuffled: false twins everywhere."""
+    rng = np.random.default_rng(seed)
+    base = np.triu(rng.random((k, k)) < p, 1)
+    base |= base.T
+    owner = np.repeat(np.arange(k), rng.integers(0, 5, size=k))
+    n = owner.size + 3
+    adj = np.zeros((n, n), dtype=bool)
+    adj[: owner.size, : owner.size] = base[np.ix_(owner, owner)]
+    perm = rng.permutation(n)
+    return Graph(adj[np.ix_(perm, perm)])
+
+
+def _twin_corpus():
+    rng = np.random.default_rng(99)
+    colourings = [(f"ham{m}xham{m}", _relabelled(
+        product_colouring(hamilton_colouring(m), hamilton_colouring(m)), rng))
+        for m in range(1, 7)]
+    colourings += [(f"binary{b}xC5", _relabelled(
+        product_colouring(binary_colouring(b), pentagon_colouring()), rng))
+        for b in range(1, 5)]
+    colourings += [(f"binary3xham{m}", _relabelled(
+        product_colouring(binary_colouring(3), hamilton_colouring(m)), rng))
+        for m in range(1, 5)]
+    cases = []
+    for name, c in colourings:
+        for i in range(c.q):
+            g = colour_class(c, i)
+            cases += [(f"{name}-c{i}", g), (f"{name}-c{i}-masked", _masked(g, rng, 0.3))]
+    for seed in range(12):
+        g = _random_blow_up(int(rng.integers(4, 16)), 0.3, seed)
+        cases += [(f"blow-up-{seed}", g), (f"blow-up-{seed}-masked", _masked(g, rng, 0.3))]
+    return cases
+
+
+class TestTwinFree:
+    """Odd girth over one vertex per twin class against the double-cover
+    sweep on the whole graph."""
+
+    def test_corpus(self):
+        girths = set()
+        collapsed = 0
+        for name, g in _twin_corpus():
+            view = _twin_free(g)
+            matrix = g.masked_matrix()
+            active = [int(v) for v in g.active_vertices()]
+            lowest = {}
+            for v in active:
+                lowest.setdefault(matrix[v].tobytes(), v)
+            assert sorted(lowest.values()) == [int(v) for v in view.active_vertices()], name
+            collapsed += len(lowest) < len(active)
+            expected = odd_girth_by_double_cover(g)
+            got = odd_girth(view)
+            if expected is None:
+                assert got is None, name
+            else:
+                length, cert = got
+                assert length == expected == cert.length, name
+                assert verify_mono_odd_cycle(g, cert) is None, name
+            girths.add(expected)
+        assert {None, 3, 5, 7, 9, 11, 13} <= girths
+        assert collapsed > 100
 
 
 class TestConflictCycleAgainstLayerScan:

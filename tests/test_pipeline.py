@@ -184,6 +184,37 @@ class TestBipartiteReduction:
         assert got.certificate.colour in (0, 1)
         assert verify_mono_odd_cycle(c, got.certificate) is None
 
+    def test_reduction_keeps_uncoloured_pairs(self):
+        # colour 1 is bipartite; the kept side carries uncoloured pairs over
+        c = colouring_from_classes(6, [[(0, 1), (1, 2), (0, 2)], [(3, 4)], [(4, 5)]],
+                                   validate=False)
+        got = find_mono_odd_cycle(c, PipelineParams(C=0.01))
+        assert [lvl.branch for lvl in got.trace.levels] == ["bipartite-reduction", "base"]
+        assert got.certificate.length == 3 and got.certificate.colour == 0
+        assert verify_mono_odd_cycle(c, got.certificate) is None
+
+    def test_levels_build_classes_up_to_first_bipartite(self, monkeypatch):
+        import oddcycle.pipeline as pipeline
+
+        built = []
+
+        def counted(c, i):
+            built.append(i)
+            return colour_class(c, i)
+
+        monkeypatch.setattr(pipeline, "colour_class", counted)
+        c = product_colouring(binary_colouring(3), hamilton_colouring(4))
+        got = find_mono_odd_cycle(c, PipelineParams(C=0.01))
+        # three reductions drop colour 0 after building it alone; the last
+        # level (q = 4) probes all four Hamilton classes
+        assert built == [0, 0, 0, 0, 1, 2, 3]
+        assert [lvl.branch for lvl in got.trace.levels] == ["bipartite-reduction"] * 3 + [
+            "short-cycle"]
+        assert got.bound_claimed == 1025
+        assert got.certificate.vertices == (3, 5, 4, 8, 0, 1, 7, 2, 6)
+        assert got.certificate.colour == 3
+        assert verify_mono_odd_cycle(c, got.certificate) is None
+
 
 class TestShortCycleBranch:
     def test_default_rules_catch_small_girth(self):
