@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oddcycle import (
     Bipartition,
+    EdgeColouring,
     Graph,
     InputError,
     OddClosedWalk,
@@ -16,7 +17,6 @@ from oddcycle import (
     complete_bipartite_graph,
     complete_graph,
     components,
-    EdgeColouring,
     cycle_graph,
     empty_graph,
     hamilton_colouring,
