@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -111,18 +111,7 @@ class LevelTrace:
     bound_claimed: int | None = None
 
     def to_record(self):
-        return {
-            "level": self.level,
-            "q": self.q,
-            "n": self.n,
-            "branch": self.branch,
-            "params": self.params,
-            "sizes": self.sizes,
-            "steps": self.steps,
-            "asserts_failed": self.asserts_failed,
-            "fallback_used": self.fallback_used,
-            "bound_claimed": self.bound_claimed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -176,6 +165,17 @@ def _residual_bipartition(g, i, lvl):
             witness={"colour": i, "cycle": bip.vertices, "trace": lvl.to_record()},
         )
     return bip
+
+
+def _impossible_pair(c, x, y, claim, lvl, **witness):
+    """InternalInconsistency for a pair that ``claim`` says no colour can
+    reach, naming the colour the table gives it (None when uncoloured)."""
+    colour = int(c.table[x, y])
+    return InternalInconsistency(
+        f"{claim} {colour if colour >= 0 else 'missing'}; impossible for a complete colouring",
+        witness={"edge": (x, y), "colour": colour if colour >= 0 else None, **witness,
+                 "trace": lvl.to_record()},
+    )
 
 
 def find_mono_odd_cycle(c, params=None):
@@ -287,15 +287,18 @@ def _find_level(c, params, trace, level):
     # (5) split residual components at the small threshold
     lvl.steps.append("component-split")
     small_sets = {}
-    big_sets = {}
+    big_unions = {}  # per colour, the vertices of its big components
     residual = {}
     for i in range(q):
         residual[i] = classes[i].without(removed)
-        small, big = [], []
+        small, big_union = [], set()
         for comp in components(residual[i]):
-            (small if len(comp) <= threshold else big).append(comp)
+            if len(comp) <= threshold:
+                small.append(comp)
+            else:
+                big_union.update(int(v) for v in comp)
         small_sets[i] = small
-        big_sets[i] = big
+        big_unions[i] = big_union
     small_counts = {i: sum(len(s) for s in small_sets[i]) for i in range(q)}
     lvl.sizes["small_vertex_counts"] = [small_counts[i] for i in range(q)]
 
@@ -304,13 +307,10 @@ def _find_level(c, params, trace, level):
     for i in range(q):
         if small_counts[i] <= cutoff:
             comps = decompositions[i].components
-            big_union = set()
-            for comp in big_sets[i]:
-                big_union.update(int(v) for v in comp)
             target_ids = [
                 ci
                 for ci, comp in enumerate(comps)
-                if any(int(v) in big_union for v in comp.vertices)
+                if any(int(v) in big_unions[i] for v in comp.vertices)
             ]
             cert = shorten_cycle(
                 classes[i],
@@ -340,11 +340,8 @@ def _find_level(c, params, trace, level):
     delta = None
     for i in range(q):
         bip = _residual_bipartition(residual[i], i, lvl)
-        big_union = set()
-        for comp in big_sets[i]:
-            big_union.update(int(v) for v in comp)
-        side_a = sorted(index_of[int(v)] for v in bip.side0 if int(v) in big_union)
-        side_b = sorted(index_of[int(v)] for v in bip.side1 if int(v) in big_union)
+        side_a = sorted(index_of[int(v)] for v in bip.side0 if int(v) in big_unions[i])
+        side_b = sorted(index_of[int(v)] for v in bip.side1 if int(v) in big_unions[i])
         pairs.append((side_a, side_b))
         frac = 1.0 - (len(side_a) + len(side_b)) / n_prime if n_prime else 0.0
         delta = frac if delta is None else min(delta, frac)
@@ -377,18 +374,9 @@ def _find_level(c, params, trace, level):
             for y in survivors:
                 if y == x or y in shared:
                     continue
-                colour = int(c.table[x, y])
-                raise InternalInconsistency(
-                    f"surviving pair ({x},{y}) lies in no small component, yet its "
-                    f"colour is {colour if colour >= 0 else 'missing'}; impossible "
-                    "for a complete colouring",
-                    witness={
-                        "edge": (x, y),
-                        "colour": colour if colour >= 0 else None,
-                        "survivors": survivors,
-                        "trace": lvl.to_record(),
-                    },
-                )
+                raise _impossible_pair(
+                    c, x, y, f"surviving pair ({x},{y}) lies in no small component, "
+                    "yet its colour is", lvl, survivors=survivors)
         lvl.asserts_failed.append("cover-pair")
     else:
         lvl.asserts_failed.append("survivor-count")
@@ -402,6 +390,20 @@ def _find_level(c, params, trace, level):
     )
 
 
+def _checked_sides(c, i, bipartition, vertices):
+    """Both sides of ``bipartition``, sorted, and their principal submatrices
+    of ``c.table``, gathered once. InputError unless the sides partition the
+    sorted id array ``vertices`` and neither holds a colour-i pair."""
+    sides = [np.sort(np.asarray(side, dtype=np.int64))
+             for side in (bipartition.side0, bipartition.side1)]
+    if not np.array_equal(np.sort(np.concatenate(sides)), vertices):
+        raise InputError(f"bipartition of colour {i} does not partition its vertex set")
+    subs = [c.table[np.ix_(side, side)] for side in sides]
+    if any((sub == i).any() for sub in subs):
+        raise InputError(f"bipartition invalid: colour-{i} edge inside one side")
+    return sides, subs
+
+
 def reduce_bipartite_colour(c, i, bipartition):
     """Induced colouring on the larger side of a bipartite colour class, with
     colour i removed and the remaining colours relabelled densely.
@@ -411,20 +413,9 @@ def reduce_bipartite_colour(c, i, bipartition):
     """
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range")
-    s0 = np.asarray(bipartition.side0, dtype=np.int64)
-    s1 = np.asarray(bipartition.side1, dtype=np.int64)
-    both = np.concatenate([s0, s1])
-    if len(np.unique(both)) != len(both) or len(both) != c.n:
-        raise InputError("bipartition must partition the vertex set")
-    for side in (s0, s1):
-        if side.size:
-            sub = c.table[np.ix_(side, side)]
-            if (sub == i).any():
-                raise InputError(f"bipartition invalid: colour-{i} edge inside one side")
-    side = s0 if len(s0) >= len(s1) else s1
-    kept = np.sort(side)
-    sub = c.table[np.ix_(kept, kept)]  # a fresh principal submatrix
-    sub[sub > i] -= 1
+    (s0, s1), (sub0, sub1) = _checked_sides(c, i, bipartition, np.arange(c.n))
+    kept, sub = (s0, sub0) if len(s0) >= len(s1) else (s1, sub1)
+    sub[sub > i] -= 1  # a fresh principal submatrix
     reduced = EdgeColouring._from_table(len(kept), c.q - 1, sub, provenance=f"reduce(drop {i})")
     return reduced, kept
 
@@ -433,34 +424,21 @@ def signatures(c, removed, bipartitions):
     """Per-vertex bit vector of bipartition sides over the colours.
 
     ``bipartitions[i]`` must be a valid bipartition of colour class i minus
-    the removed set. Bit i of vertex v says which side v is on, with each
-    component's side labels flipped so its lowest-index vertex reads 0.
-    Returns {vertex: bitmask} over the surviving vertices.
+    the removed set. Bit i of vertex v is set iff v is on side1 of
+    ``bipartitions[i]``. Returns {vertex: bitmask} over the surviving
+    vertices.
     """
     removed_set = set(int(v) for v in removed)
-    survivors = [v for v in range(c.n) if v not in removed_set]
+    if any(not 0 <= v < c.n for v in removed_set):
+        raise InputError(f"removed ids must lie in [0, {c.n})")
     if len(bipartitions) != c.q:
         raise InputError(f"need one bipartition per colour, got {len(bipartitions)}")
-    sig = {v: 0 for v in survivors}
+    survivors = np.array([v for v in range(c.n) if v not in removed_set], dtype=np.int64)
+    sig = dict.fromkeys(survivors.tolist(), 0)
     for i, bip in enumerate(bipartitions):
-        g = colour_class(c, i).without(removed_set)
-        s0 = set(int(v) for v in bip.side0)
-        s1 = set(int(v) for v in bip.side1)
-        if s0 & s1 or (s0 | s1) != set(survivors):
-            raise InputError(f"bipartition {i} does not partition the survivors")
-        matrix = g.masked_matrix()
-        for side in (s0, s1):
-            idx = sorted(side)
-            if idx and matrix[np.ix_(idx, idx)].any():
-                raise InputError(f"bipartition {i} has an edge inside one side")
-        for comp in components(g):
-            lowest = int(comp.min())
-            flip = lowest in s1
-            for v in comp:
-                v = int(v)
-                on_side1 = v in s1
-                if on_side1 != flip:
-                    sig[v] |= 1 << i
+        (_, side1), _ = _checked_sides(c, i, bip, survivors)
+        for v in side1.tolist():
+            sig[v] |= 1 << i
     return sig
 
 
@@ -515,14 +493,9 @@ def proposition_pipeline(c, delta, q=None):
     for v, s in sorted(sig.items()):
         if s in seen:
             x, y = seen[s], v
-            colour = int(c.table[x, y])
-            raise InternalInconsistency(
-                f"vertices {x} and {y} share signature {s:0{c.q}b} yet their pair "
-                f"carries colour {colour if colour >= 0 else 'missing'}; impossible "
-                "for a complete colouring",
-                witness={"edge": (x, y), "colour": colour if colour >= 0 else None,
-                         "signature": s, "trace": lvl.to_record()},
-            )
+            raise _impossible_pair(
+                c, x, y, f"vertices {x} and {y} share signature {s:0{c.q}b} yet their "
+                "pair carries colour", lvl, signature=s)
         seen[s] = v
     raise PipelineAssertError(
         f"signature pigeonhole failed: only {len(sig)} survivors over "

@@ -1,8 +1,9 @@
 """Source scans of the package. Checks the code relies on must survive
 ``python -O``, which strips ``assert``, so the package raises
 InternalInconsistency instead; every BFS runs on the one kernel; only
-matrices from outside go through the validating ``Graph`` constructor; and
-only that constructor and ``colour_class`` pack a bool matrix into rows."""
+matrices from outside go through the validating ``Graph`` constructor;
+only that constructor and ``colour_class`` pack a bool matrix into rows; and
+the pipeline checks a handed-on bipartition against the table in one place."""
 
 import ast
 from pathlib import Path
@@ -117,3 +118,19 @@ def test_table_packing_has_one_home():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         users |= visitor.found
     assert users == {"graph.Graph.__init__", "colouring.colour_class"}
+
+
+def _pipeline_uses(target):
+    path = PACKAGE / "pipeline.py"
+    visitor = _NameUses(path.stem, target)
+    visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+    return visitor.found
+
+
+def test_bipartitions_are_checked_in_one_place():
+    # Both consumers of a bipartition (the reduction and the signatures)
+    # gather its sides from the table through _checked_sides; the signatures
+    # rebuild no colour class, component list or dense class matrix.
+    assert _pipeline_uses("ix_") == {"pipeline._checked_sides"}
+    for name in ("colour_class", "components", "masked_matrix"):
+        assert "pipeline.signatures" not in _pipeline_uses(name)

@@ -158,6 +158,21 @@ class TestBipartiteReduction:
         with pytest.raises(InputError):
             reduce_bipartite_colour(c, 0, Bipartition(np.array([0, 1, 2]), np.array([3, 4])))
 
+    def test_ids_outside_the_vertex_set_rejected(self):
+        # a negative id must not wrap around, and an id past n must not
+        # reach numpy's indexing
+        tab = np.full((4, 4), -1, dtype=np.int16)
+        tab[~np.eye(4, dtype=bool)] = 0
+        c = EdgeColouring(4, 2, tab, validate=False)
+        with pytest.raises(InputError):
+            reduce_bipartite_colour(c, 1, Bipartition(np.array([-1, 1, 2]), np.array([0])))
+        with pytest.raises(InputError):
+            reduce_bipartite_colour(binary_colouring(2), 1,
+                                    Bipartition(np.array([0, 1]), np.array([2, 4])))
+        with pytest.raises(InputError):
+            reduce_bipartite_colour(binary_colouring(2), 1,
+                                    Bipartition(np.array([0, 1, 1]), np.array([2, 3])))
+
     def test_reduction_preserves_completeness_and_size(self):
         for c in (binary_colouring(3), binary_colouring(4),
                   product_colouring(binary_colouring(2), binary_colouring(2))):
@@ -261,6 +276,11 @@ class TestDeepBranches:
         x, y = witness["edge"]
         assert witness["colour"] is None  # the uncoloured pair is the witness
         assert c.table[x, y] == -1
+        assert witness["edge"] == (0, 2)
+        assert witness["survivors"] == [0, 2, 4, 6, 8, 11, 13, 15, 17, 19, 22, 24, 26, 28, 30]
+        assert str(err.value) == (
+            "surviving pair (0,2) lies in no small component, yet its colour is "
+            "missing; impossible for a complete colouring")
 
     def test_selector_branch_asserts_recorded_and_fallback(self):
         c = colouring_from_classes(27, shifted_cycle_classes(9, 3), validate=False)
@@ -338,6 +358,29 @@ class TestProposition:
         x, y = err.value.witness["edge"]
         assert c.table[x, y] == -1 and err.value.witness["colour"] is None
         assert err.value.witness["trace"]["sizes"]["survivor_count"] > 4
+        assert err.value.witness["edge"] == (0, 2)
+        assert err.value.witness["signature"] == 0
+        assert err.value.witness["trace"]["sizes"] == {"removed_total": 14, "survivor_count": 40}
+        assert str(err.value) == (
+            "vertices 0 and 2 share signature 00 yet their pair carries colour "
+            "missing; impossible for a complete colouring")
+
+    def test_pigeonhole_builds_each_class_once(self, monkeypatch):
+        # the signatures read the residual bipartitions off the table; no
+        # colour class is rebuilt for them
+        import oddcycle.pipeline as pipeline
+
+        built = []
+
+        def counted(c, i):
+            built.append(i)
+            return colour_class(c, i)
+
+        monkeypatch.setattr(pipeline, "colour_class", counted)
+        c = colouring_from_classes(54, shifted_cycle_classes(27, 2), validate=False)
+        with pytest.raises(InternalInconsistency):
+            proposition_pipeline(c, 1)
+        assert built == [0, 1]
 
     def test_preconditions(self):
         with pytest.raises(InputError):
@@ -377,6 +420,30 @@ class TestSignatures:
         bad = [Bipartition(np.array([0, 1, 2, 3]), np.array([])), bips[1]]
         with pytest.raises(InputError):
             signatures(c, [], bad)
+
+    def test_ids_outside_the_survivors_rejected(self):
+        c = binary_colouring(2)
+        bips = [check_bipartite(colour_class(c, i)) for i in range(2)]
+        duplicated = Bipartition(np.array([0, 1, 1]), np.array([2, 3]))
+        out_of_range = Bipartition(np.array([0, 1]), np.array([2, 4]))
+        for bad in (duplicated, out_of_range):
+            with pytest.raises(InputError):
+                signatures(c, [], [bips[0], bad])
+        with pytest.raises(InputError):
+            signatures(c, [4], bips)
+        with pytest.raises(InputError):
+            signatures(c, [-1], bips)
+
+    def test_bit_is_side1_as_given(self):
+        # canonical sides (each component's lowest vertex on side0) from
+        # check_bipartite; swapped sides swap the bit
+        c = binary_colouring(2)
+        bips = [check_bipartite(colour_class(c, i)) for i in range(2)]
+        sig = signatures(c, [], bips)
+        for i, bip in enumerate(bips):
+            assert [v for v in sig if sig[v] >> i & 1] == sorted(bip.side1.tolist())
+        swapped = [Bipartition(bips[0].side1, bips[0].side0), bips[1]]
+        assert signatures(c, [], swapped) == {v: s ^ 1 for v, s in sig.items()}
 
 
 class TestTraces:
