@@ -16,19 +16,23 @@ edge-coloured graphs, composed from the certified primitives.
       twins are non-adjacent, so mapping each vertex to its lowest twin is
       a homomorphism onto that induced subgraph, which therefore has the
       same odd girth, and its witness is a cycle of the class itself.
-  (4) otherwise every peel decomposed; pool the deleted sets.
+  (4) otherwise every peel decomposed; pool the deleted sets. Each side of
+      a residual (class minus the pooled set) is that side of every ball of
+      the colour's peel, minus the pooled set: a ball left the peel with its
+      whole boundary, so no class edge joins two balls, and peel checked
+      each layer for an inner edge before the layer joined its ball.
   (5) per colour, split the residual components at the small-size threshold.
   (6) if some colour carries few small-component vertices, shorten a seed
       cycle of that colour against the big components.
-  (7) else run the derandomized complement selector over the big-component
-      sides and hunt a surviving pair covered by no small component; for a
-      complete colouring that pair cannot exist, so the branch either records
-      its failed asserts (and optionally falls back to the oracle) or raises
-      InternalInconsistency with the witness edge.
+  (7) else run the derandomized complement selector over the residual sides
+      within big components and hunt a surviving pair covered by no small
+      component; for a complete colouring that pair cannot exist, so the
+      branch either records its failed asserts (and optionally falls back to
+      the oracle) or raises InternalInconsistency with the witness edge.
 
 ``proposition_pipeline`` is the wider-graph variant: one peel per colour
-with k = ceil(2q(q+1)/delta), and a signature/pigeonhole self-check should
-every peel decompose.
+with k = ceil(2q(q+1)/delta), pooled as in (4), and a signature/pigeonhole
+self-check on the residual sides should every peel decompose.
 
 Every certificate these functions return passes the certify module; traces
 record per-level branch, parameters, observed sizes and failed asserts.
@@ -54,6 +58,7 @@ from .errors import (
 from .graph import (
     Bipartition,
     OddCycleCertificate,
+    _array_to_bits,
     _twin_free,
     check_bipartite,
     components,
@@ -155,15 +160,47 @@ def min_colour_odd_cycle(c, girths=None):
     return best
 
 
-def _residual_bipartition(g, i, lvl):
-    """Bipartition of colour i minus the pooled deleted set; peeling leaves
-    no odd cycle there."""
-    bip = check_bipartite(g)
-    if not isinstance(bip, Bipartition):
-        raise InternalInconsistency(
-            f"residual of decomposed colour {i} holds an odd cycle",
-            witness={"colour": i, "cycle": bip.vertices, "trace": lvl.to_record()},
-        )
+def _peel_all(c, classes, k, lvl):
+    """Peel the colour classes of c in order with budget k, building each one
+    missing from ``classes`` when reached. Returns the first parity conflict,
+    recorded in ``lvl``, as ``(cycle, None, None)``; else ``(None,
+    decompositions, removed)``, the pooled deleted set a bool vector."""
+    decompositions = []
+    removed = np.zeros(c.n, dtype=bool)
+    for i in range(c.q):
+        if i == len(classes):
+            classes.append(colour_class(c, i))
+        outcome = peel(classes[i], k)
+        if isinstance(outcome, ShortCycle):
+            lvl.branch = "short-cycle"
+            lvl.sizes["colour"] = i
+            lvl.bound_claimed = 2 * k + 1
+            return outcome.cycle.with_colour(i), None, None
+        decompositions.append(outcome)
+        removed[outcome.removed] = True
+    return None, decompositions, removed
+
+
+def _residual_sides(g, decomposition, removed, i, lvl):
+    """Bipartition of colour class g minus the pooled deleted set, read off
+    its peel (module docstring, step 4). A side holding an edge of g is
+    InternalInconsistency, found by a row-mask check rather than a BFS."""
+    side = np.full(g.n, -1, dtype=np.int8)
+    for comp in decomposition.components:
+        side[comp.bipartition.side0] = 0
+        side[comp.bipartition.side1] = 1
+    side[removed] = -1
+    bip = Bipartition(np.flatnonzero(side == 0), np.flatnonzero(side == 1))
+    rows = g.row_masks()
+    for ids in (bip.side0, bip.side1):
+        mask = _array_to_bits(ids, g.n)
+        for v in ids.tolist():
+            hit = rows[v] & mask
+            if hit:
+                u = (hit & -hit).bit_length() - 1
+                raise InternalInconsistency(
+                    f"residual of decomposed colour {i} has the edge ({v},{u}) inside one side",
+                    witness={"colour": i, "edge": (v, u), "trace": lvl.to_record()})
     return bip
 
 
@@ -250,16 +287,10 @@ def _find_level(c, params, trace, level):
 
     # (3) short-cycle probe: peel opportunistically, odd girth authoritatively
     lvl.steps.append("short-cycle-probe")
-    decompositions = {}
-    for i in range(q):
-        outcome = peel(classes[i], k)
-        if isinstance(outcome, ShortCycle):
-            lvl.branch = "short-cycle"
-            lvl.sizes["colour"] = i
-            lvl.sizes["via"] = "peel"
-            lvl.bound_claimed = 2 * k + 1
-            return outcome.cycle.with_colour(i), 2 * k + 1
-        decompositions[i] = outcome
+    short, decompositions, removed = _peel_all(c, classes, k, lvl)
+    if short is not None:
+        lvl.sizes["via"] = "peel"
+        return short, 2 * k + 1
     girths = [odd_girth(_twin_free(classes[i])) for i in range(q)]
     best = min_colour_odd_cycle(c, girths)
     if best is None:
@@ -268,50 +299,40 @@ def _find_level(c, params, trace, level):
             witness={"trace": lvl.to_record()},
         )
     if best[1] <= 2 * k + 1:
-        i, length, cert = best
+        i, _, cert = best
         lvl.branch = "short-cycle"
-        lvl.sizes["colour"] = i
-        lvl.sizes["via"] = "odd-girth"
+        lvl.sizes.update({"colour": i, "via": "odd-girth"})
         lvl.bound_claimed = 2 * k + 1
         return cert, 2 * k + 1
 
-    # (4) every colour decomposed: pool the deleted sets
+    # (4) every colour decomposed: the deleted sets are pooled
     lvl.steps.append("peel-all")
-    removed = set()
-    for i in range(q):
-        removed.update(int(v) for v in decompositions[i].removed)
-    lvl.sizes["removed_total"] = len(removed)
-    if len(removed) > n / (2 * q):
+    removed_total = int(removed.sum())
+    lvl.sizes["removed_total"] = removed_total
+    if removed_total > n / (2 * q):
         lvl.asserts_failed.append("removed-bound")
 
     # (5) split residual components at the small threshold
     lvl.steps.append("component-split")
-    small_sets = {}
-    big_unions = {}  # per colour, the vertices of its big components
-    residual = {}
-    for i in range(q):
-        residual[i] = classes[i].without(removed)
-        small, big_union = [], set()
-        for comp in components(residual[i]):
+    removed_ids = np.flatnonzero(removed)
+    small_labels = []  # per colour: the small component of each vertex, -1 for none
+    for g in classes:
+        label = np.full(n, -1)
+        for ci, comp in enumerate(components(g.without(removed_ids))):
             if len(comp) <= threshold:
-                small.append(comp)
-            else:
-                big_union.update(int(v) for v in comp)
-        small_sets[i] = small
-        big_unions[i] = big_union
-    small_counts = {i: sum(len(s) for s in small_sets[i]) for i in range(q)}
-    lvl.sizes["small_vertex_counts"] = [small_counts[i] for i in range(q)]
+                label[comp] = ci
+        small_labels.append(label)
+    # a class spans all n vertices, so its residual is every vertex not removed
+    big_unions = [(label < 0) & ~removed for label in small_labels]
+    small_counts = [int((label >= 0).sum()) for label in small_labels]
+    lvl.sizes["small_vertex_counts"] = small_counts
 
     # (6) a colour with few small-component vertices: shorten a seed cycle
     cutoff = n / q ** (1.0 - params.eps)
     for i in range(q):
         if small_counts[i] <= cutoff:
             comps = decompositions[i].components
-            target_ids = [
-                ci
-                for ci, comp in enumerate(comps)
-                if any(int(v) in big_unions[i] for v in comp.vertices)
-            ]
+            target_ids = [ci for ci, comp in enumerate(comps) if big_unions[i][comp.vertices].any()]
             cert = shorten_cycle(
                 classes[i],
                 [(comp.vertices, comp.center) for comp in comps],
@@ -319,7 +340,7 @@ def _find_level(c, params, trace, level):
                 k,
                 seeds[i].with_colour(i),
             )
-            bound = len(removed) + small_counts[i] + (4 * k + 1) * len(target_ids)
+            bound = removed_total + small_counts[i] + (4 * k + 1) * len(target_ids)
             if cert.length > bound:
                 raise InternalInconsistency(
                     f"shortened cycle of length {cert.length} exceeds its bound {bound}",
@@ -332,51 +353,36 @@ def _find_level(c, params, trace, level):
 
     # (7) selector branch: every colour carries many small-component vertices
     lvl.branch = "selector-branch"
-    survivors_all = sorted(set(range(n)) - removed)
+    survivors_all = np.flatnonzero(~removed)
     n_prime = len(survivors_all)
     lvl.sizes["n_prime"] = n_prime
-    index_of = {v: idx for idx, v in enumerate(survivors_all)}
+    index = np.cumsum(~removed) - 1  # a survivor's index in survivors_all
     pairs = []
-    delta = None
     for i in range(q):
-        bip = _residual_bipartition(residual[i], i, lvl)
-        side_a = sorted(index_of[int(v)] for v in bip.side0 if int(v) in big_unions[i])
-        side_b = sorted(index_of[int(v)] for v in bip.side1 if int(v) in big_unions[i])
-        pairs.append((side_a, side_b))
-        frac = 1.0 - (len(side_a) + len(side_b)) / n_prime if n_prime else 0.0
-        delta = frac if delta is None else min(delta, frac)
+        bip = _residual_sides(classes[i], decompositions[i], removed, i, lvl)
+        pairs.append([index[side[big_unions[i][side]]] for side in (bip.side0, bip.side1)])
+    delta = min(1.0 - (len(a) + len(b)) / n_prime if n_prime else 0.0 for a, b in pairs)
     lvl.sizes["delta"] = delta
-    if delta is None or delta <= 1.0 / q ** (1.0 - params.eps):
+    if delta <= 1.0 / q ** (1.0 - params.eps):
         lvl.asserts_failed.append("delta-bound")
 
     instance = SelectorInstance(n_prime, pairs)
     result = select_complement(instance, "derandomized")
-    survivors = [survivors_all[idx] for idx in result.survivors]
+    survivors = survivors_all[result.survivors]
     lvl.sizes["survivor_count"] = len(survivors)
 
     if len(survivors) > q * threshold:
-        # Membership maps of small components per colour: a surviving pair
-        # covered by no small component contradicts completeness.
-        member = []
-        for i in range(q):
-            owner = {}
-            for ci, comp in enumerate(small_sets[i]):
-                for v in comp:
-                    owner[int(v)] = ci
-            member.append(owner)
-        for x in survivors:
-            shared = set()
-            for i in range(q):
-                own = member[i].get(x)
-                if own is None:
-                    continue
-                shared.update(int(v) for v in small_sets[i][own])
-            for y in survivors:
-                if y == x or y in shared:
-                    continue
+        # a surviving pair covered by no small component contradicts completeness
+        for x in survivors.tolist():
+            covered = survivors == x
+            for label in small_labels:
+                if label[x] >= 0:
+                    covered |= label[survivors] == label[x]
+            if not covered.all():
+                y = int(survivors[np.argmin(covered)])
                 raise _impossible_pair(
                     c, x, y, f"surviving pair ({x},{y}) lies in no small component, "
-                    "yet its colour is", lvl, survivors=survivors)
+                    "yet its colour is", lvl, survivors=survivors.tolist())
         lvl.asserts_failed.append("cover-pair")
     else:
         lvl.asserts_failed.append("survivor-count")
@@ -394,8 +400,10 @@ def _checked_sides(c, i, bipartition, vertices):
     """Both sides of ``bipartition``, sorted, and their principal submatrices
     of ``c.table``, gathered once. InputError unless the sides partition the
     sorted id array ``vertices`` and neither holds a colour-i pair."""
-    sides = [np.sort(np.asarray(side, dtype=np.int64))
-             for side in (bipartition.side0, bipartition.side1)]
+    sides = [np.asarray(side) for side in (bipartition.side0, bipartition.side1)]
+    if any(side.size and side.dtype.kind not in "iu" for side in sides):
+        raise InputError(f"bipartition of colour {i} must hold integer vertex ids")
+    sides = [np.sort(side.astype(np.int64)) for side in sides]
     if not np.array_equal(np.sort(np.concatenate(sides)), vertices):
         raise InputError(f"bipartition of colour {i} does not partition its vertex set")
     subs = [c.table[np.ix_(side, side)] for side in sides]
@@ -469,25 +477,15 @@ def proposition_pipeline(c, delta, q=None):
     trace.append(lvl)
 
     classes = []  # built one at a time: the first short cycle ends the run
-    decompositions = {}
-    for i in range(c.q):
-        classes.append(colour_class(c, i))
-        outcome = peel(classes[i], k)
-        if isinstance(outcome, ShortCycle):
-            lvl.branch = "short-cycle"
-            lvl.sizes["colour"] = i
-            lvl.bound_claimed = 2 * k + 1
-            return MonoOddCycle(outcome.cycle.with_colour(i), 2 * k + 1, trace)
-        decompositions[i] = outcome
+    short, decompositions, removed = _peel_all(c, classes, k, lvl)
+    if short is not None:
+        return MonoOddCycle(short, 2 * k + 1, trace)
 
     lvl.branch = "selector-branch"
     lvl.steps.append("signature-pigeonhole")
-    removed = set()
-    for i in range(c.q):
-        removed.update(int(v) for v in decompositions[i].removed)
-    lvl.sizes["removed_total"] = len(removed)
-    bips = [_residual_bipartition(classes[i].without(removed), i, lvl) for i in range(c.q)]
-    sig = signatures(c, removed, bips)
+    lvl.sizes["removed_total"] = int(removed.sum())
+    bips = [_residual_sides(classes[i], decompositions[i], removed, i, lvl) for i in range(c.q)]
+    sig = signatures(c, np.flatnonzero(removed), bips)
     lvl.sizes["survivor_count"] = len(sig)
     seen = {}
     for v, s in sorted(sig.items()):

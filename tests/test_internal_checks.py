@@ -2,8 +2,9 @@
 ``python -O``, which strips ``assert``, so the package raises
 InternalInconsistency instead; every BFS runs on the one kernel; only
 matrices from outside go through the validating ``Graph`` constructor;
-only that constructor and ``colour_class`` pack a bool matrix into rows; and
-the pipeline checks a handed-on bipartition against the table in one place."""
+only that constructor and ``colour_class`` pack a bool matrix into rows; the
+pipeline checks a handed-on bipartition against the table in one place; and
+it peels in one place and reads the residual two-colourings off the peels."""
 
 import ast
 from pathlib import Path
@@ -134,3 +135,11 @@ def test_bipartitions_are_checked_in_one_place():
     assert _pipeline_uses("ix_") == {"pipeline._checked_sides"}
     for name in ("colour_class", "components", "masked_matrix"):
         assert "pipeline.signatures" not in _pipeline_uses(name)
+
+
+def test_residual_sides_come_from_the_peels():
+    # The one peel-and-pool helper serves both pipelines, and the residual
+    # two-colourings are read off its balls: the step-2 bipartite test is
+    # the pipeline's only check_bipartite.
+    assert _pipeline_uses("peel") == {"pipeline._peel_all"}
+    assert _pipeline_uses("check_bipartite") == {"pipeline._find_level"}

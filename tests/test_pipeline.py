@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oddcycle.pipeline as pipeline
 from oddcycle import (
     Bipartition,
     EdgeColouring,
@@ -9,16 +12,21 @@ from oddcycle import (
     NoMonochromaticOddCycle,
     PipelineAssertError,
     PipelineParams,
+    ShortCycle,
     binary_colouring,
     check_bipartite,
     colour_class,
     colouring_from_classes,
+    components,
     find_mono_odd_cycle,
     hamilton_colouring,
     odd_girth,
+    peel,
     product_colouring,
     proposition_pipeline,
+    random_bipartite_graph,
     random_colouring,
+    random_graph,
     reduce_bipartite_colour,
     signatures,
     verify_mono_odd_cycle,
@@ -444,6 +452,124 @@ class TestSignatures:
             assert [v for v in sig if sig[v] >> i & 1] == sorted(bip.side1.tolist())
         swapped = [Bipartition(bips[0].side1, bips[0].side0), bips[1]]
         assert signatures(c, [], swapped) == {v: s ^ 1 for v, s in sig.items()}
+
+
+class TestHandedOnSides:
+    """Bipartitions handed to the reduction and the signatures hold integer
+    vertex ids; a float id must not be truncated onto a real vertex."""
+
+    @pytest.mark.parametrize("side0", [[0.5, 1.7], [0.0, 1.0], [True, False], ["0", "1"]],
+                             ids=["fractional", "float", "bool", "str"])
+    def test_non_integer_ids_rejected(self, side0):
+        c = binary_colouring(2)
+        bad = Bipartition(np.array(side0), np.array([2, 3]))
+        with pytest.raises(InputError):
+            reduce_bipartite_colour(c, 1, bad)
+        with pytest.raises(InputError):
+            signatures(c, [], [check_bipartite(colour_class(c, 0)), bad])
+
+    @pytest.mark.parametrize("dtype", [float, bool, str])
+    def test_empty_sides_of_any_dtype_accepted(self, dtype):
+        c = binary_colouring(2)
+        lone = Bipartition(np.array([3]), np.array([], dtype=dtype))
+        assert signatures(c, [0, 1, 2], [lone, lone]) == {3: 0}
+        tab = np.full((4, 4), -1, dtype=np.int16)
+        tab[~np.eye(4, dtype=bool)] = 0
+        unused = EdgeColouring(4, 2, tab, validate=False)  # colour 1 has no edge
+        everything = Bipartition(np.arange(4), np.array([], dtype=dtype))
+        assert list(reduce_bipartite_colour(unused, 1, everything)[1]) == [0, 1, 2, 3]
+
+
+def _classes_and_graphs():
+    for seed in range(100):
+        yield random_graph(30, 0.04 + 0.02 * (seed % 4), seed)
+        yield random_bipartite_graph(30, 0.15, seed)
+    for m, copies in ((5, 3), (9, 3), (27, 2)):
+        c = colouring_from_classes(m * copies, shifted_cycle_classes(m, copies), validate=False)
+        yield from (colour_class(c, i) for i in range(c.q))
+    for m in (3, 4):
+        ham = hamilton_colouring(m)
+        prod = product_colouring(ham, ham)
+        yield from (colour_class(prod, i) for i in range(prod.q))
+
+
+def _move_first_side1_vertex(monkeypatch):
+    """Make the next peel the pipeline runs hand back one ball with the
+    lowest vertex of its side1 moved to side0, where its BFS parent is."""
+    real = pipeline.peel
+
+    def corrupted(g, k):
+        monkeypatch.setattr(pipeline, "peel", real)
+        out = real(g, k)
+        ci = next(ci for ci, comp in enumerate(out.components) if len(comp.bipartition.side1))
+        comp = out.components[ci]
+        s0, s1 = comp.bipartition.side0, comp.bipartition.side1
+        moved = Bipartition(np.sort(np.append(s0, s1[0])), s1[1:])
+        comps = list(out.components)
+        comps[ci] = dataclasses.replace(comp, bipartition=moved)
+        return dataclasses.replace(out, components=tuple(comps))
+
+    monkeypatch.setattr(pipeline, "peel", corrupted)
+
+
+class TestResidualSides:
+    """The residual two-colourings are read off the peels, not recomputed."""
+
+    def test_sides_are_a_two_colouring_of_the_residual(self):
+        # the sides partition the residual, hold no edge of it (checked on
+        # the dense matrix, not the kernel), and agree with a fresh
+        # check_bipartite up to one swap per residual component
+        rng = np.random.default_rng(11)
+        residual_components = 0
+        for g in _classes_and_graphs():
+            for k in range(1, 6):
+                dec = peel(g, k)
+                if isinstance(dec, ShortCycle):
+                    continue
+                removed = rng.random(g.n) < 0.1
+                removed[dec.removed] = True
+                lvl = pipeline.LevelTrace(level=0, q=1, n=g.n)
+                bip = pipeline._residual_sides(g, dec, removed, 0, lvl)
+                residual = g.without(np.flatnonzero(removed))
+                assert np.array_equal(np.sort(np.concatenate([bip.side0, bip.side1])),
+                                      residual.active_vertices())
+                adj = residual.masked_matrix()
+                for side in (bip.side0, bip.side1):
+                    assert not adj[np.ix_(side, side)].any()
+                fresh = check_bipartite(residual)
+                assert isinstance(fresh, Bipartition)
+                on1, fresh_on1 = np.zeros(g.n, dtype=bool), np.zeros(g.n, dtype=bool)
+                on1[bip.side1] = True
+                fresh_on1[fresh.side1] = True
+                for comp in components(residual):
+                    swapped = on1[comp] ^ fresh_on1[comp]
+                    assert swapped.all() or not swapped.any()
+                    residual_components += 1
+        assert residual_components > 10000
+
+    def test_selector_step_checks_the_sides(self, monkeypatch):
+        # three disjoint 27-cycles at k = 5: colour 0's first ball has radius 1
+        _move_first_side1_vertex(monkeypatch)
+        c = colouring_from_classes(81, shifted_cycle_classes(27, 3), validate=False)
+        params = PipelineParams(eps=0.1, C=0.1, k_of_q=lambda q: 5,
+                                small_threshold_of_q=lambda q: 4)
+        with pytest.raises(InternalInconsistency) as err:
+            find_mono_odd_cycle(c, params)
+        witness = err.value.witness
+        x, y = witness["edge"]
+        assert witness["colour"] == 0 and c.table[x, y] == 0
+        assert witness["trace"]["branch"] == "selector-branch"
+
+    def test_pigeonhole_checks_the_sides(self, monkeypatch):
+        # without the check, signatures would reject the sides as InputError
+        _move_first_side1_vertex(monkeypatch)
+        c = colouring_from_classes(54, shifted_cycle_classes(27, 2), validate=False)
+        with pytest.raises(InternalInconsistency) as err:
+            proposition_pipeline(c, 1)
+        witness = err.value.witness
+        x, y = witness["edge"]
+        assert witness["colour"] == 0 and c.table[x, y] == 0
+        assert witness["trace"]["steps"] == ["signature-pigeonhole"]
 
 
 class TestTraces:
