@@ -46,6 +46,16 @@ def _array_to_bits(vertices, n):
     return mask
 
 
+def _integer_ids(ids, message):
+    """An array or iterable of ids as an int64 array; InputError(message)
+    unless its dtype is integer. Empty passes whatever its dtype, as
+    ``np.asarray([])`` is float."""
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InputError(message)
+    return ids.astype(np.int64)
+
+
 def _pack_rows(matrix):
     """One int per row of a bool matrix, bit j set iff column j is."""
     packed = np.packbits(matrix, axis=1, bitorder="little")

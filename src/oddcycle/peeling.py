@@ -6,6 +6,11 @@ at the first depth j <= k whose layer is small relative to the ball grown so
 far; the layer goes into the deleted set, the ball becomes a certified
 component. Growth cannot beat the arrest factor for k straight steps without
 overshooting n, so an arrest always exists.
+
+The results hold what the peel computes, one Python int mask per ball, per
+side of each ball and for the deleted set. Their numpy fields
+(``vertices``, ``bipartition``, ``removed``) are built on first access and
+then kept, so a caller that reads only masks or sizes builds no array.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import Bipartition, OddCycleCertificate, _bfs, _bits_to_array, _conflict_cycle
+from .graph import (
+    Bipartition,
+    OddCycleCertificate,
+    _array_to_bits,
+    _bfs,
+    _bits_to_array,
+    _conflict_cycle,
+)
 
 
 @dataclass(frozen=True)
@@ -53,8 +65,32 @@ class PeelParams:
         return math.ceil(self.arrest_factor(n) * n)
 
 
+class _FromMasks:
+    """Base of the peel results. ``peel`` builds them with ``_from_masks``,
+    which stores its int masks and leaves the array fields unset;
+    ``__getattr__``, reached only for an unset attribute, builds such a field
+    from the masks on first access and keeps it. A result built from arrays
+    (the public constructor, ``dataclasses.replace``) holds no masks, so none
+    can go stale; its ``_as_masks`` packs the arrays instead."""
+
+    _masks = None  # the int masks, when peel built the result
+    _arrays = {}  # array field name -> its value as a function of the masks
+
+    @classmethod
+    def _from_masks(cls, masks, **fields):
+        result = cls.__new__(cls)
+        result.__dict__.update(fields, _masks=masks)
+        return result
+
+    def __getattr__(self, name):
+        if self._masks is None or name not in self._arrays:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._arrays[name](*self._masks)
+        return value
+
+
 @dataclass(frozen=True)
-class PeelComponent:
+class PeelComponent(_FromMasks):
     """One certified ball: connected, centre eccentricity <= radius, bipartite."""
 
     vertices: np.ndarray
@@ -62,13 +98,32 @@ class PeelComponent:
     radius: int
     bipartition: Bipartition
 
+    _arrays = {
+        "vertices": lambda ball, side0, side1: _bits_to_array(ball),
+        "bipartition": lambda ball, side0, side1: Bipartition(_bits_to_array(side0),
+                                                              _bits_to_array(side1)),
+    }
+
+    def _as_masks(self, n):
+        """(ball, side0, side1) as int masks over [0, n)."""
+        if self._masks is not None:
+            return self._masks
+        bip = self.bipartition
+        return tuple(_array_to_bits(ids, n) for ids in (self.vertices, bip.side0, bip.side1))
+
 
 @dataclass(frozen=True)
-class PeelDecomposition:
+class PeelDecomposition(_FromMasks):
     """Deleted set plus the bipartite low-radius components of G minus it."""
 
     removed: np.ndarray
     components: tuple
+
+    _arrays = {"removed": _bits_to_array}
+
+    def _removed_mask(self, n):
+        """The deleted set as an int mask over [0, n)."""
+        return self._masks[0] if self._masks is not None else _array_to_bits(self.removed, n)
 
 
 @dataclass(frozen=True)
@@ -131,12 +186,10 @@ def peel(g, k):
         sides = [0, 0]
         for i, layer in enumerate(ball_layers):
             sides[i & 1] |= layer
-        bipartition = Bipartition(_bits_to_array(sides[0]), _bits_to_array(sides[1]))
-        comps.append(PeelComponent(vertices=_bits_to_array(ball), center=root,
-                                   radius=radius, bipartition=bipartition))
+        comps.append(PeelComponent._from_masks((ball, *sides), center=root, radius=radius))
         removed |= boundary
         active &= ~(ball | boundary)
-    return PeelDecomposition(removed=_bits_to_array(removed), components=tuple(comps))
+    return PeelDecomposition._from_masks((removed,), components=tuple(comps))
 
 
 def independent_set_via_peel(g, k):
@@ -150,10 +203,8 @@ def independent_set_via_peel(g, k):
     outcome = peel(g, k)
     if isinstance(outcome, ShortCycle):
         return outcome
-    picks = []
+    picked = 0
     for comp in outcome.components:
-        s0, s1 = comp.bipartition.side0, comp.bipartition.side1
-        picks.append(s0 if len(s0) >= len(s1) else s1)
-    if not picks:
-        return np.array([], dtype=np.int64)
-    return np.sort(np.concatenate(picks))
+        _, side0, side1 = comp._as_masks(g.n)
+        picked |= side0 if side0.bit_count() >= side1.bit_count() else side1
+    return _bits_to_array(picked)

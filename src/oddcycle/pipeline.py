@@ -57,9 +57,12 @@ from .errors import (
 )
 from .graph import (
     Bipartition,
+    Graph,
     OddCycleCertificate,
     _array_to_bits,
+    _integer_ids,
     _twin_free,
+    _unpack_rows,
     check_bipartite,
     components,
     odd_girth,
@@ -164,9 +167,9 @@ def _peel_all(c, classes, k, lvl):
     """Peel the colour classes of c in order with budget k, building each one
     missing from ``classes`` when reached. Returns the first parity conflict,
     recorded in ``lvl``, as ``(cycle, None, None)``; else ``(None,
-    decompositions, removed)``, the pooled deleted set a bool vector."""
+    decompositions, removed)``, the pooled deleted set an int mask."""
     decompositions = []
-    removed = np.zeros(c.n, dtype=bool)
+    removed = 0
     for i in range(c.q):
         if i == len(classes):
             classes.append(colour_class(c, i))
@@ -177,23 +180,31 @@ def _peel_all(c, classes, k, lvl):
             lvl.bound_claimed = 2 * k + 1
             return outcome.cycle.with_colour(i), None, None
         decompositions.append(outcome)
-        removed[outcome.removed] = True
+        removed |= outcome._removed_mask(c.n)
     return None, decompositions, removed
 
 
+def _dense_ids(mask, n):
+    """Sorted ids of the bits of ``mask`` below n, by one unpack: on a dense
+    mask this beats a loop over its bits."""
+    return np.flatnonzero(_unpack_rows([mask], n)[0])
+
+
 def _residual_sides(g, decomposition, removed, i, lvl):
-    """Bipartition of colour class g minus the pooled deleted set, read off
-    its peel (module docstring, step 4). A side holding an edge of g is
-    InternalInconsistency, found by a row-mask check rather than a BFS."""
-    side = np.full(g.n, -1, dtype=np.int8)
+    """Bipartition of colour class g minus the pooled deleted set (an int
+    mask), read off its peel (module docstring, step 4): each side is the OR
+    of that side of every ball, minus the pooled set. A side holding an edge
+    of g is InternalInconsistency, found by a row-mask check, not a BFS."""
+    masks = [0, 0]
     for comp in decomposition.components:
-        side[comp.bipartition.side0] = 0
-        side[comp.bipartition.side1] = 1
-    side[removed] = -1
-    bip = Bipartition(np.flatnonzero(side == 0), np.flatnonzero(side == 1))
+        _, side0, side1 = comp._as_masks(g.n)
+        masks[0] |= side0
+        masks[1] |= side1
     rows = g.row_masks()
-    for ids in (bip.side0, bip.side1):
-        mask = _array_to_bits(ids, g.n)
+    sides = []
+    for mask in masks:
+        mask &= ~removed
+        ids = _dense_ids(mask, g.n)
         for v in ids.tolist():
             hit = rows[v] & mask
             if hit:
@@ -201,7 +212,8 @@ def _residual_sides(g, decomposition, removed, i, lvl):
                 raise InternalInconsistency(
                     f"residual of decomposed colour {i} has the edge ({v},{u}) inside one side",
                     witness={"colour": i, "edge": (v, u), "trace": lvl.to_record()})
-    return bip
+        sides.append(ids)
+    return Bipartition(*sides)
 
 
 def _impossible_pair(c, x, y, claim, lvl, **witness):
@@ -307,23 +319,21 @@ def _find_level(c, params, trace, level):
 
     # (4) every colour decomposed: the deleted sets are pooled
     lvl.steps.append("peel-all")
-    removed_total = int(removed.sum())
+    removed_total = removed.bit_count()
     lvl.sizes["removed_total"] = removed_total
     if removed_total > n / (2 * q):
         lvl.asserts_failed.append("removed-bound")
 
     # (5) split residual components at the small threshold
     lvl.steps.append("component-split")
-    removed_ids = np.flatnonzero(removed)
     small_labels = []  # per colour: the small component of each vertex, -1 for none
     for g in classes:
         label = np.full(n, -1)
-        for ci, comp in enumerate(components(g.without(removed_ids))):
+        residual = Graph._from_rows(g.row_masks(), g._active & ~removed)
+        for ci, comp in enumerate(components(residual)):
             if len(comp) <= threshold:
                 label[comp] = ci
         small_labels.append(label)
-    # a class spans all n vertices, so its residual is every vertex not removed
-    big_unions = [(label < 0) & ~removed for label in small_labels]
     small_counts = [int((label >= 0).sum()) for label in small_labels]
     lvl.sizes["small_vertex_counts"] = small_counts
 
@@ -332,7 +342,11 @@ def _find_level(c, params, trace, level):
     for i in range(q):
         if small_counts[i] <= cutoff:
             comps = decompositions[i].components
-            target_ids = [ci for ci, comp in enumerate(comps) if big_unions[i][comp.vertices].any()]
+            # a target ball meets the big components: the vertices neither
+            # removed nor in a small component (at most the cutoff of them)
+            small = _array_to_bits(np.flatnonzero(small_labels[i] >= 0), n)
+            big = ((1 << n) - 1) & ~(removed | small)
+            target_ids = [ci for ci, comp in enumerate(comps) if comp._as_masks(n)[0] & big]
             cert = shorten_cycle(
                 classes[i],
                 [(comp.vertices, comp.center) for comp in comps],
@@ -353,10 +367,13 @@ def _find_level(c, params, trace, level):
 
     # (7) selector branch: every colour carries many small-component vertices
     lvl.branch = "selector-branch"
-    survivors_all = np.flatnonzero(~removed)
+    # a class spans all n vertices, so its residual is every vertex not removed
+    kept = ~_unpack_rows([removed], n)[0]
+    big_unions = [(label < 0) & kept for label in small_labels]
+    survivors_all = np.flatnonzero(kept)
     n_prime = len(survivors_all)
     lvl.sizes["n_prime"] = n_prime
-    index = np.cumsum(~removed) - 1  # a survivor's index in survivors_all
+    index = np.cumsum(kept) - 1  # a survivor's index in survivors_all
     pairs = []
     for i in range(q):
         bip = _residual_sides(classes[i], decompositions[i], removed, i, lvl)
@@ -400,10 +417,8 @@ def _checked_sides(c, i, bipartition, vertices):
     """Both sides of ``bipartition``, sorted, and their principal submatrices
     of ``c.table``, gathered once. InputError unless the sides partition the
     sorted id array ``vertices`` and neither holds a colour-i pair."""
-    sides = [np.asarray(side) for side in (bipartition.side0, bipartition.side1)]
-    if any(side.size and side.dtype.kind not in "iu" for side in sides):
-        raise InputError(f"bipartition of colour {i} must hold integer vertex ids")
-    sides = [np.sort(side.astype(np.int64)) for side in sides]
+    sides = [np.sort(_integer_ids(side, f"bipartition of colour {i} must hold integer vertex ids"))
+             for side in (bipartition.side0, bipartition.side1)]
     if not np.array_equal(np.sort(np.concatenate(sides)), vertices):
         raise InputError(f"bipartition of colour {i} does not partition its vertex set")
     subs = [c.table[np.ix_(side, side)] for side in sides]
@@ -436,7 +451,7 @@ def signatures(c, removed, bipartitions):
     ``bipartitions[i]``. Returns {vertex: bitmask} over the surviving
     vertices.
     """
-    removed_set = set(int(v) for v in removed)
+    removed_set = set(_integer_ids(removed, "removed ids must be integers").tolist())
     if any(not 0 <= v < c.n for v in removed_set):
         raise InputError(f"removed ids must lie in [0, {c.n})")
     if len(bipartitions) != c.q:
@@ -483,9 +498,9 @@ def proposition_pipeline(c, delta, q=None):
 
     lvl.branch = "selector-branch"
     lvl.steps.append("signature-pigeonhole")
-    lvl.sizes["removed_total"] = int(removed.sum())
+    lvl.sizes["removed_total"] = removed.bit_count()
     bips = [_residual_sides(classes[i], decompositions[i], removed, i, lvl) for i in range(c.q)]
-    sig = signatures(c, np.flatnonzero(removed), bips)
+    sig = signatures(c, _dense_ids(removed, c.n), bips)
     lvl.sizes["survivor_count"] = len(sig)
     seen = {}
     for v, s in sorted(sig.items()):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalInconsistency, RetryExhausted
+from .graph import _integer_ids
 
 
 class SelectorInstance:
@@ -27,8 +28,8 @@ class SelectorInstance:
         self.n = n
         norm = []
         for i, (a, b) in enumerate(pairs):
-            a = np.unique(np.asarray(list(a), dtype=np.int64))
-            b = np.unique(np.asarray(list(b), dtype=np.int64))
+            a, b = (np.unique(_integer_ids(side, f"pair {i} must hold integer ids"))
+                    for side in (a, b))
             for side in (a, b):
                 if side.size and (side.min() < 0 or side.max() >= n):
                     raise InputError(f"pair {i} leaves the ground set [0, {n})")

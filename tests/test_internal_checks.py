@@ -3,8 +3,9 @@
 InternalInconsistency instead; every BFS runs on the one kernel; only
 matrices from outside go through the validating ``Graph`` constructor;
 only that constructor and ``colour_class`` pack a bool matrix into rows; the
-pipeline checks a handed-on bipartition against the table in one place; and
-it peels in one place and reads the residual two-colourings off the peels."""
+pipeline checks a handed-on bipartition against the table in one place; it
+peels in one place and reads the residual two-colourings off the peels; and
+the peel itself builds no vertex array."""
 
 import ast
 from pathlib import Path
@@ -119,6 +120,16 @@ def test_table_packing_has_one_home():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         users |= visitor.found
     assert users == {"graph.Graph.__init__", "colouring.colour_class"}
+
+
+def test_peel_builds_no_arrays():
+    # peel hands back int masks; its results turn them into numpy arrays
+    # only when a caller reads a field.
+    path = PACKAGE / "peeling.py"
+    visitor = _NameUses(path.stem, "_bits_to_array")
+    visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+    assert visitor.found  # the results still build their arrays from masks
+    assert "peeling.peel" not in visitor.found
 
 
 def _pipeline_uses(target):

@@ -1,27 +1,36 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from oddcycle import (
+    Bipartition,
     InputError,
+    PeelComponent,
     PeelDecomposition,
     PeelParams,
     ShortCycle,
+    binary_colouring,
+    colour_class,
     complete_graph,
     cycle_graph,
     empty_graph,
+    hamilton_colouring,
     independent_set_via_peel,
     peel,
+    product_colouring,
     random_bipartite_graph,
     random_graph,
     verify_mono_odd_cycle,
     verify_peel,
 )
 from oracles import (
+    adjacency_sets,
     blown_up_odd_cycle,
     graph_from_sets,
     grid_graph,
+    pentagon_colouring,
     random_adjacency_sets,
     simulate_peel,
 )
@@ -271,3 +280,104 @@ class TestIndependentSet:
         got = independent_set_via_peel(complete_graph(4), 2)
         assert isinstance(got, ShortCycle)
         assert got.cycle.length == 3
+
+
+def _peel_corpus():
+    """(graph, k) for k = 1..6 over the colour classes of ham(m) x ham(m) and
+    binary(b) x C5, blown-up odd cycles, sparse random graphs and two graphs
+    with inactive vertices."""
+    graphs = []
+    for m in (2, 3, 4):
+        ham = hamilton_colouring(m)
+        prod = product_colouring(ham, ham)
+        graphs += [colour_class(prod, i) for i in range(prod.q)]
+    for b in (1, 2, 3, 4):
+        prod = product_colouring(binary_colouring(b), pentagon_colouring())
+        graphs += [colour_class(prod, i) for i in range(prod.q)]
+    graphs += [blown_up_odd_cycle(m, s, 0.3, m) for m, s in ((5, 6), (7, 8), (11, 6))]
+    graphs += [random_graph(n, 2.0 / n, seed) for seed, n in enumerate((40, 80, 120, 160))]
+    graphs += [grid_graph(6, 8).without(range(0, 48, 5)), empty_graph(7).without([3])]
+    for g in graphs:
+        for k in range(1, 7):
+            yield g, k
+
+
+def _depths(adj, ball, center):
+    """BFS depth of every ball vertex from the centre, inside the ball."""
+    depth, frontier = {center: 0}, [center]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in sorted(adj[u] & ball):
+                if w not in depth:
+                    depth[w] = depth[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return depth
+
+
+def _assert_ids(array, ids):
+    assert array.dtype == np.int64
+    assert array.tolist() == sorted(ids)
+
+
+class TestMaskBackedResults:
+    """peel keeps its int masks and builds the numpy fields on first read;
+    they must equal arrays built eagerly by the plain-set simulation."""
+
+    def test_lazy_fields_equal_eager_arrays(self):
+        decompositions = short = 0
+        for g, k in _peel_corpus():
+            out = peel(g, k)
+            if isinstance(out, ShortCycle):
+                short += 1
+                assert verify_peel(g, k, out) is None
+                continue
+            decompositions += 1
+            # nothing is built until a caller reads it
+            assert "removed" not in vars(out)
+            assert all({"vertices", "bipartition"}.isdisjoint(vars(c)) for c in out.components)
+            adj = adjacency_sets(g)
+            sim = simulate_peel(adj, k, active=g.active_vertices().tolist())
+            assert sim[0] == "decomp"
+            _, removed, comps = sim
+            _assert_ids(out.removed, removed)
+            assert out.removed is out.removed  # built once, then kept
+            assert len(out.components) == len(comps)
+            for comp, (ball, center, radius) in zip(out.components, comps):
+                assert (comp.center, comp.radius) == (center, radius)
+                _assert_ids(comp.vertices, ball)
+                depth = _depths(adj, ball, center)
+                _assert_ids(comp.bipartition.side0, [v for v in ball if depth[v] % 2 == 0])
+                _assert_ids(comp.bipartition.side1, [v for v in ball if depth[v] % 2 == 1])
+                assert comp.vertices is comp.vertices
+                assert comp.bipartition is comp.bipartition
+            assert verify_peel(g, k, out) is None
+        assert decompositions > 200 and short > 10
+
+    def test_independent_set_matches_the_array_form(self):
+        for g, k in _peel_corpus():
+            out = peel(g, k)
+            got = independent_set_via_peel(g, k)
+            if isinstance(out, ShortCycle):
+                assert got == out
+                continue
+            picks = [c.bipartition.side0 if len(c.bipartition.side0) >= len(c.bipartition.side1)
+                     else c.bipartition.side1 for c in out.components]
+            want = np.sort(np.concatenate(picks)) if picks else np.array([], dtype=np.int64)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_results_built_from_arrays_hold_no_stale_masks(self):
+        out = peel(cycle_graph(16), 4)
+        comp = out.components[0]
+        ball, side0, side1 = comp._as_masks(16)
+        swapped = dataclasses.replace(
+            comp, bipartition=Bipartition(comp.bipartition.side1, comp.bipartition.side0))
+        assert swapped._as_masks(16) == (ball, side1, side0)
+        assert dataclasses.replace(out, removed=np.array([2, 5]))._removed_mask(16) == 0b100100
+        built = PeelComponent(vertices=np.arange(3), center=0, radius=1,
+                              bipartition=Bipartition(np.array([0]), np.array([1, 2])))
+        assert built._as_masks(3) == (0b111, 0b001, 0b110)
+        empty = PeelDecomposition(removed=np.array([], dtype=np.int64), components=())
+        assert empty._removed_mask(3) == 0

@@ -468,11 +468,24 @@ class TestHandedOnSides:
         with pytest.raises(InputError):
             signatures(c, [], [check_bipartite(colour_class(c, 0)), bad])
 
+    @pytest.mark.parametrize("removed", [[0.5, 1.2, 2.9], np.array([0.0, 1.0, 2.0]), [True, True]],
+                             ids=["fractional", "float", "bool"])
+    def test_non_integer_removed_ids_rejected(self, removed):
+        # int(v) would truncate 0.5, 1.2, 2.9 onto vertices 0, 1, 2
+        c = binary_colouring(2)
+        lone = Bipartition(np.array([3]), np.array([], dtype=np.int64))
+        with pytest.raises(InputError):
+            signatures(c, removed, [lone, lone])
+
     @pytest.mark.parametrize("dtype", [float, bool, str])
     def test_empty_sides_of_any_dtype_accepted(self, dtype):
         c = binary_colouring(2)
         lone = Bipartition(np.array([3]), np.array([], dtype=dtype))
         assert signatures(c, [0, 1, 2], [lone, lone]) == {3: 0}
+        assert signatures(c, np.array([0, 1, 2]), [lone, lone]) == {3: 0}
+        bips = [Bipartition(np.array([0, 2]), np.array([1, 3])),
+                Bipartition(np.array([0, 1]), np.array([2, 3]))]
+        assert signatures(c, np.array([], dtype=dtype), bips) == {0: 0, 1: 1, 2: 2, 3: 3}
         tab = np.full((4, 4), -1, dtype=np.int16)
         tab[~np.eye(4, dtype=bool)] = 0
         unused = EdgeColouring(4, 2, tab, validate=False)  # colour 1 has no edge
@@ -529,7 +542,8 @@ class TestResidualSides:
                 removed = rng.random(g.n) < 0.1
                 removed[dec.removed] = True
                 lvl = pipeline.LevelTrace(level=0, q=1, n=g.n)
-                bip = pipeline._residual_sides(g, dec, removed, 0, lvl)
+                pooled = sum(1 << v for v in np.flatnonzero(removed).tolist())
+                bip = pipeline._residual_sides(g, dec, pooled, 0, lvl)
                 residual = g.without(np.flatnonzero(removed))
                 assert np.array_equal(np.sort(np.concatenate([bip.side0, bip.side1])),
                                       residual.active_vertices())

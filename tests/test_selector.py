@@ -139,6 +139,20 @@ class TestValidation:
         with pytest.raises(InputError):
             SelectorInstance(3, [({0}, {5})])
 
+    @pytest.mark.parametrize("side", [[0.5, 1.9], np.array([0.0, 1.0]), [True, False]],
+                             ids=["fractional", "float", "bool"])
+    def test_non_integer_ids_rejected(self, side):
+        # np.int64 casting would truncate 0.5, 1.9 onto elements 0, 1
+        with pytest.raises(InputError):
+            SelectorInstance(5, [(side, [2])])
+        with pytest.raises(InputError):
+            SelectorInstance(5, [([2], side)])
+
+    def test_empty_sides_of_any_dtype_accepted(self):
+        inst = SelectorInstance(3, [([], np.array([], dtype=float)), ({0}, np.array([2]))])
+        assert [[side.tolist() for side in pair] for pair in inst.pairs] == [[[], []], [[0], [2]]]
+        assert all(side.dtype == np.int64 for pair in inst.pairs for side in pair)
+
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             select_complement(SelectorInstance(2, []), "magic")
