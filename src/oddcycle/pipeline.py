@@ -329,7 +329,7 @@ def _find_level(c, params, trace, level):
     small_labels = []  # per colour: the small component of each vertex, -1 for none
     for g in classes:
         label = np.full(n, -1)
-        residual = Graph._from_rows(g.row_masks(), g._active & ~removed)
+        residual = Graph._from_rows(g._rows, g._active & ~removed)
         for ci, comp in enumerate(components(residual)):
             if len(comp) <= threshold:
                 label[comp] = ci
