@@ -61,8 +61,9 @@ def summarise(runs, end_to_end):
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
         values = {s: [r[s][0]["metrics"][name]["value"] for r in runs] for s in sides}
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
-        losses = sum((c < p) if higher else (c > p) for p, c in zip(values["parent"], values["change"]))
+        pairs = list(zip(values["parent"], values["change"]))
+        wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+        losses = sum((c < p) if higher else (c > p) for p, c in pairs)
         stats = {s: quartiles(values[s]) for s in sides}
         rel = stats["change"]["median"] / stats["parent"]["median"] - 1.0
         worse = -rel if higher else rel
