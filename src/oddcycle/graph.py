@@ -35,17 +35,6 @@ def _bits_to_array(mask):
     return np.fromiter(_iter_bits(mask), dtype=np.int64)
 
 
-def _array_to_bits(vertices, n):
-    """Int mask of ``vertices``; InputError for an id outside [0, n)."""
-    mask = 0
-    for v in vertices:
-        v = int(v)
-        if not 0 <= v < n:
-            raise InputError(f"vertex {v} out of range [0, {n})")
-        mask |= 1 << v
-    return mask
-
-
 def _integer_ids(ids, message):
     """An array or iterable of ids as an int64 array; InputError(message)
     unless its dtype is integer. Empty passes whatever its dtype, as
@@ -54,6 +43,17 @@ def _integer_ids(ids, message):
     if ids.size and ids.dtype.kind not in "iu":
         raise InputError(message)
     return ids.astype(np.int64)
+
+
+def _array_to_bits(vertices, n):
+    """Int mask of ``vertices``; InputError for a non-integer id or one
+    outside [0, n)."""
+    mask = 0
+    for v in _integer_ids(vertices, "vertex ids must be integers").tolist():
+        if not 0 <= v < n:
+            raise InputError(f"vertex {v} out of range [0, {n})")
+        mask |= 1 << v
+    return mask
 
 
 def _pack_rows(matrix):
@@ -107,12 +107,15 @@ class Graph:
 
     def _set(self, rows, active):
         # The one place the row invariant is made: a row holds only active
-        # neighbours, and an inactive vertex's row is 0.
-        self.n = len(rows)
+        # neighbours, and an inactive vertex's row is 0. The rows are always
+        # copied, so later changes to the caller's list cannot reach the graph.
+        self.n = n = len(rows)
         self._active = active
-        self._rows = [row & active for row in rows]
-        for v in _iter_bits(~active & ((1 << self.n) - 1)):
-            self._rows[v] = 0
+        if active == (1 << n) - 1:
+            self._rows = list(rows)
+        else:
+            flags = _unpack_rows([active], n)[0].tolist()
+            self._rows = [row & active if on else 0 for row, on in zip(rows, flags)]
 
     @classmethod
     def from_edges(cls, n, edges):

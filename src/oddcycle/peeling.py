@@ -7,24 +7,23 @@ far; the layer goes into the deleted set, the ball becomes a certified
 component. Growth cannot beat the arrest factor for k straight steps without
 overshooting n, so an arrest always exists.
 
-The results hold what the peel computes, one Python int mask per ball, per
-side of each ball and for the deleted set. Their numpy fields
-(``vertices``, ``bipartition``, ``removed``) are built on first access and
-then kept, so a caller that reads only masks or sizes builds no array.
+The results are frozen dataclasses whose fields are what the peel computes:
+one Python int mask per ball, per side of each ball and for the deleted
+set. The id arrays (``vertices``, ``bipartition``, ``removed``) are cached
+views of those masks, built on first read, so a caller that reads only
+masks or sizes builds no array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .errors import InputError
 from .graph import (
     Bipartition,
     OddCycleCertificate,
-    _array_to_bits,
     _bfs,
     _bits_to_array,
     _conflict_cycle,
@@ -65,65 +64,40 @@ class PeelParams:
         return math.ceil(self.arrest_factor(n) * n)
 
 
-class _FromMasks:
-    """Base of the peel results. ``peel`` builds them with ``_from_masks``,
-    which stores its int masks and leaves the array fields unset;
-    ``__getattr__``, reached only for an unset attribute, builds such a field
-    from the masks on first access and keeps it. A result built from arrays
-    (the public constructor, ``dataclasses.replace``) holds no masks, so none
-    can go stale; its ``_as_masks`` packs the arrays instead."""
-
-    _masks = None  # the int masks, when peel built the result
-    _arrays = {}  # array field name -> its value as a function of the masks
-
-    @classmethod
-    def _from_masks(cls, masks, **fields):
-        result = cls.__new__(cls)
-        result.__dict__.update(fields, _masks=masks)
-        return result
-
-    def __getattr__(self, name):
-        if self._masks is None or name not in self._arrays:
-            raise AttributeError(name)
-        value = self.__dict__[name] = self._arrays[name](*self._masks)
-        return value
-
-
 @dataclass(frozen=True)
-class PeelComponent(_FromMasks):
-    """One certified ball: connected, centre eccentricity <= radius, bipartite."""
+class PeelComponent:
+    """One certified ball: connected, centre eccentricity <= radius, bipartite.
 
-    vertices: np.ndarray
+    ``ball``, ``side0`` and ``side1`` are int masks over the vertex ids;
+    ``vertices`` and ``bipartition`` are their id arrays, built on first
+    read."""
+
+    ball: int
+    side0: int
+    side1: int
     center: int
     radius: int
-    bipartition: Bipartition
 
-    _arrays = {
-        "vertices": lambda ball, side0, side1: _bits_to_array(ball),
-        "bipartition": lambda ball, side0, side1: Bipartition(_bits_to_array(side0),
-                                                              _bits_to_array(side1)),
-    }
+    @cached_property
+    def vertices(self):
+        return _bits_to_array(self.ball)
 
-    def _as_masks(self, n):
-        """(ball, side0, side1) as int masks over [0, n)."""
-        if self._masks is not None:
-            return self._masks
-        bip = self.bipartition
-        return tuple(_array_to_bits(ids, n) for ids in (self.vertices, bip.side0, bip.side1))
+    @cached_property
+    def bipartition(self):
+        return Bipartition(_bits_to_array(self.side0), _bits_to_array(self.side1))
 
 
 @dataclass(frozen=True)
-class PeelDecomposition(_FromMasks):
-    """Deleted set plus the bipartite low-radius components of G minus it."""
+class PeelDecomposition:
+    """Deleted set (an int mask) plus the bipartite low-radius components of
+    G minus it; ``removed`` is the deleted ids, built on first read."""
 
-    removed: np.ndarray
+    removed_mask: int
     components: tuple
 
-    _arrays = {"removed": _bits_to_array}
-
-    def _removed_mask(self, n):
-        """The deleted set as an int mask over [0, n)."""
-        return self._masks[0] if self._masks is not None else _array_to_bits(self.removed, n)
+    @cached_property
+    def removed(self):
+        return _bits_to_array(self.removed_mask)
 
 
 @dataclass(frozen=True)
@@ -186,10 +160,10 @@ def peel(g, k):
         sides = [0, 0]
         for i, layer in enumerate(ball_layers):
             sides[i & 1] |= layer
-        comps.append(PeelComponent._from_masks((ball, *sides), center=root, radius=radius))
+        comps.append(PeelComponent(ball, *sides, center=root, radius=radius))
         removed |= boundary
         active &= ~(ball | boundary)
-    return PeelDecomposition._from_masks((removed,), components=tuple(comps))
+    return PeelDecomposition(removed, tuple(comps))
 
 
 def independent_set_via_peel(g, k):
@@ -205,6 +179,6 @@ def independent_set_via_peel(g, k):
         return outcome
     picked = 0
     for comp in outcome.components:
-        _, side0, side1 = comp._as_masks(g.n)
+        side0, side1 = comp.side0, comp.side1
         picked |= side0 if side0.bit_count() >= side1.bit_count() else side1
     return _bits_to_array(picked)

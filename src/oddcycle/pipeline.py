@@ -180,7 +180,7 @@ def _peel_all(c, classes, k, lvl):
             lvl.bound_claimed = 2 * k + 1
             return outcome.cycle.with_colour(i), None, None
         decompositions.append(outcome)
-        removed |= outcome._removed_mask(c.n)
+        removed |= outcome.removed_mask
     return None, decompositions, removed
 
 
@@ -197,9 +197,8 @@ def _residual_sides(g, decomposition, removed, i, lvl):
     of g is InternalInconsistency, found by a row-mask check, not a BFS."""
     masks = [0, 0]
     for comp in decomposition.components:
-        _, side0, side1 = comp._as_masks(g.n)
-        masks[0] |= side0
-        masks[1] |= side1
+        masks[0] |= comp.side0
+        masks[1] |= comp.side1
     rows = g.row_masks()
     sides = []
     for mask in masks:
@@ -346,7 +345,7 @@ def _find_level(c, params, trace, level):
             # removed nor in a small component (at most the cutoff of them)
             small = _array_to_bits(np.flatnonzero(small_labels[i] >= 0), n)
             big = ((1 << n) - 1) & ~(removed | small)
-            target_ids = [ci for ci, comp in enumerate(comps) if comp._as_masks(n)[0] & big]
+            target_ids = [ci for ci, comp in enumerate(comps) if comp.ball & big]
             cert = shorten_cycle(
                 classes[i],
                 [(comp.vertices, comp.center) for comp in comps],

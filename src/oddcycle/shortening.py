@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from itertools import islice
 
-import numpy as np
-
 from .errors import InputError, InternalInconsistency
 from .graph import (
     OddClosedWalk,
     OddCycleCertificate,
     _array_to_bits,
     _bfs,
+    _integer_ids,
     _iter_bits,
     odd_cycle_from_walk,
     shortest_path_within,
@@ -79,7 +78,8 @@ def shorten_cycle(g, components, target_ids, r, seed):
     """
     if r < 0:
         raise InputError("radius must be >= 0")
-    comps = [(np.asarray(verts, dtype=np.int64), int(center)) for verts, center in components]
+    comps = [(_integer_ids(verts, "component vertex ids must be integers"), int(center))
+             for verts, center in components]
     target_ids = sorted(set(int(t) for t in target_ids))
     for t in target_ids:
         if not 0 <= t < len(comps):

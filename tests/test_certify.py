@@ -1,7 +1,6 @@
 import numpy as np
 
 from oddcycle import (
-    Bipartition,
     OddCycleCertificate,
     PeelComponent,
     PeelDecomposition,
@@ -20,6 +19,10 @@ from oddcycle import (
     verify_selector,
 )
 from oracles import pentagon_colouring
+
+
+def _mask(ids):
+    return sum(1 << v for v in ids)
 
 
 class TestCycleVerifier:
@@ -86,36 +89,35 @@ class TestPeelVerifier:
     def test_planted_radius_violation(self):
         g = cycle_graph(6)
         comp = PeelComponent(
-            vertices=np.arange(6),
+            ball=_mask(range(6)),
+            side0=_mask([0, 2, 4]),
+            side1=_mask([1, 3, 5]),
             center=0,
             radius=2,  # true eccentricity is 3
-            bipartition=Bipartition(np.array([0, 2, 4]), np.array([1, 3, 5])),
         )
-        out = PeelDecomposition(removed=np.array([], dtype=np.int64), components=(comp,))
+        out = PeelDecomposition(removed_mask=0, components=(comp,))
         got = verify_peel(g, 4, out)
         assert got.kind is ViolationKind.RADIUS
 
     def test_cover_violation(self):
         g = cycle_graph(6)
         comp = PeelComponent(
-            vertices=np.arange(5),  # vertex 5 unaccounted for
+            ball=_mask(range(5)),  # vertex 5 unaccounted for
+            side0=_mask([0, 2, 4]),
+            side1=_mask([1, 3]),
             center=2,
             radius=2,
-            bipartition=Bipartition(np.array([0, 2, 4]), np.array([1, 3])),
         )
-        out = PeelDecomposition(removed=np.array([], dtype=np.int64), components=(comp,))
+        out = PeelDecomposition(removed_mask=0, components=(comp,))
         assert verify_peel(g, 4, out).kind is ViolationKind.COVER
 
     def test_cross_component_edge(self):
         g = cycle_graph(6)
         half = lambda vs, evens, odds: PeelComponent(
-            vertices=np.array(vs),
-            center=vs[0],
-            radius=2,
-            bipartition=Bipartition(np.array(evens), np.array(odds)),
+            ball=_mask(vs), side0=_mask(evens), side1=_mask(odds), center=vs[0], radius=2
         )
         out = PeelDecomposition(
-            removed=np.array([], dtype=np.int64),
+            removed_mask=0,
             components=(half([0, 1, 2], [0, 2], [1]), half([3, 4, 5], [3, 5], [4])),
         )
         assert verify_peel(g, 4, out).kind is ViolationKind.COVER
@@ -123,12 +125,13 @@ class TestPeelVerifier:
     def test_side_conflict(self):
         g = cycle_graph(4)
         comp = PeelComponent(
-            vertices=np.arange(4),
+            ball=_mask(range(4)),
+            side0=_mask([0, 1]),
+            side1=_mask([2, 3]),
             center=0,
             radius=2,
-            bipartition=Bipartition(np.array([0, 1]), np.array([2, 3])),
         )
-        out = PeelDecomposition(removed=np.array([], dtype=np.int64), components=(comp,))
+        out = PeelDecomposition(removed_mask=0, components=(comp,))
         assert verify_peel(g, 4, out).kind is ViolationKind.SIDE_CONFLICT
 
     def test_moved_vertex_is_judged_by_the_bound(self):
@@ -142,21 +145,20 @@ class TestPeelVerifier:
         new_comps = []
         for c in out.components:
             if c is comp:
-                keep = [int(v) for v in c.vertices if int(v) != leaf]
-                s0 = [int(v) for v in c.bipartition.side0 if int(v) != leaf]
-                s1 = [int(v) for v in c.bipartition.side1 if int(v) != leaf]
+                keep = ~(1 << leaf)
                 new_comps.append(
                     PeelComponent(
-                        vertices=np.array(keep),
+                        ball=c.ball & keep,
+                        side0=c.side0 & keep,
+                        side1=c.side1 & keep,
                         center=c.center,
                         radius=c.radius,
-                        bipartition=Bipartition(np.array(s0), np.array(s1)),
                     )
                 )
             else:
                 new_comps.append(c)
         moved = PeelDecomposition(
-            removed=np.sort(np.append(out.removed, leaf)), components=tuple(new_comps)
+            removed_mask=out.removed_mask | 1 << leaf, components=tuple(new_comps)
         )
         verdict = verify_peel(g, 4, moved)
         bound = PeelParams(4).removed_bound(16)
@@ -169,7 +171,7 @@ class TestPeelVerifier:
         g = complete_graph(40)  # peel with huge k removes little; fake more
         out = peel(cycle_graph(9), 4)
         fake = PeelDecomposition(
-            removed=np.arange(9), components=()
+            removed_mask=_mask(range(9)), components=()
         )
         got = verify_peel(cycle_graph(9), 4, fake)
         assert got.kind is ViolationKind.BOUND

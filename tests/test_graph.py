@@ -496,6 +496,12 @@ class TestShortestPathWithin:
         with pytest.raises(InputError):
             shortest_path_within(cycle_graph(5), component, 0, 1)
 
+    @pytest.mark.parametrize("component", [[0.2, 1.7, 2], np.array([0.0, 1.0, 2.0]),
+                                           [False, True, True]])
+    def test_non_integer_component_rejected(self, component):
+        with pytest.raises(InputError, match="must be integers"):
+            shortest_path_within(cycle_graph(5), component, 0, 2)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_path_lengths_match_distances(self, seed):
@@ -542,6 +548,38 @@ class TestViews:
             g.without(ids)
         with pytest.raises(InputError):
             g.restricted_to(ids)
+
+    @pytest.mark.parametrize("ids", [[0.5], [1.9], np.array([0.0, 2.0]), [True], ["1"]])
+    def test_non_integer_ids_rejected(self, ids):
+        g = cycle_graph(5)
+        for view in (g.without, g.restricted_to):
+            with pytest.raises(InputError, match="must be integers"):
+                view(ids)
+
+    @pytest.mark.parametrize("ids", [[], np.array([]), np.array([], dtype=bool), set(), range(0)])
+    def test_empty_ids_of_any_dtype_accepted(self, ids):
+        g = cycle_graph(5)
+        assert g.without(ids).active_count == 5
+        assert g.restricted_to(ids).active_count == 0
+
+    def test_sets_ranges_and_unsigned_ids_accepted(self):
+        g = cycle_graph(5)
+        assert g.without({0, 3}).active_vertices().tolist() == [1, 2, 4]
+        assert g.restricted_to(range(1, 4)).active_vertices().tolist() == [1, 2, 3]
+        assert g.without(np.array([4], dtype=np.uint8)).active_vertices().tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("active", [0b11111, 0b10110])
+    def test_rows_are_copied_from_the_caller(self, active):
+        # a full mask keeps the rows as given, any other mask cuts them; in
+        # both cases later changes to the caller's list do not reach the graph
+        rows = list(cycle_graph(5).row_masks())
+        g = Graph._from_rows(rows, active)
+        before = list(g.row_masks())
+        rows[1] ^= 0b100
+        rows[2] = 0
+        rows.append(0)
+        assert g.n == 5
+        assert g.row_masks() == before
 
 
 NEGATIVE_SIZES = {

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oddcycle import (
-    Bipartition,
     InputError,
     PeelComponent,
     PeelDecomposition,
@@ -322,7 +321,7 @@ def _assert_ids(array, ids):
 
 
 class TestMaskBackedResults:
-    """peel keeps its int masks and builds the numpy fields on first read;
+    """peel results are their int masks, and the numpy views are built on first read;
     they must equal arrays built eagerly by the plain-set simulation."""
 
     def test_lazy_fields_equal_eager_arrays(self):
@@ -368,16 +367,30 @@ class TestMaskBackedResults:
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
-    def test_results_built_from_arrays_hold_no_stale_masks(self):
+    def test_results_compare_and_hash_by_their_masks(self):
+        for g, k in _peel_corpus():
+            out, again = peel(g, k), peel(g, k)
+            if isinstance(out, PeelDecomposition):
+                # the cached views take no part in equality or hashing
+                assert all(len(c.bipartition.side0) for c in out.components)
+                assert len(out.removed) == out.removed_mask.bit_count()
+            assert out == again
+            assert hash(out) == hash(again)
+        out = peel(cycle_graph(16), 4)
+        assert dataclasses.replace(out, removed_mask=out.removed_mask | 1) != out
+
+    def test_replaced_masks_give_fresh_arrays(self):
         out = peel(cycle_graph(16), 4)
         comp = out.components[0]
-        ball, side0, side1 = comp._as_masks(16)
-        swapped = dataclasses.replace(
-            comp, bipartition=Bipartition(comp.bipartition.side1, comp.bipartition.side0))
-        assert swapped._as_masks(16) == (ball, side1, side0)
-        assert dataclasses.replace(out, removed=np.array([2, 5]))._removed_mask(16) == 0b100100
-        built = PeelComponent(vertices=np.arange(3), center=0, radius=1,
-                              bipartition=Bipartition(np.array([0]), np.array([1, 2])))
-        assert built._as_masks(3) == (0b111, 0b001, 0b110)
-        empty = PeelDecomposition(removed=np.array([], dtype=np.int64), components=())
-        assert empty._removed_mask(3) == 0
+        before = comp.bipartition
+        swapped = dataclasses.replace(comp, side0=comp.side1, side1=comp.side0)
+        assert swapped.bipartition.side0.tolist() == before.side1.tolist()
+        assert swapped.bipartition.side1.tolist() == before.side0.tolist()
+        assert comp.bipartition is before
+        assert out.removed.tolist() != [2, 5]
+        assert dataclasses.replace(out, removed_mask=0b100100).removed.tolist() == [2, 5]
+        built = PeelComponent(ball=0b111, side0=0b001, side1=0b110, center=0, radius=1)
+        _assert_ids(built.vertices, [0, 1, 2])
+        _assert_ids(built.bipartition.side0, [0])
+        _assert_ids(built.bipartition.side1, [1, 2])
+        _assert_ids(PeelDecomposition(removed_mask=0, components=()).removed, [])

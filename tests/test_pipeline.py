@@ -514,12 +514,11 @@ def _move_first_side1_vertex(monkeypatch):
     def corrupted(g, k):
         monkeypatch.setattr(pipeline, "peel", real)
         out = real(g, k)
-        ci = next(ci for ci, comp in enumerate(out.components) if len(comp.bipartition.side1))
+        ci = next(ci for ci, comp in enumerate(out.components) if comp.side1)
         comp = out.components[ci]
-        s0, s1 = comp.bipartition.side0, comp.bipartition.side1
-        moved = Bipartition(np.sort(np.append(s0, s1[0])), s1[1:])
+        low = comp.side1 & -comp.side1
         comps = list(out.components)
-        comps[ci] = dataclasses.replace(comp, bipartition=moved)
+        comps[ci] = dataclasses.replace(comp, side0=comp.side0 | low, side1=comp.side1 ^ low)
         return dataclasses.replace(out, components=tuple(comps))
 
     monkeypatch.setattr(pipeline, "peel", corrupted)

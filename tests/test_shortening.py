@@ -7,6 +7,7 @@ from oddcycle import (
     OddCycleCertificate,
     bfs_layers,
     check_bipartite,
+    cycle_graph,
     odd_girth,
     petersen_graph,
     shorten_bound,
@@ -136,6 +137,14 @@ class TestValidation:
         g, _, seed = apex_instance()
         with pytest.raises(InputError):
             shorten_cycle(g, [([0, 5], 0)], [0], 1, seed)
+
+    @pytest.mark.parametrize("vertices", [[0.2, 1.7, 2], np.array([0.0, 1.0, 2.0])])
+    def test_non_integer_component_rejected(self, vertices):
+        g = cycle_graph(5)
+        seed = OddCycleCertificate((0, 1, 2, 3, 4))
+        with pytest.raises(InputError, match="must be integers"):
+            shorten_cycle(g, [(vertices, 1)], [0], 1, seed)
+        assert shorten_cycle(g, [([0, 1, 2], 1)], [0], 1, seed) == seed
 
     def test_target_id_out_of_range(self):
         g, comps, seed = apex_instance()

@@ -1,0 +1,41 @@
+"""The paired-run tool rejects bad arguments before it starts any run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
+
+
+@pytest.fixture
+def paired_bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("paired_bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(module.subprocess, "run", no_run)
+    return module
+
+
+@pytest.mark.parametrize("seeds", ["5-5", "10-5", "5", "a-b", "1-2-3"])
+def test_fewer_than_two_pairs_rejected_at_parsing(paired_bench, tmp_path, capsys, seeds):
+    # a checkout whose one workload would start a run at once
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "structured-deep"}], "end_to_end": []}))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--parent-commit", "a",
+            "--change-commit", "b", "--seeds", seeds, "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        paired_bench.main(argv)
+    assert exit_info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_seed_range_is_inclusive(paired_bench):
+    assert paired_bench.seed_range("5-6") == range(5, 7)
+    assert paired_bench.seed_range("12101-12110") == range(12101, 12111)

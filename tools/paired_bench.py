@@ -36,6 +36,18 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def seed_range(text):
+    """``first-last`` as a range of at least 2 seeds, for argparse: quartiles
+    need 2 or more pairs."""
+    try:
+        first, last = (int(s) for s in text.split("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected first-last, got {text!r}") from None
+    if last - first < 1:
+        raise argparse.ArgumentTypeError(f"need first < last (2 or more pairs), got {text!r}")
+    return range(first, last + 1)
+
+
 def run_once(root, workload, seed, seconds):
     """One ``bench/run.py`` process: its last-line JSON and its result file."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -109,7 +121,8 @@ def main(argv=None):
     parser.add_argument("--change", required=True)
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
-    parser.add_argument("--seeds", required=True, help="first-last, inclusive")
+    parser.add_argument("--seeds", required=True, type=seed_range,
+                        help="first-last, inclusive, first < last")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--workloads", nargs="*", help="default: every benchmark workload")
     parser.add_argument("--claim", help="workload:metric of the claimed gain")
@@ -117,7 +130,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     spec = json.loads((Path(args.parent) / "BENCHMARK.json").read_text())
-    first, last = (int(s) for s in args.seeds.split("-"))
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     roots = {"parent": args.parent, "change": args.change}
     record = {
@@ -127,15 +139,15 @@ def main(argv=None):
                    "--trace 0",
         "what": f"Paired parent/change runs of bench/run.py --seconds {args.seconds:g} --trace 0, "
                 "one workload per process, alternating which side runs first; seeds "
-                f"{first}-{last} were not used while the change was written. Times are at "
-                "reference-host speed as bench/run.py reports them.",
+                f"{args.seeds[0]}-{args.seeds[-1]} were not used while the change was written. "
+                "Times are at reference-host speed as bench/run.py reports them.",
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "nproc": os.cpu_count()},
         "workloads": {},
     }
     for workload in workloads:
         runs = []
-        for j, seed in enumerate(range(first, last + 1)):
+        for j, seed in enumerate(args.seeds):
             order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
             run = {"seed": seed, "first": order[0]}
             for side in order:
