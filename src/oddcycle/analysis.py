@@ -63,7 +63,7 @@ def _colouring(n, q, edges, colours, provenance):
     table = np.full((n, n), -1, dtype=np.int16)
     u, v = np.array(edges).T
     table[u, v] = table[v, u] = colours
-    return EdgeColouring(n, q, table, provenance=provenance)
+    return EdgeColouring._from_table(n, q, table, provenance=provenance)
 
 
 def exhaustive_L(q, n):

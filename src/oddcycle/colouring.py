@@ -5,6 +5,12 @@ The table is kept as a full symmetric integer matrix with -1 on the diagonal;
 colouring is built with ``validate=False`` (used to craft deliberately
 corrupted inputs for the pipeline's self-check tests).
 
+A table is checked once, where it enters: ``EdgeColouring(...)`` checks one
+from outside the package, symmetry a row block at a time. A builder here
+hands its table, valid by construction, over unchecked through
+``EdgeColouring._from_table``; ``colouring_from_classes`` validates, as its
+edge lists come from outside.
+
 File format (text, bit-exact):
     line 1:        ``oddcycle-colouring v1``
     line 2:        ``<n> <q>``
@@ -70,12 +76,12 @@ class EdgeColouring:
         if raw.min() < -1 or raw.max() >= q:
             raise InputError(f"colours out of range [-1, {q})")
         tab = raw.astype(np.int16)
-        if not np.array_equal(tab, tab.T):
-            raise InputError("colour table must be symmetric")
+        for u0, u1 in _row_blocks(n):
+            if not np.array_equal(tab[u0:u1, u0:], tab[u0:, u0:u1].T):
+                raise InputError("colour table must be symmetric")
         if (tab.diagonal() != -1).any():
             raise InputError("table diagonal must be -1")
-        off = tab[~np.eye(n, dtype=bool)]
-        if validate and off.size and off.min() < 0:
+        if validate and np.count_nonzero(tab < 0) > n:  # n of them on the diagonal
             raise InputError("every pair must carry a colour in [0, q)")
         self.n = n
         self.q = q
@@ -99,8 +105,7 @@ class EdgeColouring:
         return int(self.table[u, v])
 
     def is_complete(self):
-        off = self.table[~np.eye(self.n, dtype=bool)]
-        return bool(off.size == 0 or off.min() >= 0)
+        return np.count_nonzero(self.table < 0) == self.n
 
     def __eq__(self, other):
         return (
@@ -128,15 +133,12 @@ def binary_colouring(q):
     n = 1 << q
     ids = np.arange(n, dtype=np.int64)
     table = np.full((n, n), -1, dtype=np.int16)
-    block = max(1, (1 << 22) // n)  # bound the XOR intermediates, n=2^13 is fine
+    block = max(1, _BLOCK // n)
     for start in range(0, n, block):
         diff = ids[start : start + block, None] ^ ids[None, :]
-        low = diff & -diff
-        rows = np.full(diff.shape, -1, dtype=np.int16)
         off = diff != 0
-        rows[off] = np.log2(low[off]).astype(np.int16)
-        table[start : start + block] = rows
-    return EdgeColouring(n, q, table, provenance=f"binary q={q}")
+        table[start : start + block][off] = np.log2((diff & -diff)[off]).astype(np.int16)
+    return EdgeColouring._from_table(n, q, table, provenance=f"binary q={q}")
 
 
 def hamilton_colouring(m):
@@ -165,20 +167,13 @@ def product_colouring(c1, c2):
     n = n1 * n2
     _check_size(n)
     _check_colours(c1.q + c2.q)  # so the int16 cast below cannot wrap
-    a = np.repeat(np.arange(n1), n2)
-    b = np.tile(np.arange(n2), n1)
-    t1 = c1.table[np.ix_(a, a)].astype(np.int32)
-    t2 = c2.table[np.ix_(b, b)].astype(np.int32)
-    same_a = a[:, None] == a[None, :]
-    lifted = np.where(t2 >= 0, c1.q + t2, -1)
-    table = np.where(same_a, lifted, t1).astype(np.int16)
-    return EdgeColouring(
-        n,
-        c1.q + c2.q,
-        table,
-        provenance=f"product({c1.provenance or 'c1'}, {c2.provenance or 'c2'})",
-        validate=c1.is_complete() and c2.is_complete(),
-    )
+    table = np.repeat(np.repeat(c1.table, n2, axis=0), n2, axis=1)
+    t2 = c2.table.astype(np.int32)  # q1 is 2^15, past int16, when c2 has one vertex
+    lifted = np.where(t2 >= 0, c1.q + t2, -1).astype(np.int16)
+    diag = np.arange(n1)
+    table.reshape(n1, n2, n1, n2)[diag, :, diag, :] = lifted  # the n1 blocks a == a'
+    provenance = f"product({c1.provenance or 'c1'}, {c2.provenance or 'c2'})"
+    return EdgeColouring._from_table(n, c1.q + c2.q, table, provenance=provenance)
 
 
 def random_colouring(n, q, seed):
@@ -191,10 +186,11 @@ def random_colouring(n, q, seed):
     _check_colours(q)
     rng = np.random.default_rng(seed)
     table = np.full((n, n), -1, dtype=np.int16)
-    iu = np.triu_indices(n, 1)
-    table[iu] = rng.integers(0, q, size=iu[0].size, dtype=np.int16)
-    table.T[iu] = table[iu]
-    return EdgeColouring(n, q, table, provenance=f"random n={n} q={q} seed={seed}")
+    draw = rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16)
+    upper = _upper(n, 0, n)  # row-major, the pairs u < v in the draw's order
+    table[upper] = draw
+    table.T[upper] = draw
+    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={seed}")
 
 
 def colouring_from_classes(n, classes, validate=True):

@@ -35,11 +35,24 @@ def _bits_to_array(mask):
     return np.fromiter(_iter_bits(mask), dtype=np.int64)
 
 
+def _scalar_id(v):
+    """One id as an int; InputError unless it is a Python or numpy integer
+    (a bool is not), so no float or string is truncated into an id."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InputError(f"ids must be integers, not {type(v).__name__}")
+    return int(v)
+
+
 def _integer_ids(ids, message):
-    """An array or iterable of ids as an int64 array; InputError(message)
+    """A 1-D array or iterable of ids as an int64 array; InputError(message)
     unless its dtype is integer. Empty passes whatever its dtype, as
     ``np.asarray([])`` is float."""
-    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    try:
+        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    except (TypeError, ValueError):  # a scalar, or ragged nesting
+        raise InputError(f"{message}, in a 1-D sequence") from None
+    if ids.ndim != 1:
+        raise InputError(f"{message}, in a 1-D sequence")
     if ids.size and ids.dtype.kind not in "iu":
         raise InputError(message)
     return ids.astype(np.int64)
@@ -156,10 +169,12 @@ class Graph:
         return self._active.bit_count()
 
     def is_active(self, v):
-        return 0 <= v < self.n and bool(self._active >> int(v) & 1)
+        v = _scalar_id(v)
+        return 0 <= v < self.n and bool(self._active >> v & 1)
 
     def has_edge(self, u, v):
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self._rows[u] >> int(v) & 1)
+        u, v = _scalar_id(u), _scalar_id(v)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self._rows[u] >> v & 1)
 
     def neighbours(self, v):
         if not self.is_active(v):
@@ -424,7 +439,7 @@ def odd_cycle_from_walk(walk, g):
 def shortest_path_within(g, component, x, y):
     """Shortest x-y path using only ``component`` vertices; list of vertices."""
     comp_mask = _array_to_bits(component, g.n)
-    x, y = int(x), int(y)
+    x, y = _scalar_id(x), _scalar_id(y)
     for v in (x, y):
         if not ((comp_mask >> v) & 1) or not g.is_active(v):
             raise InputError(f"vertex {v} is not an active member of the component")

@@ -22,6 +22,7 @@ from .graph import (
     _bfs,
     _integer_ids,
     _iter_bits,
+    _scalar_id,
     odd_cycle_from_walk,
     shortest_path_within,
 )
@@ -78,9 +79,9 @@ def shorten_cycle(g, components, target_ids, r, seed):
     """
     if r < 0:
         raise InputError("radius must be >= 0")
-    comps = [(_integer_ids(verts, "component vertex ids must be integers"), int(center))
+    comps = [(_integer_ids(verts, "component vertex ids must be integers"), _scalar_id(center))
              for verts, center in components]
-    target_ids = sorted(set(int(t) for t in target_ids))
+    target_ids = sorted(set(_scalar_id(t) for t in target_ids))
     for t in target_ids:
         if not 0 <= t < len(comps):
             raise InputError(f"target id {t} out of range")

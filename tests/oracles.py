@@ -244,6 +244,45 @@ def pentagon_colouring():
     return colouring_from_classes(5, [pentagon, pentagram])
 
 
+def product_table_by_index(c1, c2):
+    """``product_colouring``'s table gathered through n x n index arrays:
+    c1's colour on {a, a'} where a != a', q1 + c2's colour on {b, b'} where
+    a == a', for vertex (a, b) = a * n2 + b."""
+    n1, n2 = c1.n, c2.n
+    a = np.repeat(np.arange(n1), n2)
+    b = np.tile(np.arange(n2), n1)
+    t1 = c1.table[np.ix_(a, a)].astype(np.int32)
+    t2 = c2.table[np.ix_(b, b)].astype(np.int32)
+    lifted = np.where(t2 >= 0, c1.q + t2, -1)
+    return np.where(a[:, None] == a[None, :], lifted, t1).astype(np.int16)
+
+
+def random_table_by_triu_indices(n, q, seed):
+    """``random_colouring``'s table written through ``np.triu_indices``: one
+    seeded draw of n(n-1)/2 colours over the pairs u < v, row-major."""
+    rng = np.random.default_rng(seed)
+    table = np.full((n, n), -1, dtype=np.int16)
+    iu = np.triu_indices(n, 1)
+    table[iu] = rng.integers(0, q, size=iu[0].size, dtype=np.int16)
+    table.T[iu] = table[iu]
+    return table
+
+
+def binary_table_by_bits(q):
+    """``binary_colouring``'s table from its definition: the pair {u, v}
+    takes the lowest bit where u and v differ, one bit at a time over 256
+    rows, the higher bits written first so that the lowest one stays."""
+    n = 1 << q
+    ids = np.arange(n)
+    table = np.full((n, n), -1, dtype=np.int16)
+    for u0 in range(0, n, 256):
+        differ = ids[u0 : u0 + 256, None] ^ ids
+        rows = table[u0 : u0 + 256]
+        for i in reversed(range(q)):
+            rows[(differ >> i) & 1 == 1] = i
+    return table
+
+
 def write_colouring_by_entries(c, stream):
     """The colouring writer formatting one entry at a time with ``str``."""
     stream.write(f"{FORMAT_MAGIC}\n")

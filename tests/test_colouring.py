@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import read_colouring_by_rows, write_colouring_by_entries
+from oracles import (
+    binary_table_by_bits,
+    product_table_by_index,
+    random_table_by_triu_indices,
+    read_colouring_by_rows,
+    write_colouring_by_entries,
+)
 
 from oddcycle import (
     Bipartition,
@@ -23,7 +29,7 @@ from oddcycle import (
     random_colouring,
     read_colouring,
 )
-from oddcycle import colouring
+from oddcycle import colouring, exhaustive_L, reduce_bipartite_colour
 from oddcycle.colouring import colouring_to_text, write_colouring
 
 
@@ -517,3 +523,130 @@ def test_io_scratch_memory_bounded(block, bounded, monkeypatch):
     read_peak = _peak_bytes(lambda: read_colouring(io.StringIO(text)))
     write_peak = _peak_bytes(lambda: write_colouring(c, io.StringIO()))
     assert (read_peak < 16e6, write_peak < 4e6) == (bounded, bounded)
+
+
+# Builders hand their tables over unchecked; these pin the tables byte for
+# byte to the index-array builders, and check that the validating
+# constructor accepts every one.
+
+RANDOM_CORPUS = [(n, q) for n in (2, 3, 4, 5, 7, 16, 17, 33, 64, 65, 129, 257, 400)
+                 for q in (1, 2, 11, 2**15)]
+
+
+def _product_factors():
+    incomplete = colouring_from_classes(6, [[(0, 1), (2, 3)], [(4, 5), (1, 2)]], validate=False)
+    return [
+        binary_colouring(1),
+        binary_colouring(3),
+        hamilton_colouring(2),
+        random_colouring(5, 3, 1),
+        incomplete,
+        product_colouring(incomplete, binary_colouring(1)),
+        EdgeColouring(1, 0, [[-1]]),
+        EdgeColouring(1, 5, [[-1]]),
+        random_colouring(4, 2**15, 2),
+        random_colouring(3, 2**15 - 1, 3),
+    ]
+
+
+def _product_pairs():
+    factors = _product_factors()
+    return [(a, b) for a in factors for b in factors if a.q + b.q <= 2**15]
+
+
+@pytest.mark.parametrize("n,q", RANDOM_CORPUS)
+def test_random_table_matches_triu_index_builder(n, q):
+    seed = 7 * n + q
+    table = random_colouring(n, q, seed).table
+    assert table.dtype == np.int16
+    assert table.tobytes() == random_table_by_triu_indices(n, q, seed).tobytes()
+
+
+def test_product_table_matches_index_builder():
+    pairs = _product_pairs()
+    # c1.q = 2^15 with a one-vertex c2: q1 does not fit int16
+    assert any(a.q == 2**15 and b.n == 1 for a, b in pairs)
+    assert any(not a.is_complete() for a, _ in pairs)
+    assert any(not b.is_complete() for _, b in pairs)
+    for a, b in pairs:
+        c = product_colouring(a, b)
+        assert (c.n, c.q, c.table.dtype) == (a.n * b.n, a.q + b.q, np.int16)
+        assert c.table.tobytes() == product_table_by_index(a, b).tobytes()
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_binary_table_matches_lowest_differing_bit(q):
+    assert binary_colouring(q).table.tobytes() == binary_table_by_bits(q).tobytes()
+
+
+def _every_builder():
+    yield from (binary_colouring(q) for q in range(1, 13))
+    yield from (random_colouring(n, q, n + q) for n, q in RANDOM_CORPUS)
+    yield from (product_colouring(a, b) for a, b in _product_pairs())
+    yield product_colouring(binary_colouring(9), hamilton_colouring(2))
+    yield from (hamilton_colouring(m) for m in (1, 2, 5))
+    yield colouring_from_classes(4, [[(0, 1)]], validate=False)
+    c = binary_colouring(3)
+    yield reduce_bipartite_colour(c, 0, check_bipartite(colour_class(c, 0)))[0]
+    yield exhaustive_L(2, 4)[1]
+    yield read_colouring(io.StringIO(colouring_to_text(random_colouring(9, 3, 0))))
+
+
+def test_every_builders_table_passes_the_checks():
+    for c in _every_builder():
+        off = c.table[~np.eye(c.n, dtype=bool)]
+        assert c.is_complete() == bool((off >= 0).all())
+        assert not c.table.flags.writeable
+        assert EdgeColouring(c.n, c.q, c.table, validate=c.is_complete()) == c
+
+
+@pytest.mark.parametrize("n", [3, 400, 2000])
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+@pytest.mark.parametrize("half", ["upper", "lower"])
+def test_one_asymmetric_pair_rejected_in_any_row_block(n, block, half):
+    blocks = colouring._row_blocks(n)
+    u0, u1 = blocks[{"first": 0, "middle": len(blocks) // 2, "last": -1}[block]]
+    u = (u0 + u1) // 2
+    v = u + 1 + (n - u - 2) // 2
+    table = random_colouring(n, 3, n).table.copy()
+    assert EdgeColouring(n, 3, table) == random_colouring(n, 3, n)
+    i, j = (u, v) if half == "upper" else (v, u)
+    table[i, j] = (table[i, j] + 1) % 3
+    with pytest.raises(InputError, match="symmetric"):
+        EdgeColouring(n, 3, table)
+
+
+def test_completeness_counts_the_off_diagonal():
+    assert EdgeColouring(1, 0, [[-1]]).is_complete()
+    table = random_colouring(5, 2, 0).table.copy()
+    table[1, 3] = table[3, 1] = -1
+    with pytest.raises(InputError, match="every pair"):
+        EdgeColouring(5, 2, table)
+    assert not EdgeColouring(5, 2, table, validate=False).is_complete()
+
+
+# tracemalloc caps, in bytes, on the table plus O(block) scratch; each entry
+# makes its inputs outside the traced build. The n x n index arrays, masks
+# and whole-table copies these replaced peaked near 125, 61, 188 and 20 MiB.
+def _product_build():
+    b9, c5 = binary_colouring(9), hamilton_colouring(2)
+    return lambda: product_colouring(b9, c5)
+
+
+def _check_build():
+    table = random_colouring(2049, 11, 6).table.copy()
+    return lambda: EdgeColouring(2049, 11, table)
+
+
+BUILD_CAPS = {
+    "product binary9 x C5": (_product_build, 20 * 2**20),  # 12.5 MiB table
+    "random n=2049": (lambda: lambda: random_colouring(2049, 11, 5), 24 * 2**20),  # 8 MiB table
+    "binary q=12": (lambda: lambda: binary_colouring(12), 48 * 2**20),  # 32 MiB table
+    "check n=2049": (_check_build, 16 * 2**20),  # 8 MiB int16 copy
+}
+
+
+@pytest.mark.parametrize("name", BUILD_CAPS)
+def test_build_scratch_memory_bounded(name):
+    make, cap = BUILD_CAPS[name]
+    assert _peak_bytes(make()) < cap

@@ -556,6 +556,18 @@ class TestViews:
             with pytest.raises(InputError, match="must be integers"):
                 view(ids)
 
+    @pytest.mark.parametrize("ids", [3, np.int64(3), np.array(3), [[0, 1]], [[0]],
+                                     np.zeros((1, 2), dtype=int), [[0], [1, 2]]],
+                             ids=["int", "numpy-int", "0-d", "nested", "nested-one", "2-d",
+                                  "ragged"])
+    def test_scalar_and_nested_ids_rejected(self, ids):
+        g = cycle_graph(5)
+        for view in (g.without, g.restricted_to):
+            with pytest.raises(InputError, match="1-D"):
+                view(ids)
+        with pytest.raises(InputError, match="1-D"):
+            shortest_path_within(g, ids, 0, 1)
+
     @pytest.mark.parametrize("ids", [[], np.array([]), np.array([], dtype=bool), set(), range(0)])
     def test_empty_ids_of_any_dtype_accepted(self, ids):
         g = cycle_graph(5)
@@ -580,6 +592,38 @@ class TestViews:
         rows.append(0)
         assert g.n == 5
         assert g.row_masks() == before
+
+
+class TestScalarIds:
+    """A float, bool or string is never truncated onto a vertex id."""
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(1.0), True, np.bool_(True), "1", None],
+                             ids=["fractional", "numpy-float", "bool", "numpy-bool", "str",
+                                  "none"])
+    def test_non_integer_ids_rejected(self, bad):
+        g = cycle_graph(5)
+        calls = [
+            lambda: g.is_active(bad),
+            lambda: g.has_edge(bad, 2),
+            lambda: g.has_edge(0, bad),
+            lambda: g.neighbours(bad),
+            lambda: g.degree(bad),
+            lambda: bfs_layers(g, bad, 2),
+            lambda: shortest_path_within(g, [0, 1, 2], bad, 2),
+            lambda: shortest_path_within(g, [0, 1, 2], 0, bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="must be integers"):
+                call()
+
+    @pytest.mark.parametrize("v", [1, np.int64(1), np.int16(1), np.uint8(1)])
+    def test_python_and_numpy_integers_accepted(self, v):
+        g = cycle_graph(5)
+        assert g.is_active(v) and g.has_edge(0, v) and g.has_edge(v, 2)
+        assert g.neighbours(v).tolist() == [0, 2]
+        assert layer_lists(bfs_layers(g, v, 1)) == [[1], [0, 2]]
+        assert shortest_path_within(g, [0, 1, 2], 0, v) == [0, 1]
+        assert not g.is_active(-1) and not g.has_edge(0, 5)
 
 
 NEGATIVE_SIZES = {

@@ -1,11 +1,12 @@
 """Source scans of the package. Checks the code relies on must survive
 ``python -O``, which strips ``assert``, so the package raises
 InternalInconsistency instead; every BFS runs on the one kernel; only
-matrices from outside go through the validating ``Graph`` constructor;
-only that constructor and ``colour_class`` pack a bool matrix into rows; the
-pipeline checks a handed-on bipartition against the table in one place; it
-peels in one place and reads the residual two-colourings off the peels; and
-the peel itself builds no vertex array."""
+matrices and colouring tables from outside go through the validating
+``Graph`` and ``EdgeColouring`` constructors; only the ``Graph`` constructor
+and ``colour_class`` pack a bool matrix into rows; the pipeline checks a
+handed-on bipartition against the table in one place; it peels in one place
+and reads the residual two-colourings off the peels; and the peel itself
+builds no vertex array."""
 
 import ast
 from pathlib import Path
@@ -42,13 +43,16 @@ def test_only_the_bfs_kernel_unions_rows():
     assert users == {"graph._bfs"}
 
 
-class _GraphBuilds(ast.NodeVisitor):
-    """(scope, kind) of every ``Graph`` built in a module: ``validating`` for
-    a ``Graph(...)`` call (``cls(...)`` inside the class), ``unchecked`` for
-    a bare ``Graph.__new__``."""
+class _Builds(ast.NodeVisitor):
+    """(scope, kind) of every instance of class ``name`` (defined in module
+    ``home``) built in a module: ``validating`` for a ``name(...)`` call
+    (``cls(...)`` inside the class), ``unchecked`` for a bare
+    ``name.__new__``."""
 
-    def __init__(self, module):
+    def __init__(self, module, home, name):
         self.scope = [module]
+        self.home = [home, name]
+        self.name = name
         self.found = set()
 
     def visit_scope(self, node):
@@ -59,7 +63,7 @@ class _GraphBuilds(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
 
     def visit_Call(self, node):
-        names = {"Graph", "cls"} if self.scope[:2] == ["graph", "Graph"] else {"Graph"}
+        names = {self.name, "cls"} if self.scope[:2] == self.home else {self.name}
         func = node.func
         if isinstance(func, ast.Name) and func.id in names:
             self.found.add((".".join(self.scope), "validating"))
@@ -69,19 +73,35 @@ class _GraphBuilds(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _builds(home, name):
+    builds = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _Builds(path.stem, home, name)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        builds |= visitor.found
+    return builds
+
+
 def test_only_builders_validate_graphs():
     # Graph(...) checks a matrix handed in from outside; a graph the package
     # builds itself (colour classes, views) is packed unchecked through
     # Graph._from_rows, so no other function may construct one.
-    builds = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _GraphBuilds(path.stem)
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        builds |= visitor.found
+    builds = _builds("graph", "Graph")
     assert any(scope.startswith("builders.") for scope, _ in builds)
     assert {b for b in builds if not b[0].startswith("builders.")} == {
         ("graph.Graph.from_edges", "validating"),
         ("graph.Graph._from_rows", "unchecked"),
+    }
+
+
+def test_only_tables_from_outside_are_checked():
+    # EdgeColouring(...) checks a table handed in from outside; a table a
+    # package builder makes is valid by construction and goes through
+    # EdgeColouring._from_table. colouring_from_classes validates because
+    # its edge lists come from outside.
+    assert _builds("colouring", "EdgeColouring") == {
+        ("colouring.colouring_from_classes", "validating"),
+        ("colouring.EdgeColouring._from_table", "unchecked"),
     }
 
 

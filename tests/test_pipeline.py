@@ -477,6 +477,18 @@ class TestHandedOnSides:
         with pytest.raises(InputError):
             signatures(c, removed, [lone, lone])
 
+    @pytest.mark.parametrize("ids", [0, [[0]], np.array([[0, 1]])], ids=["int", "nested", "2-d"])
+    def test_scalar_and_nested_ids_rejected(self, ids):
+        c = binary_colouring(2)
+        lone = Bipartition(np.array([3]), np.array([], dtype=np.int64))
+        with pytest.raises(InputError, match="1-D"):
+            signatures(c, ids, [lone, lone])
+        bad = Bipartition(ids, np.array([2, 3]))
+        with pytest.raises(InputError, match="1-D"):
+            reduce_bipartite_colour(c, 1, bad)
+        with pytest.raises(InputError, match="1-D"):
+            signatures(c, [], [check_bipartite(colour_class(c, 0)), bad])
+
     @pytest.mark.parametrize("dtype", [float, bool, str])
     def test_empty_sides_of_any_dtype_accepted(self, dtype):
         c = binary_colouring(2)

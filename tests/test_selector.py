@@ -148,6 +148,14 @@ class TestValidation:
         with pytest.raises(InputError):
             SelectorInstance(5, [([2], side)])
 
+    @pytest.mark.parametrize("side", [0, np.int64(0), [[0]], np.array([[0, 1]])],
+                             ids=["int", "numpy-int", "nested", "2-d"])
+    def test_scalar_and_nested_sides_rejected(self, side):
+        with pytest.raises(InputError, match="1-D"):
+            SelectorInstance(3, [(side, [2])])
+        with pytest.raises(InputError, match="1-D"):
+            SelectorInstance(3, [([2], side)])
+
     def test_empty_sides_of_any_dtype_accepted(self):
         inst = SelectorInstance(3, [([], np.array([], dtype=float)), ({0}, np.array([2]))])
         assert [[side.tolist() for side in pair] for pair in inst.pairs] == [[[], []], [[0], [2]]]

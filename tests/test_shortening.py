@@ -146,6 +146,18 @@ class TestValidation:
             shorten_cycle(g, [(vertices, 1)], [0], 1, seed)
         assert shorten_cycle(g, [([0, 1, 2], 1)], [0], 1, seed) == seed
 
+    @pytest.mark.parametrize("centre,target", [(1.5, 0), (1, 0.7), (True, 0), (1, True),
+                                               ("1", 0), (1, np.float64(0.0))],
+                             ids=["centre-fractional", "target-fractional", "centre-bool",
+                                  "target-bool", "centre-str", "target-numpy-float"])
+    def test_non_integer_centre_or_target_rejected(self, centre, target):
+        # int() would take centre 1.5 as 1 and target 0.7 as 0
+        g = cycle_graph(5)
+        seed = OddCycleCertificate((0, 1, 2, 3, 4))
+        with pytest.raises(InputError, match="must be integers"):
+            shorten_cycle(g, [([0, 1, 2], centre)], [target], 1, seed)
+        assert shorten_cycle(g, [([0, 1, 2], np.int64(1))], [np.uint8(0)], 1, seed) == seed
+
     def test_target_id_out_of_range(self):
         g, comps, seed = apex_instance()
         with pytest.raises(InputError):

@@ -36,6 +36,42 @@ def test_fewer_than_two_pairs_rejected_at_parsing(paired_bench, tmp_path, capsys
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("claim", ["nocolon", "a:b:c", ":ops_per_s", "structured-deep:",
+                                   "nosuch:ops_per_s", "structured-deep:nosuch",
+                                   "structured-deep:analysis.anneal_search.calls"])
+def test_bad_claim_rejected_at_parsing(paired_bench, tmp_path, capsys, claim):
+    # a checkout whose one workload would start a run at once; the claim
+    # must name that workload and one of its end-to-end metrics
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "structured-deep"}], "end_to_end": [{"name": "ops_per_s"}],
+         "per_layer": [{"name": "analysis.anneal_search.calls"}]}))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--parent-commit", "a",
+            "--change-commit", "b", "--seeds", "1-2", "--claim", claim,
+            "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        paired_bench.main(argv)
+    assert exit_info.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_claim_of_a_workload_left_out_rejected(paired_bench, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "structured-deep"}, {"name": "cli-file"}],
+         "end_to_end": [{"name": "ops_per_s"}]}))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--parent-commit", "a",
+            "--change-commit", "b", "--seeds", "1-2", "--workloads", "cli-file",
+            "--claim", "structured-deep:ops_per_s", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        paired_bench.main(argv)
+    assert exit_info.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+
+
 def test_seed_range_is_inclusive(paired_bench):
     assert paired_bench.seed_range("5-6") == range(5, 7)
     assert paired_bench.seed_range("12101-12110") == range(12101, 12111)
+
+
+def test_claim_spec_splits_workload_and_metric(paired_bench):
+    assert paired_bench.claim_spec("structured-deep:ops_per_s") == ("structured-deep", "ops_per_s")

@@ -48,6 +48,14 @@ def seed_range(text):
     return range(first, last + 1)
 
 
+def claim_spec(text):
+    """``workload:metric`` as a pair, for argparse."""
+    parts = text.split(":")
+    if len(parts) != 2 or not all(parts):
+        raise argparse.ArgumentTypeError(f"expected workload:metric, got {text!r}")
+    return tuple(parts)
+
+
 def run_once(root, workload, seed, seconds):
     """One ``bench/run.py`` process: its last-line JSON and its result file."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -125,12 +133,20 @@ def main(argv=None):
                         help="first-last, inclusive, first < last")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--workloads", nargs="*", help="default: every benchmark workload")
-    parser.add_argument("--claim", help="workload:metric of the claimed gain")
+    parser.add_argument("--claim", type=claim_spec,
+                        help="workload:metric of the claimed gain, an end-to-end metric of a "
+                             "workload that runs")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((Path(args.parent) / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    if args.claim:
+        workload, metric = args.claim
+        if workload not in workloads:
+            parser.error(f"--claim: workload {workload!r} is not run (runs {workloads})")
+        if metric not in [m["name"] for m in spec["end_to_end"]]:
+            parser.error(f"--claim: {metric!r} is not an end-to-end metric of the benchmark")
     roots = {"parent": args.parent, "change": args.change}
     record = {
         "parent_commit": args.parent_commit,
@@ -161,7 +177,7 @@ def main(argv=None):
         record["workloads"][workload] = summarise(runs, spec["end_to_end"])
         Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, metric = args.claim
         record["claim"] = {"workload": workload, "metric": metric, "rule": CLAIM_RULE,
                            "met": claim_met(record["workloads"][workload], metric)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
