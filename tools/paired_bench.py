@@ -142,9 +142,9 @@ def main(argv=None):
     spec = json.loads((Path(args.parent) / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     if args.claim:
-        workload, metric = args.claim
-        if workload not in workloads:
-            parser.error(f"--claim: workload {workload!r} is not run (runs {workloads})")
+        claimed, metric = args.claim
+        if claimed not in workloads:
+            parser.error(f"--claim: workload {claimed!r} is not run (runs {workloads})")
         if metric not in [m["name"] for m in spec["end_to_end"]]:
             parser.error(f"--claim: {metric!r} is not an end-to-end metric of the benchmark")
     roots = {"parent": args.parent, "change": args.change}
@@ -177,9 +177,8 @@ def main(argv=None):
         record["workloads"][workload] = summarise(runs, spec["end_to_end"])
         Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     if args.claim:
-        workload, metric = args.claim
-        record["claim"] = {"workload": workload, "metric": metric, "rule": CLAIM_RULE,
-                           "met": claim_met(record["workloads"][workload], metric)}
+        record["claim"] = {"workload": claimed, "metric": metric, "rule": CLAIM_RULE,
+                           "met": claim_met(record["workloads"][claimed], metric)}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
