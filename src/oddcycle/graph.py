@@ -412,7 +412,7 @@ def odd_cycle_from_walk(walk, g):
     Repeatedly splits the walk at its first repeated vertex into two closed
     subwalks and keeps the odd-length one.
     """
-    verts = [int(v) for v in walk.vertices]
+    verts = [_scalar_id(v) for v in walk.vertices]
     if len(verts) % 2 == 0 or not verts:
         raise InputError(f"closed walk must have odd length, got {len(verts)}")
     for i, u in enumerate(verts):

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .colouring import EdgeColouring, colour_class
+from .colouring import EdgeColouring, _colour_class, colour_class
 from .errors import (
     InputError,
     InternalInconsistency,
@@ -149,10 +149,24 @@ class MonoOddCycle:
 def min_colour_odd_cycle(c, girths=None):
     """Per-colour odd-girth oracle: (colour, length, certificate) of the
     overall shortest monochromatic odd cycle, or None when every colour
-    class is bipartite."""
+    class is bipartite.
+
+    Without ``girths``, colour i is first tried on vertex 0 and its colour-i
+    neighbours alone, packing only their rows. Vertex 0 is the first root of
+    the full class's sweep, and a conflict in its layer 1 ends that sweep
+    (no odd cycle is shorter than 3). The restricted class has the same
+    layer 1, the same inner mask and the same walk-back to 0, so a triangle
+    it finds is the full sweep's own certificate. When it finds none, it is
+    a star, and colour i gets the full sweep before colour i+1 is tried.
+    """
     best = None
     for i in range(c.q):
-        got = girths[i] if girths is not None else odd_girth(colour_class(c, i))
+        if girths is not None:
+            got = girths[i]
+        else:
+            near = c.table[0] == i
+            near[0] = True
+            got = odd_girth(_colour_class(c, i, near)) or odd_girth(colour_class(c, i))
         if got is None:
             continue
         length, cert = got

@@ -62,7 +62,8 @@ def shorten_bound(g, components, target_ids, r):
     """Length bound the shortened cycle satisfies on exit."""
     target_union = set()
     for t in target_ids:
-        target_union.update(int(v) for v in components[t][0])
+        ids = _integer_ids(components[_scalar_id(t)][0], "component vertex ids must be integers")
+        target_union.update(ids.tolist())
     return g.active_count - len(target_union) + (4 * r + 1) * len(set(target_ids))
 
 

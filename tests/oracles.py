@@ -13,7 +13,7 @@ import numpy as np
 
 from oddcycle import EdgeColouring, Graph, ParseError, odd_girth, random_colouring
 from oddcycle import colouring as colouring_module
-from oddcycle.colouring import FORMAT_MAGIC, colouring_from_classes
+from oddcycle.colouring import FORMAT_MAGIC, colour_class, colouring_from_classes
 
 
 def adjacency_sets(g):
@@ -340,6 +340,23 @@ def read_colouring_by_rows(stream):
         if extra.strip():
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
     return EdgeColouring(n, q, table)
+
+
+def min_colour_odd_cycle_by_full_classes(c, girths=None):
+    """``min_colour_odd_cycle`` sweeping every colour's whole class: the
+    first colour of least odd girth, its length and certificate, stopping
+    at a triangle."""
+    best = None
+    for i in range(c.q):
+        got = girths[i] if girths is not None else odd_girth(colour_class(c, i))
+        if got is None:
+            continue
+        length, cert = got
+        if best is None or length < best[1]:
+            best = (i, length, cert.with_colour(i))
+            if length == 3:
+                break
+    return best
 
 
 def table_girth(table, i):

@@ -616,6 +616,16 @@ class TestScalarIds:
             with pytest.raises(InputError, match="must be integers"):
                 call()
 
+    @pytest.mark.parametrize("bad", [0.5, np.float64(0.0), True, "0", None],
+                             ids=["fractional", "numpy-float", "bool", "str", "none"])
+    def test_non_integer_walk_rejected(self, bad):
+        # int() would take the walk (0.5, 1, 2) as the triangle (0, 1, 2)
+        walk = OddClosedWalk((bad, 1, 2))
+        with pytest.raises(InputError, match="must be integers"):
+            odd_cycle_from_walk(walk, complete_graph(3))
+        walk = OddClosedWalk((np.int64(0), np.uint8(1), 2))
+        assert odd_cycle_from_walk(walk, complete_graph(3)).vertices == (0, 1, 2)
+
     @pytest.mark.parametrize("v", [1, np.int64(1), np.int16(1), np.uint8(1)])
     def test_python_and_numpy_integers_accepted(self, v):
         g = cycle_graph(5)

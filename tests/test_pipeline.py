@@ -32,6 +32,7 @@ from oddcycle import (
     verify_mono_odd_cycle,
 )
 from oracles import (
+    min_colour_odd_cycle_by_full_classes,
     odd_girth_by_enumeration,
     adjacency_sets,
     pentagon_colouring,
@@ -136,6 +137,91 @@ class TestFindInvariants:
                 assert got.certificate.length >= min_girth(c)
                 if got.bound_claimed is not None:
                     assert got.certificate.length <= got.bound_claimed
+
+
+def _relabelled(c, seed):
+    perm = np.random.default_rng(seed).permutation(c.n)
+    return EdgeColouring(c.n, c.q, c.table[np.ix_(perm, perm)], validate=c.is_complete())
+
+
+def _no_colour_at_0(c, i):
+    """c with vertex 0's colour-i pairs recoloured i+1, so that vertex 0 has
+    no colour-i neighbour."""
+    table = c.table.copy()
+    hit = table[0] == i
+    table[0, hit] = table[hit, 0] = (i + 1) % c.q
+    return EdgeColouring(c.n, c.q, table)
+
+
+def _triangle_away_from_0(link):
+    """K_6 in two colours: colour 0 is the triangle 3-4-5, plus the pair
+    {0, 3} when ``link``; colour 1, every other pair, has the triangle
+    0-1-2."""
+    colour0 = [(3, 4), (4, 5), (3, 5)] + ([(0, 3)] if link else [])
+    colour1 = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in colour0]
+    return colouring_from_classes(6, [colour0, colour1])
+
+
+def _oracle_corpus():
+    """Random colourings (vertex 0 sometimes without a colour-i neighbour),
+    triangle-free Hamilton products, relabelled binary x C5, incomplete
+    disjoint-cycle colourings and triangles that avoid vertex 0."""
+    cases = [EdgeColouring(1, q, [[-1]]) for q in (0, 1, 3)]
+    cases += [random_colouring(n, q, seed) for n in (2, 3, 4, 5, 9, 17, 33, 65, 129, 257)
+              for q in (1, 2, 3, 5, 8) for seed in range(3)]
+    cases += [_no_colour_at_0(random_colouring(n, q, 9), i)
+              for n in (3, 5, 17, 65) for q in (2, 3) for i in range(q)]
+    for a, b in ((2, 2), (2, 3), (3, 2), (4, 4)):
+        c = product_colouring(hamilton_colouring(a), hamilton_colouring(b))
+        cases += [c, _relabelled(c, a + b)]
+    cases += [_relabelled(product_colouring(binary_colouring(b), hamilton_colouring(2)), seed)
+              for b in (1, 2, 3, 4) for seed in range(2)]
+    for m, copies in ((3, 2), (3, 3), (4, 2), (5, 2), (7, 3)):
+        c = colouring_from_classes(m * copies, shifted_cycle_classes(m, copies), validate=False)
+        cases += [c, _relabelled(c, m), _relabelled(c, m + 1)]
+    cases += [pentagon_colouring(), _triangle_away_from_0(False), _triangle_away_from_0(True)]
+    return cases
+
+
+ORACLE_CORPUS = _oracle_corpus()
+
+
+class TestOracleProbe:
+    """The oracle tries each colour on vertex 0 and its colour neighbours
+    before sweeping the whole class; it must give what the whole sweeps give."""
+
+    def test_matches_full_class_sweep(self):
+        lengths = set()
+        for c in ORACLE_CORPUS:
+            got = pipeline.min_colour_odd_cycle(c)
+            assert got == min_colour_odd_cycle_by_full_classes(c), c.provenance
+            lengths.add(None if got is None else got[1])
+        assert lengths == {None, 3, 5, 7, 9}
+
+    @pytest.mark.parametrize("link", [False, True], ids=["apart", "linked"])
+    def test_triangle_away_from_vertex_0_still_wins(self, link):
+        # colour 0's only triangle misses vertex 0 and colour 1 has one
+        # through it: colour 0 still gets its whole sweep first
+        c = _triangle_away_from_0(link)
+        colour, length, cert = pipeline.min_colour_odd_cycle(c)
+        assert (colour, length, cert.colour) == (0, 3, 0)
+        assert sorted(cert.vertices) == [3, 4, 5]
+        assert verify_mono_odd_cycle(c, cert) is None
+
+    def test_find_traces_match_full_class_sweep(self, monkeypatch):
+        def outcome(c, params):
+            try:
+                got = find_mono_odd_cycle(c, params)
+            except (NoMonochromaticOddCycle, InternalInconsistency) as exc:
+                return type(exc).__name__, str(exc)
+            return got.certificate, got.bound_claimed, got.trace.to_json_lines()
+
+        cases = [(c, params) for c in ORACLE_CORPUS if c.n >= 3
+                 for params in (None, PipelineParams(C=0.01, **OVERRIDE))]
+        got = [outcome(c, params) for c, params in cases]
+        monkeypatch.setattr(pipeline, "min_colour_odd_cycle",
+                            min_colour_odd_cycle_by_full_classes)
+        assert got == [outcome(c, params) for c, params in cases]
 
 
 class TestBipartiteReduction:

@@ -146,6 +146,19 @@ class TestValidation:
             shorten_cycle(g, [(vertices, 1)], [0], 1, seed)
         assert shorten_cycle(g, [([0, 1, 2], 1)], [0], 1, seed) == seed
 
+    @pytest.mark.parametrize("components,targets", [
+        ([([0.5, 1.7, 2], 1)], [0]),
+        ([(np.array([0.0, 1.0, 2.0]), 1)], [0]),
+        ([([0, 1, 2], 1)], [0.0]),
+        ([([0, 1, 2], 1)], [True]),
+    ], ids=["fractional-ids", "float-array", "float-target", "bool-target"])
+    def test_non_integer_bound_ids_rejected(self, components, targets):
+        # int() would count the ids 0.5, 1.7, 2 as {0, 1, 2}, giving 7
+        g = cycle_graph(5)
+        with pytest.raises(InputError, match="must be integers"):
+            shorten_bound(g, components, targets, 1)
+        assert shorten_bound(g, [(np.array([0, 1, 2]), 1)], [np.uint8(0)], 1) == 7
+
     @pytest.mark.parametrize("centre,target", [(1.5, 0), (1, 0.7), (True, 0), (1, True),
                                                ("1", 0), (1, np.float64(0.0))],
                              ids=["centre-fractional", "target-fractional", "centre-bool",
