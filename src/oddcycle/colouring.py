@@ -216,19 +216,8 @@ def colour_class(c, i):
     """Graph on all n vertices whose edges are exactly the colour-i pairs."""
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range [0, {c.q})")
-    return _colour_class(c, i)
-
-
-def _colour_class(c, i, keep=None):
-    """Colour class i of c induced on the vertices where the bool array
-    ``keep`` is True (on all n when None); only their rows are packed.
-    Packed unchecked: the table is symmetric with a -1 diagonal by invariant."""
-    if keep is None:
-        return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
-    rows = [0] * c.n
-    for v, row in zip(np.flatnonzero(keep).tolist(), _pack_rows(c.table[keep] == i)):
-        rows[v] = row
-    return Graph._from_rows(rows, _pack_rows(keep[None])[0])
+    # packed unchecked: the table is symmetric with a -1 diagonal by invariant
+    return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
 
 
 def write_colouring(c, stream):

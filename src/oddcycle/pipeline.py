@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .colouring import EdgeColouring, _colour_class, colour_class
+from .colouring import _BLOCK, EdgeColouring, colour_class
 from .errors import (
     InputError,
     InternalInconsistency,
@@ -151,22 +151,19 @@ def min_colour_odd_cycle(c, girths=None):
     overall shortest monochromatic odd cycle, or None when every colour
     class is bipartite.
 
-    Without ``girths``, colour i is first tried on vertex 0 and its colour-i
-    neighbours alone, packing only their rows. Vertex 0 is the first root of
-    the full class's sweep, and a conflict in its layer 1 ends that sweep
-    (no odd cycle is shorter than 3). The restricted class has the same
-    layer 1, the same inner mask and the same walk-back to 0, so a triangle
-    it finds is the full sweep's own certificate. When it finds none, it is
-    a star, and colour i gets the full sweep before colour i+1 is tried.
+    Without ``girths``, colour i is first tried by ``_triangle_at_0``, which
+    reads only the table rows of vertex 0's colour-i neighbours. Vertex 0
+    is the first root of the full class's sweep, and a conflict in its
+    layer 1 ends that sweep (no odd cycle is shorter than 3), so a triangle
+    found there is the full sweep's own certificate. When there is none,
+    colour i gets the full sweep before colour i+1 is tried.
     """
     best = None
     for i in range(c.q):
         if girths is not None:
             got = girths[i]
         else:
-            near = c.table[0] == i
-            near[0] = True
-            got = odd_girth(_colour_class(c, i, near)) or odd_girth(colour_class(c, i))
+            got = _triangle_at_0(c, i) or odd_girth(colour_class(c, i))
         if got is None:
             continue
         length, cert = got
@@ -175,6 +172,26 @@ def min_colour_odd_cycle(c, girths=None):
             if length == 3:  # no odd cycle is shorter
                 break
     return best
+
+
+def _triangle_at_0(c, i):
+    """``(3, certificate)`` for the triangle that ``odd_girth`` of colour
+    class i closes in layer 1 of its BFS from vertex 0, or None when that
+    layer holds no colour-i edge. Layer 1 is 0's colour-i neighbourhood N;
+    the certificate is (v, 0, u), v the lowest vertex of N with a colour-i
+    neighbour in N and u the lowest such neighbour. Reads the rows of N in
+    blocks of about ``_BLOCK`` entries and packs none of them."""
+    near = c.table[0] == i
+    ids = np.flatnonzero(near)
+    step = max(1, _BLOCK // c.n)
+    for start in range(0, len(ids), step):
+        inside = (c.table[ids[start : start + step]] == i) & near
+        hit = np.flatnonzero(inside.any(axis=1))
+        if hit.size:
+            r = hit[0]
+            v, u = int(ids[start + r]), int(inside[r].argmax())
+            return 3, OddCycleCertificate(vertices=(v, 0, u))
+    return None
 
 
 def _peel_all(c, classes, k, lvl):

@@ -3,7 +3,7 @@
 InternalInconsistency instead; every BFS runs on the one kernel; only
 matrices and colouring tables from outside go through the validating
 ``Graph`` and ``EdgeColouring`` constructors; only the ``Graph`` constructor
-and ``_colour_class`` pack a bool matrix into rows; the pipeline checks a
+and ``colour_class`` pack a bool matrix into rows; the pipeline checks a
 handed-on bipartition against the table in one place; it peels in one place
 and reads the residual two-colourings off the peels; and the peel itself
 builds no vertex array."""
@@ -132,14 +132,14 @@ class _NameUses(ast.NodeVisitor):
 
 def test_table_packing_has_one_home():
     # Packing a bool matrix into row ints is for a matrix from outside
-    # (Graph.__init__) and the validated colouring table (_colour_class);
+    # (Graph.__init__) and the validated colouring table (colour_class);
     # searches keep their classes as row ints and never pack a table.
     users = set()
     for path in sorted(PACKAGE.glob("*.py")):
         visitor = _NameUses(path.stem, "_pack_rows")
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         users |= visitor.found
-    assert users == {"graph.Graph.__init__", "colouring._colour_class"}
+    assert users == {"graph.Graph.__init__", "colouring.colour_class"}
 
 
 def test_peel_builds_no_arrays():

@@ -183,6 +183,17 @@ def _oracle_corpus():
     return cases
 
 
+def _late_triangle_at_0():
+    """binary(10) with the pairs {895, 1023} and {895, 1011} recoloured 0:
+    vertex 0's colour-0 neighbours are the 512 odd vertices, its only
+    colour-0 triangles come late among them, and 1011 is the lowest partner
+    of the lowest inner vertex 895."""
+    table = binary_colouring(10).table.copy()
+    for u, v in ((895, 1023), (895, 1011)):
+        table[u, v] = table[v, u] = 0
+    return EdgeColouring(1024, 10, table)
+
+
 ORACLE_CORPUS = _oracle_corpus()
 
 
@@ -207,6 +218,26 @@ class TestOracleProbe:
         assert (colour, length, cert.colour) == (0, 3, 0)
         assert sorted(cert.vertices) == [3, 4, 5]
         assert verify_mono_odd_cycle(c, cert) is None
+
+    def test_neighbourhoods_over_many_row_blocks(self):
+        # vertex 0's colour-0 neighbourhood here is 256 or 512 rows, read in
+        # several blocks: a probe that finds nothing, and one whose only
+        # triangles lie in the last block
+        for c in (_relabelled(binary_colouring(9), 5), _late_triangle_at_0()):
+            assert pipeline.min_colour_odd_cycle(c) == min_colour_odd_cycle_by_full_classes(c)
+        colour, length, cert = pipeline.min_colour_odd_cycle(_late_triangle_at_0())
+        assert (colour, length, cert.vertices) == (0, 3, (895, 0, 1011))
+
+    def test_probe_misses_no_triangle_at_vertex_0(self):
+        # a missed triangle would not change the answer, only cost a full
+        # sweep: the probe must find one exactly when vertex 0 has one, and
+        # give the full sweep's certificate
+        for c in ORACLE_CORPUS + [_relabelled(binary_colouring(9), 5), _late_triangle_at_0()]:
+            for i in range(c.q):
+                near = np.flatnonzero(c.table[0] == i)
+                at_0 = bool((c.table[np.ix_(near, near)] == i).any())
+                got = pipeline._triangle_at_0(c, i)
+                assert got == (odd_girth(colour_class(c, i)) if at_0 else None), c.provenance
 
     def test_find_traces_match_full_class_sweep(self, monkeypatch):
         def outcome(c, params):
