@@ -41,13 +41,25 @@ class Violation:
         return f"{self.kind.value} at {self.detail}{msg}"
 
 
+def _not_integer(ids):
+    """Index and value of the first id that is not a Python or numpy integer
+    (a bool is not one), or None; so ``int()`` truncates no id."""
+    for idx, v in enumerate(ids):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            return idx, v
+    return None
+
+
 def verify_mono_odd_cycle(host, cert):
     """Check a cycle certificate against an EdgeColouring or a Graph.
 
-    Odd length >= 3, all vertices distinct and in range, consecutive pairs
-    (cyclically) adjacent, and uniformly of the stated colour when the host
-    is a colouring and the certificate names one.
+    Integer vertex ids, odd length >= 3, all vertices distinct and in range,
+    consecutive pairs (cyclically) adjacent, and uniformly of the stated
+    colour when the host is a colouring and the certificate names one.
     """
+    bad = _not_integer(cert.vertices)
+    if bad is not None:
+        return Violation(ViolationKind.ADJACENCY, (bad[0],), f"vertex {bad[1]!r} is not an integer")
     verts = [int(v) for v in cert.vertices]
     n = host.n
     if len(verts) < 3 or len(verts) % 2 == 0:
@@ -173,9 +185,14 @@ def verify_peel(g, k, outcome):
 
 def verify_selector(inst, result, target):
     """Check a selector result: union matches the choices, survivors are the
-    complement, no pair has both sides surviving, and |survivors| >= target."""
+    complement (both of integer ids), no pair has both sides surviving, and
+    |survivors| >= target."""
     if len(result.choices) != inst.q or any(c not in (0, 1) for c in result.choices):
         return Violation(ViolationKind.COVER, (), "choices do not match the pair count")
+    for name in ("chosen_union", "survivors"):
+        bad = _not_integer(getattr(result, name))
+        if bad is not None:
+            return Violation(ViolationKind.COVER, (bad[0],), f"{name} holds {bad[1]!r}, not an integer")
     union = set()
     for (a, b), c in zip(inst.pairs, result.choices):
         union.update(int(v) for v in (a if c == 0 else b))

@@ -18,13 +18,17 @@ File format (text, bit-exact):
                    space-separated decimal integers.
 
 Both directions work with numpy on one block of rows (about ``_BLOCK``
-entries) at a time, so their scratch memory stays bounded whatever n is. The
-reader decodes a block that is canonical: decimal colours of at most
-``_MAX_DIGITS`` digits, one space apart, n-1-u of them on row u. From the
-first block that is not, it parses row by row with Python's ``int``, so what
-it accepts (``+1``, ``01``, tabs, runs of spaces, a trailing ``\r``) and the
-line number and message of every ``ParseError`` are the same as if every row
-were parsed that way.
+entries) at a time, so their scratch memory stays bounded whatever n is, and
+neither makes an index array of a block's size. The writer makes as many
+passes as the block's widest entry needs, so a block of one-digit colours
+costs a digit pass and a separator pass. The reader decodes a block that is
+canonical: decimal colours of at most ``_MAX_DIGITS`` digits, one space
+apart, n-1-u of them on row u. One-digit blocks (every file with q <= 10)
+are read through strided byte views, others entry by entry. From the first
+block that is not canonical, it parses row by row with Python's ``int``, so
+what it accepts (``+1``, ``01``, tabs, runs of spaces, a trailing ``\r``)
+and the line number and message of every ``ParseError`` are the same as if
+every row were parsed that way.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import io
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ParseError
 from .graph import Graph, _pack_rows
@@ -240,30 +245,42 @@ def _row_blocks(n):
 
 def _upper(n, u0, u1):
     """Mask of rows u0..u1-1 of an n x n table selecting the pairs {u, v},
-    u < v; row-major, it lists them in file order."""
-    return np.arange(n) > np.arange(u0, u1)[:, None]
+    u < v; row-major, it lists them in file order. A read-only view of 2n
+    bytes, n False then n True: row u is the n-byte window at offset n-1-u."""
+    steps = np.repeat(np.array([False, True]), n)
+    return sliding_window_view(steps, n)[::-1][u0 + 1 : u1 + 1]
 
 
 def _format_block(table, u0, u1):
     """Body text of rows u0..u1-1: one fixed-width byte row per entry, digits
-    right-aligned before its separator, packed into text with one gather."""
+    right-aligned before its separator, packed into text with one gather.
+
+    The passes follow what the block holds: one per digit of its largest
+    magnitude, sign and width passes only where some entry is negative or
+    narrower than the widest, so a block of one-digit colours takes a digit
+    pass and a separator pass over its int16 entries."""
     n = table.shape[0]
-    values = table[u0:u1][_upper(n, u0, u1)].astype(np.int32)
-    mag = np.abs(values)
-    neg = values < 0
-    digits = np.ones(values.size, dtype=np.int32)
-    for k in range(1, _MAX_DIGITS):
-        digits += mag >= 10**k
-    width = digits + neg
-    w = int(width.max())
+    values = table[u0:u1][_upper(n, u0, u1)]
+    lo, hi = int(values.min()), int(values.max())
+    top = len(str(max(hi, -lo)))  # digits of the largest magnitude
+    w = max(len(str(hi)), len(str(lo)))  # the widest entry, its sign included
+    mag = np.abs(values) if lo < 0 else values
     cells = np.empty((values.size, w + 1), dtype=np.uint8)
-    for k in range(int(digits.max())):
-        cells[:, w - 1 - k] = ord("0") + mag // 10**k % 10
-    cells[neg, (w - width)[neg]] = ord("-")
+    for k in range(top):
+        digit = mag // 10**k if k else mag
+        cells[:, w - 1 - k] = (digit % 10 if k < top - 1 else digit) + ord("0")
     cells[:, w] = ord(" ")
     cells[np.cumsum(n - 1 - np.arange(u0, u1)) - 1, w] = ord("\n")
-    if (width < w).any():
-        cells = cells[np.arange(w + 1) >= (w - width)[:, None]]
+    if w > 1:  # entries narrower than w drop their leading cells
+        width = np.ones(values.size, dtype=np.uint8)
+        for k in range(1, top):
+            width += mag >= 10**k
+        if lo < 0:
+            neg = values < 0
+            width += neg
+            cells[neg, w - width[neg]] = ord("-")
+        if (width < w).any():
+            cells = cells[np.arange(w + 1) >= (w - width)[:, None]]
     return cells.tobytes().decode("ascii")
 
 
@@ -271,37 +288,69 @@ def _parse_block(table, lines, u0, q):
     """Decode body rows u0.. (``lines``) into ``table`` when every one is
     canonical: only digits and single spaces, n-1-u colours on row u, each
     below q in at most _MAX_DIGITS digits. Returns False, writing nothing,
-    otherwise."""
+    otherwise.
+
+    A canonical block of e one-digit colours is exactly 2e bytes, digit and
+    separator alternating, so a block of that length is first read through
+    two strided byte views: every digit below min(q, 10), e minus the row
+    count spaces, and a newline at each row's end. A block of another length,
+    or one that fails those checks, is decoded entry by entry from the
+    separators' positions."""
     text = "\n".join(lines) + "\n"
     if not text.isascii():
         return False
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    n = table.shape[0]
+    u1 = u0 + len(lines)
+    counts = n - 1 - np.arange(u0, u1)  # entries on each row
+    row_ends = np.cumsum(counts) - 1  # entry index of each row's last colour
+    e = int(row_ends[-1]) + 1
+    values = None
+    if buf.size == 2 * e:
+        digit, sep = buf[0::2] - np.uint8(ord("0")), buf[1::2]
+        if (
+            digit.max() < min(q, 10)  # a separator or sign wraps to above 9
+            and np.count_nonzero(sep == ord(" ")) == e - len(lines)
+            and (sep[row_ends] == ord("\n")).all()
+        ):
+            values = digit
+    if values is None:
+        values = _decode_entries(buf, counts, q)
+        if values is None:
+            return False
+    mask = _upper(n, u0, u1)
+    rows = table[u0:u1]
+    rows[mask] = values
+    # the mirror, columns u0..u1-1 below the diagonal: one transposed copy
+    # below the block's rows, the block's own triangle through its mask
+    table[u1:, u0:u1] = rows[:, u1:].T
+    square, inner = rows[:, u0:u1], mask[:, u0:u1]
+    square.T[inner] = square[inner]
+    return True
+
+
+def _decode_entries(buf, counts, q):
+    """The colours of a canonical block of any widths, ``counts[i]`` on its
+    i-th row, as an int32 array; None if the block is not canonical."""
     digit = buf - np.uint8(ord("0"))  # separators wrap to values above 9
     ends = np.flatnonzero(digit > 9)  # the separator after each entry
     starts = np.concatenate(([0], ends[:-1] + 1))
     width = ends - starts
     sep = buf[ends]
-    n = table.shape[0]
-    u1 = u0 + len(lines)
     if (
         width.min() < 1  # a leading, trailing or doubled separator
         or width.max() > _MAX_DIGITS  # bounds the int32 decode and its passes
         or not ((sep == ord(" ")) | (sep == ord("\n"))).all()
-        or not np.array_equal(np.diff(np.flatnonzero(sep == ord("\n")), prepend=-1),
-                              n - 1 - np.arange(u0, u1))
+        or not np.array_equal(np.diff(np.flatnonzero(sep == ord("\n")), prepend=-1), counts)
     ):
-        return False
+        return None
     values = digit[starts].astype(np.int32)
     for k in range(1, int(width.max())):
         more = width > k
         values[more] = values[more] * 10 + digit[starts[more] + k]
     if values.max() >= q:
-        return False
-    rows = table[u0:u1]
-    rows[_upper(n, u0, u1)] = values
-    # mirror: columns u0..u1-1 below the diagonal are still -1
-    table[u0:, u0:u1] = np.maximum(table[u0:, u0:u1], rows[:, u0:].T)
-    return True
+        return None
+    return values
 
 
 def colouring_to_text(c):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from oddcycle import (
     OddCycleCertificate,
@@ -12,6 +13,7 @@ from oddcycle import (
     cycle_graph,
     odd_girth,
     peel,
+    random_colouring,
     random_graph,
     select_complement,
     verify_mono_odd_cycle,
@@ -50,6 +52,19 @@ class TestCycleVerifier:
         c = pentagon_colouring()
         got = verify_mono_odd_cycle(c, OddCycleCertificate((0, 1, 9)))
         assert got.kind is ViolationKind.ADJACENCY
+
+    @pytest.mark.parametrize("verts", [(0.9, 1.2, 2.7), (True, 2, 0), (0, 1, 2.0), ("0", 1, 2),
+                                       (np.float64(0), 1, 2)])
+    def test_ids_that_are_not_integers(self, verts):
+        # int() would truncate each of these to a triangle of K_3
+        got = verify_mono_odd_cycle(random_colouring(3, 1, 0), OddCycleCertificate(verts, 0))
+        assert got.kind is ViolationKind.ADJACENCY
+        got = verify_mono_odd_cycle(complete_graph(3), OddCycleCertificate(verts))
+        assert got.kind is ViolationKind.ADJACENCY
+
+    def test_numpy_integer_ids(self):
+        verts = tuple(np.arange(3))
+        assert verify_mono_odd_cycle(random_colouring(3, 1, 0), OddCycleCertificate(verts, 0)) is None
 
     def test_graph_host_adjacency(self):
         g = cycle_graph(5)
@@ -205,6 +220,21 @@ class TestSelectorVerifier:
         forged = SelectorResult(choices=(0,), chosen_union=np.array([1]),
                                 survivors=np.array([0, 2, 3]))
         assert verify_selector(inst, forged, 1).kind is ViolationKind.COVER
+
+    @pytest.mark.parametrize("field,ids", [
+        ("chosen_union", np.array([0.0])), ("chosen_union", np.array([0.5])),
+        ("chosen_union", [False]), ("survivors", np.array([1.0, 2.0, 3.0])),
+        ("survivors", np.array([1.2, 2.5, 3.9])), ("survivors", [True, 2, 3]),
+    ])
+    def test_ids_that_are_not_integers(self, field, ids):
+        from oddcycle import SelectorResult
+
+        # int() would make each of these the valid result below
+        inst = SelectorInstance(4, [({0}, {1})])
+        valid = {"chosen_union": np.array([0]), "survivors": np.array([1, 2, 3])}
+        assert verify_selector(inst, SelectorResult((0,), **valid), 3) is None
+        forged = SelectorResult((0,), **{**valid, field: ids})
+        assert verify_selector(inst, forged, 3).kind is ViolationKind.COVER
 
     def test_flip_single_choice_detected(self):
         rng = np.random.default_rng(23)

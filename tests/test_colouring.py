@@ -421,6 +421,40 @@ def damaged_texts(draw):
     return "\n".join(lines)
 
 
+def _one_digit_damage(lines, u, j, kind):
+    """``lines`` of a one-digit text with one damage at entry j of body row
+    u, neither that row's last entry nor the last row, that keeps the text's
+    length: the digit swapped with the space after it ("swap"), that space
+    replaced by a 0 ("join"), the row's newline swapped with that space
+    ("newline"), or the digit replaced by the character ``kind``."""
+    lines = list(lines)
+    row, at = lines[2 + u], 2 * j
+    if kind == "swap":
+        lines[2 + u] = row[:at] + " " + row[at] + row[at + 2 :]
+    elif kind == "join":
+        lines[2 + u] = row[: at + 1] + "0" + row[at + 2 :]
+    elif kind == "newline":  # row u now ends at entry j; the rest opens row u+1
+        lines[2 + u], lines[3 + u] = row[: at + 1], row[at + 2 :] + " " + lines[3 + u]
+    else:
+        lines[2 + u] = row[:at] + kind + row[at + 1 :]
+    return lines
+
+
+@st.composite
+def one_digit_damaged_texts(draw):
+    """Texts at q <= 10, so one digit per colour, with one damage that keeps
+    every row block exactly two bytes per entry long."""
+    n = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(["swap", "join", "newline", "+", "-", "digit"]))
+    q = draw(st.integers(1, 9 if kind == "digit" else 10))
+    if kind == "digit":  # a digit >= q
+        kind = str(draw(st.integers(q, 9)))
+    lines = colouring_to_text(random_colouring(n, q, draw(st.integers(0, 2**31)))).split("\n")
+    u = draw(st.integers(0, n - 3))
+    j = draw(st.integers(0, n - 3 - u))
+    return "\n".join(_one_digit_damage(lines, u, j, kind))
+
+
 class TestReaderAgainstRowParser:
     """The blocked reader against the row-by-row parser it replaced: the same
     colouring, or the same error with the same line and message."""
@@ -463,6 +497,48 @@ class TestReaderAgainstRowParser:
                             lambda *args: decoded.append(parse_block(*args)) or decoded[-1])
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
         assert decoded == [True, False]  # rows from the damaged block on go row by row
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_digit_damaged_texts())
+    def test_one_digit_damaged_texts(self, text):
+        assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
+
+    @pytest.mark.parametrize(
+        "kind,decoded",
+        [("swap", [True, False]), ("join", [True, False]), ("+", [True, False]),
+         ("-", [True, False]), ("9", [True, False]), ("newline", [])],
+        ids=["digit-space-swap", "space-to-digit", "plus", "minus", "digit-past-q",
+             "newline-space-swap"],
+    )
+    def test_one_digit_damage_in_second_block(self, kind, decoded, monkeypatch):
+        # n = 400 at q = 9: one digit per colour; rows 200 and 201 lie in the
+        # second block, which stays two bytes per entry. A moved newline
+        # leaves row 200 too short for its entries, which the reader finds
+        # before it decodes any block
+        n, row = 400, 200
+        blocks = colouring._row_blocks(n)
+        assert len(blocks) >= 3 and blocks[1][0] <= row < row + 1 < blocks[1][1]
+        lines = colouring_to_text(random_colouring(n, 9, 5)).split("\n")
+        damaged = _one_digit_damage(lines, row, 17, kind)
+        assert sum(map(len, damaged[2 + blocks[1][0] : 2 + blocks[1][1]])) == sum(
+            map(len, lines[2 + blocks[1][0] : 2 + blocks[1][1]]))
+        text = "\n".join(damaged)
+        calls, general = [], []
+        parse_block, decode_entries = colouring._parse_block, colouring._decode_entries
+        monkeypatch.setattr(colouring, "_parse_block",
+                            lambda *args: calls.append(parse_block(*args)) or calls[-1])
+        monkeypatch.setattr(colouring, "_decode_entries",
+                            lambda *args: general.append(decode_entries(*args)) or general[-1])
+        assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
+        assert calls == decoded  # rows from the damaged block on go row by row
+        assert general == [None] * (len(decoded) - 1)  # the first block was read strided
+
+    def test_one_digit_block_with_a_misplaced_newline(self):
+        # rows of 4, 1 and 1 colours where 3, 2 and 1 are due: the block is
+        # still two bytes per entry, with the right number of spaces
+        table = np.full((4, 4), -1, dtype=np.int16)
+        assert not colouring._parse_block(table, ["0 0 0 0", "0", "0"], 0, 1)
+        assert (table == -1).all()
 
 
 def _writer_cases():
@@ -510,19 +586,24 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("q,read_cap,write_cap", [(10, 9.5e6, 2.5e6), (11, 16e6, 4e6)],
+                         ids=["q10", "q11"])
 @pytest.mark.parametrize("block,bounded", [(colouring._BLOCK, True), (1 << 30, False)],
                          ids=["blocked", "whole-body"])
-def test_io_scratch_memory_bounded(block, bounded, monkeypatch):
-    # n = 1025, q = 10: 1.05 MB of text, 2.1 MB of table. Over 2^16-entry
-    # blocks reading peaks near 9.8 MB (the row-by-row reader, whose table
-    # is copied and checked again: 12.7 MB) and writing near 1.7 MB; decoding
-    # or formatting the whole body at once peaks near 28 MB and 14 MB
+def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monkeypatch):
+    # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, the strided
+    # decode), 1.1 MB at q = 11 (the general decode); 2.1 MB of table. Over
+    # 2^16-entry blocks reading peaks near 7.9 MB at q = 10 and 10.0 MB at
+    # q = 11 (the row-by-row reader, whose table is copied and checked
+    # again: 12.7 MB), writing near 1.3 MB. Decoding or formatting the whole
+    # body at once peaks near 12.2 and 4.2 MB at q = 10, 27 and 6.9 MB at
+    # q = 11
     monkeypatch.setattr(colouring, "_BLOCK", block)
-    c = random_colouring(1025, 10, 3)
+    c = random_colouring(1025, q, 3)
     text = colouring_to_text(c)
     read_peak = _peak_bytes(lambda: read_colouring(io.StringIO(text)))
     write_peak = _peak_bytes(lambda: write_colouring(c, io.StringIO()))
-    assert (read_peak < 16e6, write_peak < 4e6) == (bounded, bounded)
+    assert (read_peak < read_cap, write_peak < write_cap) == (bounded, bounded)
 
 
 # Builders hand their tables over unchecked; these pin the tables byte for
