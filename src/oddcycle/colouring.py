@@ -37,7 +37,6 @@ import io
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ParseError
 from .graph import Graph, _pack_rows
@@ -248,7 +247,8 @@ def _upper(n, u0, u1):
     u < v; row-major, it lists them in file order. A read-only view of 2n
     bytes, n False then n True: row u is the n-byte window at offset n-1-u."""
     steps = np.repeat(np.array([False, True]), n)
-    return sliding_window_view(steps, n)[::-1][u0 + 1 : u1 + 1]
+    steps.setflags(write=False)
+    return np.ndarray((u1 - u0, n), bool, steps, offset=n - 1 - u0, strides=(-1, 1))
 
 
 def _format_block(table, u0, u1):

@@ -593,11 +593,11 @@ def _peak_bytes(fn):
 def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monkeypatch):
     # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, the strided
     # decode), 1.1 MB at q = 11 (the general decode); 2.1 MB of table. Over
-    # 2^16-entry blocks reading peaks near 7.9 MB at q = 10 and 10.0 MB at
+    # 2^16-entry blocks reading peaks near 7.8 MB at q = 10 and 10.0 MB at
     # q = 11 (the row-by-row reader, whose table is copied and checked
-    # again: 12.7 MB), writing near 1.3 MB. Decoding or formatting the whole
-    # body at once peaks near 12.2 and 4.2 MB at q = 10, 27 and 6.9 MB at
-    # q = 11
+    # again: 12.7 MB), writing near 1.1 and 1.3 MB. Decoding or formatting
+    # the whole body at once peaks near 11.1 and 4.2 MB at q = 10, 27 and
+    # 6.9 MB at q = 11
     monkeypatch.setattr(colouring, "_BLOCK", block)
     c = random_colouring(1025, q, 3)
     text = colouring_to_text(c)
