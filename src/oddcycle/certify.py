@@ -192,7 +192,8 @@ def verify_selector(inst, result, target):
     for name in ("chosen_union", "survivors"):
         bad = _not_integer(getattr(result, name))
         if bad is not None:
-            return Violation(ViolationKind.COVER, (bad[0],), f"{name} holds {bad[1]!r}, not an integer")
+            return Violation(ViolationKind.COVER, (bad[0],),
+                             f"{name} holds {bad[1]!r}, not an integer")
     union = set()
     for (a, b), c in zip(inst.pairs, result.choices):
         union.update(int(v) for v in (a if c == 0 else b))
