@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .colouring import EdgeColouring, binary_colouring, random_colouring
+from .colouring import _from_pairs, _pair_colours, binary_colouring, random_colouring
 from .errors import InputError, InternalInconsistency, NoMonochromaticOddCycle
 from .graph import Graph, odd_girth
 from .pipeline import (
@@ -56,14 +56,6 @@ def _shown(x):
     """A size as quoted in a message: decimal up to 64 bits, else its bit
     length, so no huge int is formatted (``str`` refuses 4300+ digits)."""
     return str(x) if x.bit_length() <= 64 else f"({x.bit_length()}-bit number)"
-
-
-def _colouring(n, q, edges, colours, provenance):
-    """The colouring giving ``edges[k]`` the colour ``colours[k]``."""
-    table = np.full((n, n), -1, dtype=np.int16)
-    u, v = np.array(edges).T
-    table[u, v] = table[v, u] = colours
-    return EdgeColouring._from_table(n, q, table, provenance=provenance)
 
 
 def exhaustive_L(q, n):
@@ -102,7 +94,7 @@ def exhaustive_L(q, n):
             best_val, best = val, colours
             if best_val == sentinel:
                 break  # sentinel is the maximum possible
-    witness = _colouring(n, q, edges, best, f"exhaustive q={q} n={n}")
+    witness = _from_pairs(n, q, best, f"exhaustive q={q} n={n}")
     return (None if best_val == sentinel else best_val), witness
 
 
@@ -123,7 +115,7 @@ def anneal_search(q, n, iterations, seed, init=None):
     if not start.is_complete():
         raise InputError("init colouring leaves pairs uncoloured")
     edges = list(itertools.combinations(range(n), 2))
-    colours = start.table[np.triu_indices(n, 1)].tolist()
+    colours = _pair_colours(start).tolist()
     rows = _class_rows(n, q, edges, colours)
     sentinel = n + 1
     girths = [_girth(r, sentinel) for r in rows]
@@ -154,7 +146,7 @@ def anneal_search(q, n, iterations, seed, init=None):
                 rows[c][u] ^= 1 << v
                 rows[c][v] ^= 1 << u
             girths[old], girths[new] = before
-    return best_value, _colouring(n, q, edges, best, f"anneal q={q} n={n} seed={seed}")
+    return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={seed}")
 
 
 @dataclass

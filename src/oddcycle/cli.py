@@ -253,7 +253,7 @@ def lq_exact(q, n):
         )
     else:
         click.echo(f"L({q},{n}) = {value}")
-    counts = [int((witness.table == i).sum() // 2) for i in range(q)]
+    counts = [colour_class(witness, i).edge_count() for i in range(q)]
     click.echo(f"witness colour class sizes: {counts}")
 
 

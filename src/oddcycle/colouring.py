@@ -1,9 +1,16 @@
 """q-edge-colourings of complete graphs: construction, storage and I/O.
 
-The table is kept as a full symmetric integer matrix with -1 on the diagonal;
+The table is kept as a full symmetric int16 matrix with -1 on the diagonal;
 -1 off the diagonal marks an uncoloured pair and is only legal when the
 colouring is built with ``validate=False`` (used to craft deliberately
 corrupted inputs for the pipeline's self-check tests).
+
+This module is the one home of that layout, of the pair order (the pairs
+u < v row by row, which is ``itertools.combinations`` order and the file's)
+and of the ``_BLOCK``-sized row blocks the table is walked in: every other
+module reads a colouring through the functions here. ``certify`` alone
+reads ``table`` itself, on purpose, so that the verifiers stay independent
+of the producers.
 
 A table is checked once, where it enters: ``EdgeColouring(...)`` checks one
 from outside the package, symmetry a row block at a time. A builder here
@@ -39,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import Graph, _pack_rows
+from .graph import Graph, _pack_rows, _scalar_id
 
 FORMAT_MAGIC = "oddcycle-colouring v1"
 
@@ -104,6 +111,7 @@ class EdgeColouring:
         return c
 
     def colour_of(self, u, v):
+        u, v = _scalar_id(u), _scalar_id(v)
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise InputError(f"({u},{v}) is not a vertex pair")
         return int(self.table[u, v])
@@ -137,31 +145,30 @@ def binary_colouring(q):
     n = 1 << q
     ids = np.arange(n, dtype=np.int64)
     table = np.full((n, n), -1, dtype=np.int16)
-    block = max(1, _BLOCK // n)
-    for start in range(0, n, block):
-        diff = ids[start : start + block, None] ^ ids[None, :]
+    for u0, u1 in _row_blocks(n, n):
+        diff = ids[u0:u1, None] ^ ids[None, :]
         off = diff != 0
-        table[start : start + block][off] = np.log2((diff & -diff)[off]).astype(np.int16)
+        table[u0:u1][off] = np.log2((diff & -diff)[off]).astype(np.int16)
     return EdgeColouring._from_table(n, q, table, provenance=f"binary q={q}")
 
 
 def hamilton_colouring(m):
     """Complete colouring of K_{2m+1} whose m colour classes are Hamilton
     cycles (Walecki's zigzag decomposition, apex vertex 2m), so every class
-    has odd girth 2m+1."""
+    has odd girth 2m+1: class j is the cycle 2m, j, j+1, j-1, j+2, ..., j+m
+    (mod 2m). In closed form, {u, v} with u, v < 2m gets ((u+v) mod 2m) // 2
+    and {2m, v} gets v mod m, written a row block at a time."""
     max_m = (_MAX_N - 1) // 2
     if not 1 <= m <= max_m:
         raise InputError(f"m must be in [1, {max_m}], got {m}")
-    n = 2 * m + 1
-    classes = []
-    for j in range(m):
-        path = []
-        for t in range(2 * m):
-            off = (t + 1) // 2
-            path.append((j + off) % (2 * m) if t % 2 == 1 else (j - off) % (2 * m))
-        cyc = [2 * m] + path
-        classes.append([(cyc[i], cyc[(i + 1) % n]) for i in range(n)])
-    return colouring_from_classes(n, classes)
+    n, rim = 2 * m + 1, 2 * m
+    ids = np.arange(rim, dtype=np.int16)  # u + v <= 4m - 2 fits int16 at max_m
+    table = np.empty((n, n), dtype=np.int16)
+    for u0, u1 in _row_blocks(n, rim):
+        np.floor_divide((ids[u0:u1, None] + ids) % rim, 2, out=table[u0:u1, :rim])
+    table[rim, :rim] = table[:rim, rim] = ids % m
+    np.fill_diagonal(table, -1)
+    return EdgeColouring._from_table(n, m, table)
 
 
 def product_colouring(c1, c2):
@@ -189,12 +196,23 @@ def random_colouring(n, q, seed):
     _check_size(n)
     _check_colours(q)
     rng = np.random.default_rng(seed)
-    table = np.full((n, n), -1, dtype=np.int16)
     draw = rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16)
-    upper = _upper(n, 0, n)  # row-major, the pairs u < v in the draw's order
-    table[upper] = draw
-    table.T[upper] = draw
-    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={seed}")
+    return _from_pairs(n, q, draw, f"random n={n} q={q} seed={seed}")
+
+
+def _from_pairs(n, q, colours, provenance=None):
+    """Colouring giving the pairs u < v, listed row by row (the order of
+    ``itertools.combinations(range(n), 2)``), the colours ``colours``."""
+    table = np.full((n, n), -1, dtype=np.int16)
+    upper = _upper(n, 0, n)
+    table[upper] = colours
+    table.T[upper] = colours
+    return EdgeColouring._from_table(n, q, table, provenance=provenance)
+
+
+def _pair_colours(c):
+    """The colours of the pairs u < v of c, in ``_from_pairs``' order."""
+    return c.table[_upper(c.n, 0, c.n)]
 
 
 def colouring_from_classes(n, classes, validate=True):
@@ -208,6 +226,7 @@ def colouring_from_classes(n, classes, validate=True):
     table = np.full((n, n), -1, dtype=np.int16)
     for colour, edges in enumerate(classes):
         for u, v in edges:
+            u, v = _scalar_id(u), _scalar_id(v)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"bad pair ({u},{v})")
             if table[u, v] != -1:
@@ -224,6 +243,40 @@ def colour_class(c, i):
     return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
 
 
+def _edge_near_0(c, i):
+    """(v, u), v the lowest vertex of vertex 0's colour-i neighbourhood N
+    with a colour-i neighbour in N and u the lowest such neighbour, or None.
+    Reads the rows of N a block at a time and packs none of them."""
+    near = c.table[0] == i
+    ids = np.flatnonzero(near)
+    for r0, r1 in _row_blocks(c.n, len(ids)):
+        inside = (c.table[ids[r0:r1]] == i) & near
+        hit = np.flatnonzero(inside.any(axis=1))
+        if hit.size:
+            return int(ids[r0 + hit[0]]), int(inside[hit[0]].argmax())
+    return None
+
+
+def _joins_one_side(c, i, side):
+    """Whether a colour-i pair {u, v} has side[u] == side[v] >= 0, ``side``
+    one label per vertex (-1 for none): one pass over the pairs u < v in row
+    blocks that gathers nothing."""
+    cols = np.where(side < 0, -2, side)  # an unlabelled column matches no row
+    return any(((c.table[u0:u1, u0:] == i) & (side[u0:u1, None] == cols[u0:])).any()
+               for u0, u1 in _row_blocks(c.n))
+
+
+def _without_colour(c, i, kept, provenance=None):
+    """Colouring induced on the ids ``kept``, colour i dropped and the ones
+    above it one lower; gathers the rows of ``kept`` a block at a time."""
+    table = np.empty((len(kept), len(kept)), dtype=np.int16)
+    for r0, r1 in _row_blocks(c.n, len(kept)):
+        rows = table[r0:r1]
+        np.take(c.table[kept[r0:r1]], kept, axis=1, out=rows)
+        np.subtract(rows, 1, out=rows, where=rows > i)
+    return EdgeColouring._from_table(len(kept), c.q - 1, table, provenance=provenance)
+
+
 def write_colouring(c, stream):
     """Write the exact text format; accepts a path or a text stream."""
     if isinstance(stream, (str, Path)):
@@ -236,10 +289,12 @@ def write_colouring(c, stream):
         stream.write(_format_block(c.table, u0, u1))
 
 
-def _row_blocks(n):
-    """(u0, u1) ranges covering body rows 0..n-2, about _BLOCK entries each."""
+def _row_blocks(n, rows=None):
+    """(u0, u1) ranges covering rows 0..rows-1 of a table n wide (by default
+    the body rows 0..n-2), about _BLOCK entries each."""
+    rows = n - 1 if rows is None else rows
     step = max(1, _BLOCK // n)
-    return [(u0, min(u0 + step, n - 1)) for u0 in range(0, n - 1, step)]
+    return [(u0, min(u0 + step, rows)) for u0 in range(0, rows, step)]
 
 
 def _upper(n, u0, u1):

@@ -136,6 +136,7 @@ class Graph:
             raise InputError(f"graph size must be >= 0, got {n}")
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
+            u, v = _scalar_id(u), _scalar_id(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .colouring import _BLOCK, EdgeColouring, colour_class
+from .colouring import _edge_near_0, _joins_one_side, _without_colour, colour_class
 from .errors import (
     InputError,
     InternalInconsistency,
@@ -175,23 +175,12 @@ def min_colour_odd_cycle(c, girths=None):
 
 
 def _triangle_at_0(c, i):
-    """``(3, certificate)`` for the triangle that ``odd_girth`` of colour
-    class i closes in layer 1 of its BFS from vertex 0, or None when that
-    layer holds no colour-i edge. Layer 1 is 0's colour-i neighbourhood N;
-    the certificate is (v, 0, u), v the lowest vertex of N with a colour-i
-    neighbour in N and u the lowest such neighbour. Reads the rows of N in
-    blocks of about ``_BLOCK`` entries and packs none of them."""
-    near = c.table[0] == i
-    ids = np.flatnonzero(near)
-    step = max(1, _BLOCK // c.n)
-    for start in range(0, len(ids), step):
-        inside = (c.table[ids[start : start + step]] == i) & near
-        hit = np.flatnonzero(inside.any(axis=1))
-        if hit.size:
-            r = hit[0]
-            v, u = int(ids[start + r]), int(inside[r].argmax())
-            return 3, OddCycleCertificate(vertices=(v, 0, u))
-    return None
+    """``(3, certificate)`` for the triangle (v, 0, u) that ``odd_girth`` of
+    colour class i closes in layer 1 of its BFS from vertex 0, (v, u) the
+    pair ``colouring._edge_near_0`` reads off the table; None when layer 1
+    (0's colour-i neighbourhood) holds no colour-i edge."""
+    edge = _edge_near_0(c, i)
+    return None if edge is None else (3, OddCycleCertificate(vertices=(edge[0], 0, edge[1])))
 
 
 def _peel_all(c, classes, k, lvl):
@@ -249,7 +238,7 @@ def _residual_sides(g, decomposition, removed, i, lvl):
 def _impossible_pair(c, x, y, claim, lvl, **witness):
     """InternalInconsistency for a pair that ``claim`` says no colour can
     reach, naming the colour the table gives it (None when uncoloured)."""
-    colour = int(c.table[x, y])
+    colour = c.colour_of(x, y)
     return InternalInconsistency(
         f"{claim} {colour if colour >= 0 else 'missing'}; impossible for a complete colouring",
         witness={"edge": (x, y), "colour": colour if colour >= 0 else None, **witness,
@@ -444,17 +433,19 @@ def _find_level(c, params, trace, level):
 
 
 def _checked_sides(c, i, bipartition, vertices):
-    """Both sides of ``bipartition``, sorted, and their principal submatrices
-    of ``c.table``, gathered once. InputError unless the sides partition the
-    sorted id array ``vertices`` and neither holds a colour-i pair."""
+    """Both sides of ``bipartition``, sorted. InputError unless the sides
+    partition the sorted id array ``vertices`` and neither holds a colour-i
+    pair. The last test is one pass over the table in row blocks against a
+    side label per vertex (-1 off ``vertices``), and gathers no submatrix."""
     sides = [np.sort(_integer_ids(side, f"bipartition of colour {i} must hold integer vertex ids"))
              for side in (bipartition.side0, bipartition.side1)]
     if not np.array_equal(np.sort(np.concatenate(sides)), vertices):
         raise InputError(f"bipartition of colour {i} does not partition its vertex set")
-    subs = [c.table[np.ix_(side, side)] for side in sides]
-    if any((sub == i).any() for sub in subs):
+    label = np.full(c.n, -1, dtype=np.int8)
+    label[sides[0]], label[sides[1]] = 0, 1
+    if _joins_one_side(c, i, label):
         raise InputError(f"bipartition invalid: colour-{i} edge inside one side")
-    return sides, subs
+    return sides
 
 
 def reduce_bipartite_colour(c, i, bipartition):
@@ -462,15 +453,15 @@ def reduce_bipartite_colour(c, i, bipartition):
     colour i removed and the remaining colours relabelled densely.
 
     Returns (colouring, kept) where ``kept`` maps new vertex indices to the
-    original ones. Ties go to side0.
+    original ones. Ties go to side0. The bipartition is checked by
+    ``_checked_sides``; only the kept side's rows are gathered, one block
+    at a time, into the reduced table.
     """
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range")
-    (s0, s1), (sub0, sub1) = _checked_sides(c, i, bipartition, np.arange(c.n))
-    kept, sub = (s0, sub0) if len(s0) >= len(s1) else (s1, sub1)
-    sub[sub > i] -= 1  # a fresh principal submatrix
-    reduced = EdgeColouring._from_table(len(kept), c.q - 1, sub, provenance=f"reduce(drop {i})")
-    return reduced, kept
+    s0, s1 = _checked_sides(c, i, bipartition, np.arange(c.n))
+    kept = s0 if len(s0) >= len(s1) else s1
+    return _without_colour(c, i, kept, provenance=f"reduce(drop {i})"), kept
 
 
 def signatures(c, removed, bipartitions):
@@ -489,7 +480,7 @@ def signatures(c, removed, bipartitions):
     survivors = np.array([v for v in range(c.n) if v not in removed_set], dtype=np.int64)
     sig = dict.fromkeys(survivors.tolist(), 0)
     for i, bip in enumerate(bipartitions):
-        (_, side1), _ = _checked_sides(c, i, bip, survivors)
+        _, side1 = _checked_sides(c, i, bip, survivors)
         for v in side1.tolist():
             sig[v] |= 1 << i
     return sig

@@ -257,6 +257,22 @@ def product_table_by_index(c1, c2):
     return np.where(a[:, None] == a[None, :], lifted, t1).astype(np.int16)
 
 
+def hamilton_colouring_by_edges(m):
+    """``hamilton_colouring`` from Walecki's zigzag walked edge by edge:
+    class j is the cycle 2m, j, j+1, j-1, j+2, ..., j+m (mod 2m), listed as
+    edges and checked by ``colouring_from_classes``."""
+    n = 2 * m + 1
+    classes = []
+    for j in range(m):
+        path = []
+        for t in range(2 * m):
+            off = (t + 1) // 2
+            path.append((j + off) % (2 * m) if t % 2 == 1 else (j - off) % (2 * m))
+        cyc = [2 * m] + path
+        classes.append([(cyc[i], cyc[(i + 1) % n]) for i in range(n)])
+    return colouring_from_classes(n, classes)
+
+
 def random_table_by_triu_indices(n, q, seed):
     """``random_colouring``'s table written through ``np.triu_indices``: one
     seeded draw of n(n-1)/2 colours over the pairs u < v, row-major."""

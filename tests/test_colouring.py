@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     binary_table_by_bits,
+    hamilton_colouring_by_edges,
     product_table_by_index,
     random_table_by_triu_indices,
     read_colouring_by_rows,
@@ -84,6 +85,44 @@ class TestHamiltonColouring:
     def test_guard(self, m):
         with pytest.raises(InputError):
             hamilton_colouring(m)
+
+    def test_closed_form_matches_walecki_edge_lists(self):
+        for m in range(1, 41):
+            c, want = hamilton_colouring(m), hamilton_colouring_by_edges(m)
+            assert (c.n, c.q, c.provenance) == (want.n, want.q, want.provenance)
+            assert c.table.dtype == np.int16
+            assert c.table.tobytes() == want.table.tobytes(), m
+
+
+class TestNonIntegerPairIds:
+    """A float, bool or string is never truncated onto a vertex of a pair."""
+
+    @pytest.mark.parametrize("bad", [0.5, 1.5, np.float64(1.0), True, False, np.bool_(True), "1",
+                                     None],
+                             ids=["half", "fractional", "numpy-float", "true", "false",
+                                  "numpy-bool", "str", "none"])
+    def test_rejected(self, bad):
+        c = random_colouring(3, 2, 0)
+        calls = [
+            lambda: c.colour_of(bad, 2),
+            lambda: c.colour_of(0, bad),
+            lambda: colouring_from_classes(3, [[(0, bad), (1, 2)]]),
+            lambda: colouring_from_classes(3, [[(bad, 2), (0, 1)]], validate=False),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="must be integers"):
+                call()
+
+    def test_bool_pair_rejected(self):
+        # (False, True) once indexed the table with a bool mask
+        with pytest.raises(InputError, match="must be integers"):
+            colouring_from_classes(3, [[(False, True), (1, 2), (0, 2)]])
+
+    def test_numpy_integers_accepted(self):
+        c = random_colouring(3, 2, 0)
+        assert c.colour_of(np.int64(0), np.uint8(2)) == c.colour_of(0, 2)
+        got = colouring_from_classes(3, [[(np.int16(0), np.uint8(1)), (1, 2)], [(0, np.int64(2))]])
+        assert got == colouring_from_classes(3, [[(0, 1), (1, 2)], [(0, 2)]])
 
 
 def test_dense_tables_over_size_limit_rejected():
@@ -731,6 +770,27 @@ BUILD_CAPS = {
 def test_build_scratch_memory_bounded(name):
     make, cap = BUILD_CAPS[name]
     assert _peak_bytes(make()) < cap
+
+
+def test_reduction_gathers_only_the_kept_side():
+    # binary(12) minus colour 0 keeps 2048 of 4096 vertices: an 8 MiB table.
+    # Gathering both sides' principal submatrices to check them peaked near
+    # 28 MiB; the check is a pass over the table in row blocks
+    c = binary_colouring(12)
+    bip = check_bipartite(colour_class(c, 0))
+    out = []
+    peak = _peak_bytes(lambda: out.append(reduce_bipartite_colour(c, 0, bip)))
+    reduced, kept = out[0]
+    assert reduced.n == len(kept) == 2048
+    assert peak <= reduced.table.nbytes + 2**20
+
+
+def test_hamilton_build_memory_bounded():
+    # K_1023: its edge lists and the validating constructor once made the
+    # table several times over; the closed form writes it in place
+    out = []
+    peak = _peak_bytes(lambda: out.append(hamilton_colouring(511)))
+    assert peak <= out[0].table.nbytes + 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -611,6 +611,8 @@ class TestScalarIds:
             lambda: bfs_layers(g, bad, 2),
             lambda: shortest_path_within(g, [0, 1, 2], bad, 2),
             lambda: shortest_path_within(g, [0, 1, 2], 0, bad),
+            lambda: Graph.from_edges(3, [(0, bad)]),
+            lambda: Graph.from_edges(3, [(bad, 2)]),
         ]
         for call in calls:
             with pytest.raises(InputError, match="must be integers"):

@@ -3,10 +3,11 @@
 InternalInconsistency instead; every BFS runs on the one kernel; only
 matrices and colouring tables from outside go through the validating
 ``Graph`` and ``EdgeColouring`` constructors; only the ``Graph`` constructor
-and ``colour_class`` pack a bool matrix into rows; the pipeline checks a
-handed-on bipartition against the table in one place; it peels in one place
-and reads the residual two-colourings off the peels; and the peel itself
-builds no vertex array."""
+and ``colour_class`` pack a bool matrix into rows; only ``colouring.py``
+knows the colour table's layout, and only it and ``certify.py`` read the
+table; the pipeline checks a handed-on bipartition against the table in one
+place; it peels in one place and reads the residual two-colourings off the
+peels; and the peel itself builds no vertex array."""
 
 import ast
 from pathlib import Path
@@ -130,16 +131,52 @@ class _NameUses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _package_uses(target):
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _NameUses(path.stem, target)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        users |= visitor.found
+    return users
+
+
 def test_table_packing_has_one_home():
     # Packing a bool matrix into row ints is for a matrix from outside
     # (Graph.__init__) and the validated colouring table (colour_class);
     # searches keep their classes as row ints and never pack a table.
-    users = set()
+    assert _package_uses("_pack_rows") == {"graph.Graph.__init__", "colouring.colour_class"}
+
+
+def _modules_naming(name):
+    """Modules that name ``name`` anywhere: as a name, an attribute or an
+    imported name."""
+    found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _NameUses(path.stem, "_pack_rows")
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        users |= visitor.found
-    assert users == {"graph.Graph.__init__", "colouring.colour_class"}
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [
+                node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+            if name in names:
+                found.add(path.stem)
+    return found
+
+
+def _modules_reading_table():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "table":
+                found.add(path.stem)
+    return found
+
+
+def test_the_colour_table_has_one_home():
+    # colouring.py alone knows the table's layout, its pair order and the
+    # row blocks it is walked in; every other module goes through its
+    # functions. certify reads the table itself, so that the verifiers stay
+    # independent of the producers.
+    for name in ("_from_table", "_BLOCK", "_row_blocks", "_upper"):
+        assert _modules_naming(name) == {"colouring"}, name
+    assert _modules_reading_table() == {"colouring", "certify"}
 
 
 def test_peel_builds_no_arrays():
@@ -161,9 +198,12 @@ def _pipeline_uses(target):
 
 def test_bipartitions_are_checked_in_one_place():
     # Both consumers of a bipartition (the reduction and the signatures)
-    # gather its sides from the table through _checked_sides; the signatures
-    # rebuild no colour class, component list or dense class matrix.
-    assert _pipeline_uses("ix_") == {"pipeline._checked_sides"}
+    # check its sides against the table through _checked_sides, by one pass
+    # over the table that gathers no submatrix of either side; the
+    # signatures rebuild no colour class, component list or dense class
+    # matrix.
+    assert _package_uses("_joins_one_side") == {"pipeline._checked_sides"}
+    assert _package_uses("ix_") == set()
     for name in ("colour_class", "components", "masked_matrix"):
         assert "pipeline.signatures" not in _pipeline_uses(name)
 

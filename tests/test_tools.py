@@ -1,7 +1,9 @@
-"""The paired-run tool rejects bad arguments before it starts any run."""
+"""The paired-run tool rejects bad arguments before it starts any run, and
+says why a run failed."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,25 @@ def test_seed_range_is_inclusive(paired_bench):
 
 def test_claim_spec_splits_workload_and_metric(paired_bench):
     assert paired_bench.claim_spec("structured-deep:ops_per_s") == ("structured-deep", "ops_per_s")
+
+
+def test_failed_run_reports_side_workload_seed_and_stderr(paired_bench, tmp_path, capsys,
+                                                         monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "structured-deep"}], "end_to_end": []}))
+    stderr = "".join(f"noise {k}\n" for k in range(40)) + "Traceback\nValueError: boom\n"
+
+    def failed_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 3, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(paired_bench.subprocess, "run", failed_run)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--parent-commit", "a",
+            "--change-commit", "b", "--seeds", "7-8", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        paired_bench.main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "parent run of structured-deep seed 7" in err and "exit code 3" in err
+    assert err.rstrip().endswith("ValueError: boom")
+    assert "noise 39" in err and "noise 0\n" not in err  # the last lines only
+    assert not (tmp_path / "out.json").exists()

@@ -27,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+STDERR_LINES = 20  # of a failed run's stderr, shown before the tool stops
 CLAIM_RULE = ("change wins >= 9/10 pairs and its median beats the parent's by more than "
               "the parent's IQR")
 
@@ -56,11 +57,19 @@ def claim_spec(text):
     return tuple(parts)
 
 
-def run_once(root, workload, seed, seconds):
-    """One ``bench/run.py`` process: its last-line JSON and its result file."""
+def run_once(side, root, workload, seed, seconds):
+    """One ``bench/run.py`` process: its last-line JSON and its result file.
+    A failed run ends the tool with exit code 1, after naming the side,
+    workload, seed and exit code of the run and the end of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = out.stderr.rstrip().splitlines()[-STDERR_LINES:]
+        print(f"{side} run of {workload} seed {seed} in {root} failed with exit code "
+              f"{out.returncode}; the last lines of its stderr:", *tail, sep="\n",
+              file=sys.stderr)
+        sys.exit(1)
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     result_path = Path(root) / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
     return summary, json.loads(result_path.read_text())
@@ -167,7 +176,7 @@ def main(argv=None):
             order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
             run = {"seed": seed, "first": order[0]}
             for side in order:
-                run[side] = run_once(roots[side], workload, seed, args.seconds)
+                run[side] = run_once(side, roots[side], workload, seed, args.seconds)
             runs.append(run)
             ops = [run[s][0]["metrics"]["ops_per_s"]["value"] for s in ("parent", "change")]
             print(f"{workload} seed {seed}: ops_per_s parent {ops[0]:.2f} change {ops[1]:.2f}",
