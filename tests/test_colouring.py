@@ -736,6 +736,37 @@ def test_one_asymmetric_pair_rejected_in_any_row_block(n, block, half):
         EdgeColouring(n, 3, table)
 
 
+@pytest.mark.parametrize("n", [3, 400, 2000])
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+def test_same_side_pair_found_in_any_row_block(n, block):
+    # the bipartition check's one pass: only u and v are labelled, so the
+    # one pair it may find lies in the chosen block's rows
+    blocks = colouring._row_blocks(n)
+    u0, u1 = blocks[{"first": 0, "middle": len(blocks) // 2, "last": -1}[block]]
+    u = (u0 + u1) // 2
+    v = u + 1 + (n - u - 2) // 2
+    c = random_colouring(n, 3, n)
+    i = c.colour_of(u, v)
+    side = np.full(n, -1, dtype=np.int8)
+    side[[u, v]] = 1
+    assert colouring._joins_one_side(c, i, side)
+    assert not colouring._joins_one_side(c, (i + 1) % 3, side)
+    side[v] = 0
+    assert not colouring._joins_one_side(c, i, side)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_same_side_pair_matches_pair_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    c = random_colouring(n, 2, seed) if n > 1 else EdgeColouring(1, 2, [[-1]])
+    side = rng.integers(-1, 2, size=n).astype(np.int8)
+    for i in range(2):
+        want = any(c.colour_of(u, v) == i and side[u] == side[v] >= 0
+                   for u in range(n) for v in range(u + 1, n))
+        assert colouring._joins_one_side(c, i, side) == want
+
+
 def test_completeness_counts_the_off_diagonal():
     assert EdgeColouring(1, 0, [[-1]]).is_complete()
     table = random_colouring(5, 2, 0).table.copy()

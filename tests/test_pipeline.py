@@ -272,6 +272,19 @@ class TestBipartiteReduction:
         assert list(kept) == [0, 1]  # tie goes to side0
         assert reduced.q == 1
 
+    @pytest.mark.parametrize("b,m", [(2, 2), (6, 3), (9, 2)])
+    def test_table_matches_principal_submatrix(self, b, m):
+        # the kept side's rows are gathered a block at a time (binary(9) x
+        # C5: 2560 vertices, 25 rows a block); the table is the principal
+        # submatrix of the kept side with the colours above i one lower
+        c = _relabelled(product_colouring(binary_colouring(b), hamilton_colouring(m)), b)
+        for i in (0, b - 1):
+            reduced, kept = reduce_bipartite_colour(c, i, check_bipartite(colour_class(c, i)))
+            want = c.table[np.ix_(kept, kept)].copy()
+            want[want > i] -= 1
+            assert (reduced.n, reduced.q) == (len(kept), c.q - 1)
+            assert reduced.table.tobytes() == want.tobytes()
+
     def test_degenerate_k2(self):
         c = random_colouring(2, 1, 0)
         bip = check_bipartite(colour_class(c, 0))
