@@ -196,8 +196,8 @@ def random_colouring(n, q, seed):
     _check_size(n)
     _check_colours(q)
     rng = np.random.default_rng(seed)
-    # the table before the draw: a draw freed below it would leave a hole in
-    # the heap that the next table does not fit (1.2 MB more peak RSS)
+    # the table before the draw: a draw freed below the table would leave a
+    # hole in the heap too small for the next table, raising peak RSS
     table = np.full((n, n), -1, dtype=np.int16)
     _write_pairs(table, rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16))
     return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={seed}")
@@ -258,11 +258,13 @@ def _edge_near_0(c, i):
     Reads the rows of N a block at a time and packs none of them."""
     near = c.table[0] == i
     ids = np.flatnonzero(near)
-    for r0, r1 in _row_blocks(c.n, len(ids)):
-        inside = (c.table[ids[r0:r1]] == i) & near
+    step = max(1, _BLOCK // c.n)
+    for start in range(0, len(ids), step):
+        inside = (c.table[ids[start : start + step]] == i) & near
         hit = np.flatnonzero(inside.any(axis=1))
         if hit.size:
-            return int(ids[r0 + hit[0]]), int(inside[hit[0]].argmax())
+            r = hit[0]
+            return int(ids[start + r]), int(inside[r].argmax())
     return None
 
 

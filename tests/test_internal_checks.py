@@ -147,26 +147,17 @@ def test_table_packing_has_one_home():
     assert _package_uses("_pack_rows") == {"graph.Graph.__init__", "colouring.colour_class"}
 
 
-def _modules_naming(name):
-    """Modules that name ``name`` anywhere: as a name, an attribute or an
-    imported name."""
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [
-                node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
-            if name in names:
-                found.add(path.stem)
-    return found
+def _modules_where(hit):
+    """Modules of the package holding an AST node for which ``hit`` holds."""
+    return {path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if any(map(hit, ast.walk(ast.parse(path.read_text(), filename=str(path)))))}
 
 
-def _modules_reading_table():
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "table":
-                found.add(path.stem)
-    return found
+def _names(node):
+    """What a node names: an imported name, a name or an attribute."""
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
 
 
 def test_the_colour_table_has_one_home():
@@ -175,8 +166,10 @@ def test_the_colour_table_has_one_home():
     # functions. certify reads the table itself, so that the verifiers stay
     # independent of the producers.
     for name in ("_from_table", "_BLOCK", "_row_blocks", "_upper"):
-        assert _modules_naming(name) == {"colouring"}, name
-    assert _modules_reading_table() == {"colouring", "certify"}
+        assert _modules_where(lambda node: name in _names(node)) == {"colouring"}, name
+    reads_table = _modules_where(lambda node: isinstance(node, ast.Attribute)
+                                 and node.attr == "table")
+    assert reads_table == {"colouring", "certify"}
 
 
 def test_peel_builds_no_arrays():
