@@ -172,11 +172,9 @@ def _build_colouring(spec):
     kind = spec.get("generator", "random")
     q = int(spec["q"])
     if kind == "binary":
-        return binary_colouring(q), 1 << q, None
+        return binary_colouring(q)
     if kind == "random":
-        n = int(spec["n"])
-        seed = spec.get("_seed")
-        return random_colouring(n, q, seed), n, seed
+        return random_colouring(int(spec["n"]), q, spec.get("_seed"))
     raise InputError(f"unknown generator {kind!r}")
 
 
@@ -222,8 +220,8 @@ def experiment_table(config):
                 )
                 start = time.perf_counter()
                 try:
-                    colouring, n, _ = _build_colouring(cell)
-                    row.n = n
+                    colouring = _build_colouring(cell)
+                    row.n = colouring.n
                     result = _run_method(colouring, method, cell)
                     row.cycle_length = result.certificate.length
                     row.bound_claimed = result.bound_claimed

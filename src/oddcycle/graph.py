@@ -134,15 +134,16 @@ class Graph:
     def from_edges(cls, n, edges):
         if n < 0:
             raise InputError(f"graph size must be >= 0, got {n}")
-        adj = np.zeros((n, n), dtype=bool)
+        rows = [0] * n
         for u, v in edges:
             u, v = _scalar_id(u), _scalar_id(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at {u}")
-            adj[u, v] = adj[v, u] = True
-        return cls(adj)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls._from_rows(rows, (1 << n) - 1)
 
     # -- views ------------------------------------------------------------
 

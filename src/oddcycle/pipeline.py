@@ -25,10 +25,12 @@ edge-coloured graphs, composed from the certified primitives.
   (6) if some colour carries few small-component vertices, shorten a seed
       cycle of that colour against the big components.
   (7) else run the derandomized complement selector over the residual sides
-      within big components and hunt a surviving pair covered by no small
-      component; for a complete colouring that pair cannot exist, so the
-      branch either records its failed asserts (and optionally falls back to
-      the oracle) or raises InternalInconsistency with the witness edge.
+      within big components. A small component holds at most threshold
+      vertices, so with more than q*threshold survivors the lowest one shares
+      none with some other survivor; that pair cannot exist in a complete
+      colouring, and the branch raises InternalInconsistency with the witness
+      edge. Otherwise it records its failed assert (and optionally answers
+      with step (3)'s shortest colour, as the oracle would).
 
 ``proposition_pipeline`` is the wider-graph variant: one peel per colour
 with k = ceil(2q(q+1)/delta), pooled as in (4), and a signature/pigeonhole
@@ -146,24 +148,21 @@ class MonoOddCycle:
     trace: PipelineTrace
 
 
-def min_colour_odd_cycle(c, girths=None):
+def min_colour_odd_cycle(c):
     """Per-colour odd-girth oracle: (colour, length, certificate) of the
     overall shortest monochromatic odd cycle, or None when every colour
     class is bipartite.
 
-    Without ``girths``, colour i is first tried by ``_triangle_at_0``, which
-    reads only the table rows of vertex 0's colour-i neighbours. Vertex 0
-    is the first root of the full class's sweep, and a conflict in its
-    layer 1 ends that sweep (no odd cycle is shorter than 3), so a triangle
-    found there is the full sweep's own certificate. When there is none,
-    colour i gets the full sweep before colour i+1 is tried.
+    Colour i is first tried by ``_triangle_at_0``, which reads only the
+    table rows of vertex 0's colour-i neighbours. Vertex 0 is the first
+    root of the full class's sweep, and a conflict in its layer 1 ends that
+    sweep (no odd cycle is shorter than 3), so a triangle found there is the
+    full sweep's own certificate. When there is none, colour i gets the full
+    sweep before colour i+1 is tried.
     """
     best = None
     for i in range(c.q):
-        if girths is not None:
-            got = girths[i]
-        else:
-            got = _triangle_at_0(c, i) or odd_girth(colour_class(c, i))
+        got = _triangle_at_0(c, i) or odd_girth(colour_class(c, i))
         if got is None:
             continue
         length, cert = got
@@ -257,8 +256,7 @@ def find_mono_odd_cycle(c, params=None):
     return MonoOddCycle(certificate=cert, bound_claimed=bound, trace=trace)
 
 
-def _oracle_result(c, lvl, girths=None):
-    best = min_colour_odd_cycle(c, girths)
+def _oracle_result(c, lvl, best):
     if best is None:
         raise NoMonochromaticOddCycle(
             "every colour class is bipartite; no monochromatic odd cycle exists"
@@ -278,7 +276,7 @@ def _find_level(c, params, trace, level):
     # (1) base: the claimed bound is vacuous at this size
     if q <= 2 or params.C * 2**q / q ** (1.0 - params.eps) >= n:
         lvl.branch = "base"
-        return _oracle_result(c, lvl)
+        return _oracle_result(c, lvl, min_colour_odd_cycle(c))
 
     k = int(params.k_of_q(q))
     threshold = int(params.small_threshold_of_q(q))
@@ -298,16 +296,16 @@ def _find_level(c, params, trace, level):
             lvl.sizes["dropped_colour"] = i
             reduced, kept = reduce_bipartite_colour(c, i, got)
             lvl.sizes["reduced_n"] = reduced.n
-            if reduced.n < 3 or reduced.q < 1:
+            if reduced.n < 3:  # q >= 3 here, so reduced.q >= 2
                 lvl.fallback_used = True
-                return _oracle_result(c, lvl)
+                return _oracle_result(c, lvl, min_colour_odd_cycle(c))
             try:
                 sub_cert, sub_bound = _find_level(reduced, params, trace, level + 1)
             except NoMonochromaticOddCycle:
                 # Out of the complete-colouring regime the discarded side may
                 # hold every odd cycle; answer from the oracle instead.
                 lvl.fallback_used = True
-                return _oracle_result(c, lvl)
+                return _oracle_result(c, lvl, min_colour_odd_cycle(c))
             verts = [int(kept[v]) for v in sub_cert.vertices]
             colour = sub_cert.colour
             if colour is not None and colour >= i:
@@ -322,19 +320,20 @@ def _find_level(c, params, trace, level):
     if short is not None:
         lvl.sizes["via"] = "peel"
         return short, 2 * k + 1
-    girths = [odd_girth(_twin_free(classes[i])) for i in range(q)]
-    best = min_colour_odd_cycle(c, girths)
-    if best is None:
+    girths = [odd_girth(_twin_free(g)) for g in classes]
+    if not any(girths):
         raise InternalInconsistency(
             "every colour class failed the bipartite test, yet none has an odd cycle",
             witness={"trace": lvl.to_record()},
         )
-    if best[1] <= 2 * k + 1:
-        i, _, cert = best
+    # the lowest colour of least odd girth; step 7's oracle fallback answers with it
+    length, i = min((got[0], i) for i, got in enumerate(girths) if got is not None)
+    best = (i, length, girths[i][1].with_colour(i))
+    if length <= 2 * k + 1:
         lvl.branch = "short-cycle"
         lvl.sizes.update({"colour": i, "via": "odd-girth"})
         lvl.bound_claimed = 2 * k + 1
-        return cert, 2 * k + 1
+        return best[2], 2 * k + 1
 
     # (4) every colour decomposed: the deleted sets are pooled
     lvl.steps.append("peel-all")
@@ -360,27 +359,27 @@ def _find_level(c, params, trace, level):
     cutoff = n / q ** (1.0 - params.eps)
     for i in range(q):
         if small_counts[i] <= cutoff:
-            comps = decompositions[i].components
             # a target ball meets the big components: the vertices neither
-            # removed nor in a small component (at most the cutoff of them)
+            # removed nor in a small component (at most the cutoff of them).
+            # shorten_cycle reads only its targets, so it gets no other ball.
             small = _array_to_bits(np.flatnonzero(small_labels[i] >= 0), n)
             big = ((1 << n) - 1) & ~(removed | small)
-            target_ids = [ci for ci, comp in enumerate(comps) if comp.ball & big]
+            targets = [comp for comp in decompositions[i].components if comp.ball & big]
             cert = shorten_cycle(
                 classes[i],
-                [(comp.vertices, comp.center) for comp in comps],
-                target_ids,
+                [(comp.vertices, comp.center) for comp in targets],
+                range(len(targets)),
                 k,
                 seeds[i].with_colour(i),
             )
-            bound = removed_total + small_counts[i] + (4 * k + 1) * len(target_ids)
+            bound = removed_total + small_counts[i] + (4 * k + 1) * len(targets)
             if cert.length > bound:
                 raise InternalInconsistency(
                     f"shortened cycle of length {cert.length} exceeds its bound {bound}",
                     witness={"colour": i, "length": cert.length, "bound": bound},
                 )
             lvl.branch = "lemma2-branch"
-            lvl.sizes.update({"colour": i, "targets": len(target_ids)})
+            lvl.sizes.update({"colour": i, "targets": len(targets)})
             lvl.bound_claimed = bound
             return cert, bound
 
@@ -408,24 +407,23 @@ def _find_level(c, params, trace, level):
     lvl.sizes["survivor_count"] = len(survivors)
 
     if len(survivors) > q * threshold:
-        # a surviving pair covered by no small component contradicts completeness
-        for x in survivors.tolist():
-            covered = survivors == x
-            for label in small_labels:
-                if label[x] >= 0:
-                    covered |= label[survivors] == label[x]
-            if not covered.all():
-                y = int(survivors[np.argmin(covered)])
-                raise _impossible_pair(
-                    c, x, y, f"surviving pair ({x},{y}) lies in no small component, "
-                    "yet its colour is", lvl, survivors=survivors.tolist())
-        lvl.asserts_failed.append("cover-pair")
-    else:
-        lvl.asserts_failed.append("survivor-count")
+        # x shares a small component with at most q*(threshold-1) other
+        # survivors, so some survivor y shares none: a pair that no colour
+        # can reach in a complete colouring (module docstring, step 7)
+        x = int(survivors[0])
+        covered = survivors == x
+        for label in small_labels:
+            if label[x] >= 0:
+                covered |= label[survivors] == label[x]
+        y = int(survivors[np.argmin(covered)])
+        raise _impossible_pair(
+            c, x, y, f"surviving pair ({x},{y}) lies in no small component, "
+            "yet its colour is", lvl, survivors=survivors.tolist())
+    lvl.asserts_failed.append("survivor-count")
 
     if params.fallback == "oracle":
         lvl.fallback_used = True
-        return _oracle_result(c, lvl, girths)
+        return _oracle_result(c, lvl, best)
     raise PipelineAssertError(
         "selector branch asserts failed: " + ", ".join(lvl.asserts_failed),
         failed=lvl.asserts_failed,

@@ -358,13 +358,13 @@ def read_colouring_by_rows(stream):
     return EdgeColouring(n, q, table)
 
 
-def min_colour_odd_cycle_by_full_classes(c, girths=None):
+def min_colour_odd_cycle_by_full_classes(c):
     """``min_colour_odd_cycle`` sweeping every colour's whole class: the
     first colour of least odd girth, its length and certificate, stopping
     at a triangle."""
     best = None
     for i in range(c.q):
-        got = girths[i] if girths is not None else odd_girth(colour_class(c, i))
+        got = odd_girth(colour_class(c, i))
         if got is None:
             continue
         length, cert = got

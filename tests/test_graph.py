@@ -1,3 +1,4 @@
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -706,3 +707,27 @@ class TestRowsAgainstDense:
             else:
                 g, active = g.restricted_to(ids.tolist()), active & picked
         assert_matches_dense(g, adj, active)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edge_lists(self, seed):
+        # from_edges sets the rows edge by edge; pairs repeat, in both orders
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
+        assert_matches_dense(Graph.from_edges(n, pairs.tolist()), adj, np.ones(n, dtype=bool))
+
+
+def test_from_edges_memory_follows_the_rows():
+    # an n x n bool matrix for the 8000 edges of C_8000 peaked near 123 MiB;
+    # the rows themselves take about 4 MiB
+    tracemalloc.start()
+    try:
+        g = cycle_graph(8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert g.edge_count() == 8000 and g.has_edge(7999, 0)

@@ -85,12 +85,12 @@ def _builds(home, name):
 
 def test_only_builders_validate_graphs():
     # Graph(...) checks a matrix handed in from outside; a graph the package
-    # builds itself (colour classes, views) is packed unchecked through
+    # builds itself (colour classes, views, and Graph.from_edges, which
+    # checks its edges and sets symmetric rows) is packed unchecked through
     # Graph._from_rows, so no other function may construct one.
     builds = _builds("graph", "Graph")
     assert any(scope.startswith("builders.") for scope, _ in builds)
     assert {b for b in builds if not b[0].startswith("builders.")} == {
-        ("graph.Graph.from_edges", "validating"),
         ("graph.Graph._from_rows", "unchecked"),
     }
 

@@ -28,6 +28,7 @@ from oddcycle import (
     random_colouring,
     random_graph,
     reduce_bipartite_colour,
+    shorten_cycle,
     signatures,
     verify_mono_odd_cycle,
 )
@@ -420,6 +421,48 @@ class TestDeepBranches:
             "surviving pair (0,2) lies in no small component, yet its colour is "
             "missing; impossible for a complete colouring")
 
+    def test_shortening_gets_only_the_target_balls(self, monkeypatch):
+        # relabelled ham4 x ham4 under structured-deep's lemma-2 rules: colour
+        # 0's peel leaves 11 balls, 2 of which meet the big components
+        c = _relabelled(product_colouring(hamilton_colouring(4), hamilton_colouring(4)), 18)
+        params = PipelineParams(eps=0.9, C=1e-9, k_of_q=lambda q: q // 2 - 1,
+                                small_threshold_of_q=lambda q: 1)
+        calls = []
+
+        def spy(g, comps, target_ids, r, seed):
+            calls.append((comps, list(target_ids)))
+            return shorten_cycle(g, comps, target_ids, r, seed)
+
+        monkeypatch.setattr(pipeline, "shorten_cycle", spy)
+        lvl = find_mono_odd_cycle(c, params).trace.last()
+        assert lvl.branch == "lemma2-branch" and lvl.sizes["targets"] == 2
+        k, colour = lvl.params["k"], lvl.sizes["colour"]
+        decompositions = [peel(colour_class(c, i), k) for i in range(c.q)]
+        removed = set().union(*(d.removed.tolist() for d in decompositions))
+        residual = colour_class(c, colour).without(sorted(removed))
+        small = {v for comp in components(residual) if len(comp) <= 1 for v in comp.tolist()}
+        big = set(range(c.n)) - removed - small
+        balls = decompositions[colour].components
+        targets = [(comp.vertices.tolist(), comp.center) for comp in balls
+                   if big & set(comp.vertices.tolist())]
+        assert len(balls) == 11 and len(targets) == 2
+        (comps, target_ids), = calls
+        assert [(verts.tolist(), center) for verts, center in comps] == targets
+        assert target_ids == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_selector_pair_starts_at_the_lowest_survivor(self, seed):
+        # three disjoint 11-cycles under the disjoint-33 rules, relabelled
+        c = colouring_from_classes(33, shifted_cycle_classes(11, 3), validate=False)
+        c = _relabelled(c, seed) if seed else c
+        params = PipelineParams(eps=0.1, C=0.1, **OVERRIDE)
+        with pytest.raises(InternalInconsistency, match="surviving pair") as err:
+            find_mono_odd_cycle(c, params)
+        witness = err.value.witness
+        x, y = witness["edge"]
+        assert x == min(witness["survivors"]) and y in witness["survivors"] and y != x
+        assert c.table[x, y] == -1
+
     def test_selector_branch_asserts_recorded_and_fallback(self):
         c = colouring_from_classes(27, shifted_cycle_classes(9, 3), validate=False)
         params = PipelineParams(eps=0.1, C=0.1, **OVERRIDE)
@@ -760,3 +803,32 @@ class TestTraces:
             assert isinstance(out, PeelDecomposition)
             removed.update(int(v) for v in out.removed)
         assert lvl.sizes["removed_total"] == len(removed)
+
+    def test_deep_branch_traces_pinned(self):
+        # the full trace lines of a lemma-2 run and of a selector-branch run
+        # that answers from the oracle fallback: a change to how a level
+        # computes its facts must leave every byte of them as it is
+        ham = hamilton_colouring(4)
+        c = _relabelled(product_colouring(ham, ham), 18)
+        got = find_mono_odd_cycle(c, PipelineParams(
+            eps=0.9, C=1e-9, k_of_q=lambda q: q // 2 - 1, small_threshold_of_q=lambda q: 1))
+        cert = got.certificate
+        assert (cert.vertices, cert.colour) == ((4, 5, 9, 1, 0, 21, 15, 2, 10), 0)
+        assert got.trace.to_json_lines() == (
+            '{"asserts_failed": ["removed-bound"], "bound_claimed": 103, '
+            '"branch": "lemma2-branch", "fallback_used": false, "level": 0, "n": 81, '
+            '"params": {"C": 1e-09, "eps": 0.9, "k": 3, "small_threshold": 1}, "q": 8, '
+            '"sizes": {"colour": 0, "removed_total": 77, '
+            '"small_vertex_counts": [0, 2, 2, 1, 4, 4, 4, 4], "targets": 2}, '
+            '"steps": ["short-cycle-probe", "peel-all", "component-split"]}\n')
+        c = colouring_from_classes(27, shifted_cycle_classes(9, 3), validate=False)
+        got = find_mono_odd_cycle(c, PipelineParams(eps=0.1, C=0.1, **OVERRIDE))
+        cert = got.certificate
+        assert (cert.vertices, cert.colour) == ((4, 3, 2, 1, 0, 8, 7, 6, 5), 0)
+        assert got.trace.to_json_lines() == (
+            '{"asserts_failed": ["removed-bound", "survivor-count"], "bound_claimed": 27, '
+            '"branch": "selector-branch", "fallback_used": true, "level": 0, "n": 27, '
+            '"params": {"C": 0.1, "eps": 0.1, "k": 3, "small_threshold": 4}, "q": 3, '
+            '"sizes": {"delta": 1.0, "n_prime": 12, "oracle_length": 9, "removed_total": 15, '
+            '"small_vertex_counts": [12, 12, 12], "survivor_count": 12}, '
+            '"steps": ["short-cycle-probe", "peel-all", "component-split"]}\n')

@@ -99,3 +99,35 @@ def test_failed_run_reports_side_workload_seed_and_stderr(paired_bench, tmp_path
     assert err.rstrip().endswith("ValueError: boom")
     assert "noise 39" in err and "noise 0\n" not in err  # the last lines only
     assert not (tmp_path / "out.json").exists()
+
+
+END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def _summary(ops_per_s, failed, correct):
+    """One run's last-line summary and result file, as ``run_once`` returns them."""
+    return ({"metrics": {"ops_per_s": {"value": ops_per_s}}, "correct": correct,
+             "failed": failed, "attempted": 100},
+            {"op_ms_p50_by_kind": {"op": 1.0}, "op_ms": [["op", 1.0, 1.0]]})
+
+
+def _record(paired_bench, parent_failed, change_failed, change_correct=True):
+    # the change wins every pair, far outside the parent's spread
+    runs = [{"seed": s, "first": "parent",
+             "parent": _summary(10.0 + s % 2, parent_failed, True),
+             "change": _summary(20.0 + s % 2, change_failed, change_correct)}
+            for s in range(10)]
+    return paired_bench.summarise(runs, END_TO_END)
+
+
+def test_claim_needs_no_more_failed_operations(paired_bench):
+    clean = _record(paired_bench, 0, 0)
+    assert clean["metrics"]["ops_per_s"]["wins"] == 10
+    assert paired_bench.claim_met(clean, "ops_per_s")
+    assert paired_bench.claim_met(_record(paired_bench, 2, 2), "ops_per_s")
+    # 10/10 wins, yet more of the change's operations fail
+    assert not paired_bench.claim_met(_record(paired_bench, 0, 1), "ops_per_s")
+    assert not paired_bench.claim_met(_record(paired_bench, 2, 3), "ops_per_s")
+    # no operation fails, but a change run reports a wrong result
+    assert not paired_bench.claim_met(_record(paired_bench, 0, 0, change_correct=False),
+                                      "ops_per_s")

@@ -12,8 +12,10 @@ other, one process at a time; even-numbered pairs start with the parent,
 odd ones with the change. The record holds every run, each side's median
 and quartiles, the pairs each side won (ties count for neither), whether
 the change's median stays within the benchmark's bound, and the claim
-rule: the change wins at least 9/10 of the pairs and its median beats the
-parent's by more than the parent's interquartile range.
+rule: the change wins at least 9/10 of the pairs, its median beats the
+parent's by more than the parent's interquartile range, every change run
+is correct, and the change fails no larger share of its operations than
+the parent.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import sys
 from pathlib import Path
 
 STDERR_LINES = 20  # of a failed run's stderr, shown before the tool stops
-CLAIM_RULE = ("change wins >= 9/10 pairs and its median beats the parent's by more than "
-              "the parent's IQR")
+CLAIM_RULE = ("change wins >= 9/10 pairs, its median beats the parent's by more than the "
+              "parent's IQR, every change run is correct, and its failed/attempted is not "
+              "above the parent's")
 
 
 def quartiles(values):
@@ -129,7 +132,12 @@ def claim_met(record, metric):
     gain = m["change"]["median"] - m["parent"]["median"]
     if m["better"] == "lower":
         gain = -gain
-    return m["wins"] >= 0.9 * record["pairs"] and gain > m["parent_iqr"]
+    (parent_failed, parent_ops), (change_failed, change_ops) = (
+        record["failed_over_attempted"][s] for s in ("parent", "change"))
+    # a gain does not count when a larger share of operations fails
+    fails_no_more = change_failed * parent_ops <= parent_failed * change_ops
+    return (m["wins"] >= 0.9 * record["pairs"] and gain > m["parent_iqr"]
+            and record["correct"]["change"] and fails_no_more)
 
 
 def main(argv=None):
