@@ -35,11 +35,12 @@ def _bits_to_array(mask):
     return np.fromiter(_iter_bits(mask), dtype=np.int64)
 
 
-def _scalar_id(v):
+def _scalar_id(v, what="ids must be integers"):
     """One id as an int; InputError unless it is a Python or numpy integer
-    (a bool is not), so no float or string is truncated into an id."""
+    (a bool is not), so no float or string is truncated into an id. Other
+    integer arguments (radii, budgets) pass ``what``, naming themselves."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise InputError(f"ids must be integers, not {type(v).__name__}")
+        raise InputError(f"{what}, not {type(v).__name__}")
     return int(v)
 
 
@@ -305,6 +306,7 @@ def bfs_layers(g, root, max_depth):
     frontier empties."""
     if not g.is_active(root):
         raise InputError(f"root {root} is not an active vertex")
+    max_depth = _scalar_id(max_depth, "max_depth must be an integer")
     if max_depth < 0:
         raise InputError("max_depth must be >= 0")
     layers = islice(_bfs(g.row_masks(), int(root)), max_depth + 1)
@@ -320,36 +322,35 @@ def check_bipartite(g):
     The returned cycle is some odd cycle, not necessarily a shortest one.
     """
     masks = g.row_masks()
-    visited = 0
+    left = g._active
     sides = [0, 0]
-    for root in _iter_bits(g._active):
-        if (visited >> root) & 1:
-            continue
+    while left:
         layers = []
-        for layer, inner in _bfs(masks, root):
+        for layer, inner in _bfs(masks, (left & -left).bit_length() - 1):
             layers.append(layer)
             cycle = _conflict_cycle(masks, layers, inner)
             if cycle is not None:
                 return cycle
             sides[(len(layers) - 1) & 1] |= layer
-            visited |= layer
+            left &= ~layer
     return Bipartition(side0=_bits_to_array(sides[0]), side1=_bits_to_array(sides[1]))
+
+
+def _component_masks(g):
+    """Yield the active subgraph's connected components as int masks, by minimum vertex."""
+    masks = g.row_masks()
+    left = g._active
+    while left:
+        comp = 0
+        for layer, _ in _bfs(masks, (left & -left).bit_length() - 1):
+            comp |= layer
+        left &= ~comp
+        yield comp
 
 
 def components(g):
     """Connected components of the active subgraph, ordered by minimum vertex."""
-    masks = g.row_masks()
-    visited = 0
-    comps = []
-    for root in _iter_bits(g._active):
-        if (visited >> root) & 1:
-            continue
-        comp = 0
-        for layer, _ in _bfs(masks, root):
-            comp |= layer
-        visited |= comp
-        comps.append(_bits_to_array(comp))
-    return comps
+    return [_bits_to_array(mask) for mask in _component_masks(g)]
 
 
 def odd_girth(g):

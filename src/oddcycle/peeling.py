@@ -27,6 +27,7 @@ from .graph import (
     _bfs,
     _bits_to_array,
     _conflict_cycle,
+    _scalar_id,
 )
 
 
@@ -115,6 +116,7 @@ def peel(g, k):
     :class:`PeelDecomposition`. Deterministic: roots are the lowest active
     index, arrest takes the smallest depth.
     """
+    k = _scalar_id(k, "radius budget k must be an integer")
     params = PeelParams(k)
     n0 = g.active_count
     if n0 == 0:

@@ -21,9 +21,10 @@ edge-coloured graphs, composed from the certified primitives.
       the colour's peel, minus the pooled set: a ball left the peel with its
       whole boundary, so no class edge joins two balls, and peel checked
       each layer for an inner edge before the layer joined its ball.
-  (5) per colour, split the residual components at the small-size threshold.
+  (5) per colour, split the residual components, int masks, at the
+      small-size threshold; the union of the big ones is one mask.
   (6) if some colour carries few small-component vertices, shorten a seed
-      cycle of that colour against the big components.
+      cycle of that colour against the balls that meet its big components.
   (7) else run the derandomized complement selector over the residual sides
       within big components. A small component holds at most threshold
       vertices, so with more than q*threshold survivors the lowest one shares
@@ -61,12 +62,11 @@ from .graph import (
     Bipartition,
     Graph,
     OddCycleCertificate,
-    _array_to_bits,
+    _component_masks,
     _integer_ids,
     _twin_free,
     _unpack_rows,
     check_bipartite,
-    components,
     odd_girth,
 )
 from .peeling import ShortCycle, peel
@@ -210,28 +210,26 @@ def _dense_ids(mask, n):
 
 
 def _residual_sides(g, decomposition, removed, i, lvl):
-    """Bipartition of colour class g minus the pooled deleted set (an int
-    mask), read off its peel (module docstring, step 4): each side is the OR
-    of that side of every ball, minus the pooled set. A side holding an edge
-    of g is InternalInconsistency, found by a row-mask check, not a BFS."""
-    masks = [0, 0]
+    """Both sides, as int masks, of the two-colouring of colour class g minus
+    the pooled deleted set (an int mask), read off its peel (module docstring,
+    step 4): each side is the OR of that side of every ball, minus the pooled
+    set. A side holding an edge of g is InternalInconsistency, found by a
+    row-mask check, not a BFS."""
+    sides = [0, 0]
     for comp in decomposition.components:
-        masks[0] |= comp.side0
-        masks[1] |= comp.side1
+        sides[0] |= comp.side0
+        sides[1] |= comp.side1
+    sides = [side & ~removed for side in sides]
     rows = g.row_masks()
-    sides = []
-    for mask in masks:
-        mask &= ~removed
-        ids = _dense_ids(mask, g.n)
-        for v in ids.tolist():
-            hit = rows[v] & mask
+    for side in sides:
+        for v in _dense_ids(side, g.n).tolist():
+            hit = rows[v] & side
             if hit:
                 u = (hit & -hit).bit_length() - 1
                 raise InternalInconsistency(
                     f"residual of decomposed colour {i} has the edge ({v},{u}) inside one side",
                     witness={"colour": i, "edge": (v, u), "trace": lvl.to_record()})
-        sides.append(ids)
-    return Bipartition(*sides)
+    return sides
 
 
 def _impossible_pair(c, x, y, claim, lvl, **witness):
@@ -342,29 +340,25 @@ def _find_level(c, params, trace, level):
     if removed_total > n / (2 * q):
         lvl.asserts_failed.append("removed-bound")
 
-    # (5) split residual components at the small threshold
+    # (5) split residual components at the small threshold. A class spans all
+    # n vertices, so its residual is every vertex not removed (``kept``).
     lvl.steps.append("component-split")
-    small_labels = []  # per colour: the small component of each vertex, -1 for none
+    kept = ((1 << n) - 1) & ~removed
+    smalls = []  # per colour: its small residual components, as int masks
     for g in classes:
-        label = np.full(n, -1)
-        residual = Graph._from_rows(g._rows, g._active & ~removed)
-        for ci, comp in enumerate(components(residual)):
-            if len(comp) <= threshold:
-                label[comp] = ci
-        small_labels.append(label)
-    small_counts = [int((label >= 0).sum()) for label in small_labels]
+        residual = Graph._from_rows(g._rows, kept)
+        smalls.append([comp for comp in _component_masks(residual)
+                       if comp.bit_count() <= threshold])
+    bigs = [kept & ~sum(comps) for comps in smalls]  # disjoint components: sum is union
+    small_counts = [sum(comp.bit_count() for comp in comps) for comps in smalls]
     lvl.sizes["small_vertex_counts"] = small_counts
 
     # (6) a colour with few small-component vertices: shorten a seed cycle
     cutoff = n / q ** (1.0 - params.eps)
     for i in range(q):
         if small_counts[i] <= cutoff:
-            # a target ball meets the big components: the vertices neither
-            # removed nor in a small component (at most the cutoff of them).
-            # shorten_cycle reads only its targets, so it gets no other ball.
-            small = _array_to_bits(np.flatnonzero(small_labels[i] >= 0), n)
-            big = ((1 << n) - 1) & ~(removed | small)
-            targets = [comp for comp in decompositions[i].components if comp.ball & big]
+            # shorten_cycle reads only its targets, the balls meeting bigs[i]
+            targets = [comp for comp in decompositions[i].components if comp.ball & bigs[i]]
             cert = shorten_cycle(
                 classes[i],
                 [(comp.vertices, comp.center) for comp in targets],
@@ -385,17 +379,14 @@ def _find_level(c, params, trace, level):
 
     # (7) selector branch: every colour carries many small-component vertices
     lvl.branch = "selector-branch"
-    # a class spans all n vertices, so its residual is every vertex not removed
-    kept = ~_unpack_rows([removed], n)[0]
-    big_unions = [(label < 0) & kept for label in small_labels]
-    survivors_all = np.flatnonzero(kept)
+    survivors_all = _dense_ids(kept, n)
     n_prime = len(survivors_all)
     lvl.sizes["n_prime"] = n_prime
-    index = np.cumsum(kept) - 1  # a survivor's index in survivors_all
-    pairs = []
+    pairs = []  # a side's vertices within big components, by index in survivors_all
     for i in range(q):
-        bip = _residual_sides(classes[i], decompositions[i], removed, i, lvl)
-        pairs.append([index[side[big_unions[i][side]]] for side in (bip.side0, bip.side1)])
+        sides = _residual_sides(classes[i], decompositions[i], removed, i, lvl)
+        pairs.append([np.searchsorted(survivors_all, _dense_ids(side & bigs[i], n))
+                      for side in sides])
     delta = min(1.0 - (len(a) + len(b)) / n_prime if n_prime else 0.0 for a, b in pairs)
     lvl.sizes["delta"] = delta
     if delta <= 1.0 / q ** (1.0 - params.eps):
@@ -411,11 +402,10 @@ def _find_level(c, params, trace, level):
         # survivors, so some survivor y shares none: a pair that no colour
         # can reach in a complete colouring (module docstring, step 7)
         x = int(survivors[0])
-        covered = survivors == x
-        for label in small_labels:
-            if label[x] >= 0:
-                covered |= label[survivors] == label[x]
-        y = int(survivors[np.argmin(covered)])
+        covered = 1 << x
+        for comps in smalls:  # per colour, the one small component holding x, if any
+            covered |= next((comp for comp in comps if comp >> x & 1), 0)
+        y = next(v for v in survivors.tolist() if not covered >> v & 1)
         raise _impossible_pair(
             c, x, y, f"surviving pair ({x},{y}) lies in no small component, "
             "yet its colour is", lvl, survivors=survivors.tolist())
@@ -518,7 +508,10 @@ def proposition_pipeline(c, delta, q=None):
     lvl.branch = "selector-branch"
     lvl.steps.append("signature-pigeonhole")
     lvl.sizes["removed_total"] = removed.bit_count()
-    bips = [_residual_sides(classes[i], decompositions[i], removed, i, lvl) for i in range(c.q)]
+    bips = []
+    for i in range(c.q):
+        sides = _residual_sides(classes[i], decompositions[i], removed, i, lvl)
+        bips.append(Bipartition(*(_dense_ids(side, c.n) for side in sides)))
     sig = signatures(c, _dense_ids(removed, c.n), bips)
     lvl.sizes["survivor_count"] = len(sig)
     seen = {}

@@ -20,7 +20,6 @@ from .graph import (
     OddCycleCertificate,
     _array_to_bits,
     _bfs,
-    _integer_ids,
     _iter_bits,
     _scalar_id,
     odd_cycle_from_walk,
@@ -29,21 +28,20 @@ from .graph import (
 
 
 def _validate_component(g, vertices, center, r):
-    """Component must be induced-connected with centre eccentricity <= r."""
-    verts = set(int(v) for v in vertices)
-    center = int(center)
-    if center not in verts or not g.is_active(center):
+    """Int mask of a component; InputError unless it is induced-connected
+    with centre eccentricity <= r."""
+    allowed = _array_to_bits(vertices, g.n)
+    if not (g.is_active(center) and allowed >> center & 1):
         raise InputError(f"centre {center} is not an active vertex of its component")
-    allowed = _array_to_bits(verts, g.n)
     reached = 0
     for layer, _ in islice(_bfs(g.row_masks(), center, allowed), r + 1):
         reached |= layer
-    seen = set(_iter_bits(reached))
-    if seen != verts:
+    if reached != allowed:
         raise InputError(
             f"component radius claim false: centre {center} does not reach "
-            f"{sorted(verts - seen)[:5]} within {r} steps"
+            f"{list(islice(_iter_bits(allowed & ~reached), 5))} within {r} steps"
         )
+    return allowed
 
 
 def _validate_seed(g, seed):
@@ -58,13 +56,23 @@ def _validate_seed(g, seed):
             raise InputError(f"seed cycle step {i}: {u} and {v} are not adjacent")
 
 
+def _target_ids(target_ids, count):
+    """Sorted distinct target ids; InputError for one outside [0, count)."""
+    target_ids = sorted(set(_scalar_id(t) for t in target_ids))
+    for t in target_ids:
+        if not 0 <= t < count:
+            raise InputError(f"target id {t} out of range")
+    return target_ids
+
+
 def shorten_bound(g, components, target_ids, r):
     """Length bound the shortened cycle satisfies on exit."""
-    target_union = set()
+    r = _scalar_id(r, "radius r must be an integer")
+    target_ids = _target_ids(target_ids, len(components))
+    target_union = 0
     for t in target_ids:
-        ids = _integer_ids(components[_scalar_id(t)][0], "component vertex ids must be integers")
-        target_union.update(ids.tolist())
-    return g.active_count - len(target_union) + (4 * r + 1) * len(set(target_ids))
+        target_union |= _array_to_bits(components[t][0], g.n)
+    return g.active_count - target_union.bit_count() + (4 * r + 1) * len(target_ids)
 
 
 def shorten_cycle(g, components, target_ids, r, seed):
@@ -78,19 +86,14 @@ def shorten_cycle(g, components, target_ids, r, seed):
     anchor is the first target vertex in cycle order and its partner the one
     at maximum cyclic distance.
     """
+    r = _scalar_id(r, "radius r must be an integer")
     if r < 0:
         raise InputError("radius must be >= 0")
-    comps = [(_integer_ids(verts, "component vertex ids must be integers"), _scalar_id(center))
-             for verts, center in components]
-    target_ids = sorted(set(_scalar_id(t) for t in target_ids))
-    for t in target_ids:
-        if not 0 <= t < len(comps):
-            raise InputError(f"target id {t} out of range")
-    for verts, center in comps:
-        _validate_component(g, verts, center, r)
+    comp_masks = [_validate_component(g, verts, _scalar_id(center), r)
+                  for verts, center in components]
+    target_ids = _target_ids(target_ids, len(comp_masks))
     _validate_seed(g, seed)
 
-    comp_sets = [set(int(v) for v in verts) for verts, _ in comps]
     cycle = [int(v) for v in seed.vertices]
     min_gap = 2 * r + 1
 
@@ -98,8 +101,8 @@ def shorten_cycle(g, components, target_ids, r, seed):
         length = len(cycle)
         splice = None
         for t in target_ids:
-            members = comp_sets[t]
-            positions = [idx for idx, v in enumerate(cycle) if v in members]
+            members = comp_masks[t]
+            positions = [idx for idx, v in enumerate(cycle) if members >> v & 1]
             if len(positions) < 2:
                 continue
             anchor = positions[0]
@@ -115,7 +118,7 @@ def shorten_cycle(g, components, target_ids, r, seed):
             break
         t, a, b = splice
         x, y = cycle[a], cycle[b]
-        path = shortest_path_within(g, comps[t][0], x, y)
+        path = shortest_path_within(g, components[t][0], x, y)
         plen = len(path) - 1
         if plen > 2 * r:
             raise InternalInconsistency(

@@ -619,6 +619,16 @@ class TestScalarIds:
             with pytest.raises(InputError, match="must be integers"):
                 call()
 
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), True, np.bool_(True), "2", None],
+                             ids=["fractional", "numpy-float", "bool", "numpy-bool", "str",
+                                  "none"])
+    def test_non_integer_depth_rejected(self, bad):
+        # islice would reject 1.5 with a ValueError, and True would pass as 1
+        g = cycle_graph(5)
+        with pytest.raises(InputError, match="max_depth must be an integer"):
+            bfs_layers(g, 0, bad)
+        assert layer_lists(bfs_layers(g, 0, np.int64(1))) == [[0], [1, 4]]
+
     @pytest.mark.parametrize("bad", [0.5, np.float64(0.0), True, "0", None],
                              ids=["fractional", "numpy-float", "bool", "str", "none"])
     def test_non_integer_walk_rejected(self, bad):

@@ -7,7 +7,8 @@ and ``colour_class`` pack a bool matrix into rows; only ``colouring.py``
 knows the colour table's layout, and only it and ``certify.py`` read the
 table; the pipeline checks a handed-on bipartition against the table in one
 place; it peels in one place and reads the residual two-colourings off the
-peels; and the peel itself builds no vertex array."""
+peels; the peel itself builds no vertex array; and a level's endgame keeps
+its vertex sets as int masks."""
 
 import ast
 from pathlib import Path
@@ -199,6 +200,19 @@ def test_bipartitions_are_checked_in_one_place():
     assert _package_uses("ix_") == set()
     for name in ("colour_class", "components", "masked_matrix"):
         assert "pipeline.signatures" not in _pipeline_uses(name)
+
+
+def test_the_endgame_keeps_vertex_sets_as_masks():
+    # Steps 5-7 of a level split the residuals, pick the shortening targets
+    # and pair the survivors on int masks: the level builds no component id
+    # arrays and turns no array back into a mask. The mask sweep serves the
+    # public id-array ``components`` and the level, and nothing else.
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text())
+    level = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_find_level")
+    named = {node.id for node in ast.walk(level) if isinstance(node, ast.Name)}
+    assert named & {"components", "_array_to_bits", "_unpack_rows"} == set()
+    assert _package_uses("_component_masks") == {"graph.components", "pipeline._find_level"}
 
 
 def test_residual_sides_come_from_the_peels():

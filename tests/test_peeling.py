@@ -83,6 +83,15 @@ class TestPeelExamples:
         assert out.cycle.length == 3
         assert verify_peel(g, 2, out) is None
 
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), True, np.bool_(True), "2", None],
+                             ids=["fractional", "numpy-float", "bool", "numpy-bool", "str",
+                                  "none"])
+    def test_non_integer_budget_rejected(self, bad):
+        # range() would reject 2.0 with a TypeError, and True would pass as 1
+        with pytest.raises(InputError, match="budget k must be an integer"):
+            peel(cycle_graph(9), bad)
+        assert peel(cycle_graph(9), np.int64(4)) == peel(cycle_graph(9), 4)
+
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
             peel(complete_graph(3).without([0, 1, 2]), 2)

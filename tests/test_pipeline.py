@@ -463,6 +463,21 @@ class TestDeepBranches:
         assert x == min(witness["survivors"]) and y in witness["survivors"] and y != x
         assert c.table[x, y] == -1
 
+    def test_selector_pair_when_x_lies_in_several_small_components(self):
+        # vertex 0 meets no edge of colours 1 and 2, so it is a small
+        # component of both residuals: the survivors it shares one with are
+        # the union of those components, not their sum, which carries bit 0
+        # into bit 1 and names the coloured pair (0,1)
+        c = colouring_from_classes(33, shifted_cycle_classes(11, 3), validate=False)
+        params = PipelineParams(eps=0.3, C=0.05, k_of_q=lambda q: 4,
+                                small_threshold_of_q=lambda q: 3)
+        with pytest.raises(InternalInconsistency, match="surviving pair") as err:
+            find_mono_odd_cycle(c, params)
+        witness = err.value.witness
+        assert witness["edge"] == (0, 3) and c.table[0, 3] == -1
+        assert witness["survivors"] == [0, 1, 3, 5, 7, 10, 11, 12, 14, 16, 18, 21, 22, 23, 25,
+                                        27, 29, 32]
+
     def test_selector_branch_asserts_recorded_and_fallback(self):
         c = colouring_from_classes(27, shifted_cycle_classes(9, 3), validate=False)
         params = PipelineParams(eps=0.1, C=0.1, **OVERRIDE)
@@ -727,7 +742,8 @@ class TestResidualSides:
                 removed[dec.removed] = True
                 lvl = pipeline.LevelTrace(level=0, q=1, n=g.n)
                 pooled = sum(1 << v for v in np.flatnonzero(removed).tolist())
-                bip = pipeline._residual_sides(g, dec, pooled, 0, lvl)
+                sides = pipeline._residual_sides(g, dec, pooled, 0, lvl)
+                bip = Bipartition(*(pipeline._dense_ids(side, g.n) for side in sides))
                 residual = g.without(np.flatnonzero(removed))
                 assert np.array_equal(np.sort(np.concatenate([bip.side0, bip.side1])),
                                       residual.active_vertices())

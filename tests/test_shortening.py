@@ -171,6 +171,40 @@ class TestValidation:
             shorten_cycle(g, [([0, 1, 2], centre)], [target], 1, seed)
         assert shorten_cycle(g, [([0, 1, 2], np.int64(1))], [np.uint8(0)], 1, seed) == seed
 
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), True, np.bool_(True), "2", None],
+                             ids=["fractional", "numpy-float", "bool", "numpy-bool", "str",
+                                  "none"])
+    def test_non_integer_radius_rejected(self, bad):
+        # islice would reject 1.5 with a ValueError, and True would pass as 1
+        g, comps, seed = apex_instance()
+        with pytest.raises(InputError, match="radius r must be an integer"):
+            shorten_cycle(g, comps, [0], bad, seed)
+        with pytest.raises(InputError, match="radius r must be an integer"):
+            shorten_bound(g, comps, [0], bad)
+        assert shorten_cycle(g, comps, [0], np.int64(1), seed).length == 7
+
+    @pytest.mark.parametrize("components,targets", [
+        ([([0, 1, 99], 1)], [0]),
+        ([([-3, 1, 2], 1)], [0]),
+        ([([0, 1, 2], 1)], [-1]),
+        ([([0, 1, 2], 1)], [5]),
+    ], ids=["id-past-n", "negative-id", "negative-target", "target-past-end"])
+    def test_bound_ids_and_targets_checked(self, components, targets):
+        # unchecked, the ids 99 and -3 were counted (giving 7), target -1 took
+        # the last component and target 5 raised IndexError
+        g = cycle_graph(5)
+        with pytest.raises(InputError, match="out of range"):
+            shorten_bound(g, components, targets, 1)
+        # the union {0, 1, 2, 3} counts the shared vertex 2 once, the repeated target once
+        assert shorten_bound(g, [([0, 1, 2], 1), ([2, 3], 2)], [1, 0, 1], 1) == 5 - 4 + 5 * 2
+
+    def test_negative_centre_rejected(self):
+        # the centre's activity is tested before its bit is read: a negative
+        # shift would raise ValueError
+        g, _, seed = apex_instance()
+        with pytest.raises(InputError, match="centre -1 is not an active vertex"):
+            shorten_cycle(g, [([0, 5, 11], -1)], [0], 1, seed)
+
     def test_target_id_out_of_range(self):
         g, comps, seed = apex_instance()
         with pytest.raises(InputError):

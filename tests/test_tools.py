@@ -131,3 +131,28 @@ def test_claim_needs_no_more_failed_operations(paired_bench):
     # no operation fails, but a change run reports a wrong result
     assert not paired_bench.claim_met(_record(paired_bench, 0, 0, change_correct=False),
                                       "ops_per_s")
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "tools" / "output_corpus.py"
+
+
+def test_output_corpus_reaches_every_branch_and_self_check():
+    spec = importlib.util.spec_from_file_location("output_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    oc = corpus.oc
+    ham3 = oc.hamilton_colouring(3)
+    named = [("ham4", oc.hamilton_colouring(4)),
+             ("binary2xham3", oc.product_colouring(oc.binary_colouring(2), ham3)),
+             ("ham3xham3", oc.product_colouring(ham3, ham3)),
+             ("disjoint9x3", corpus._disjoint_cycles(9, 3)),
+             ("disjoint11x3", corpus._disjoint_cycles(11, 3))]
+    lines, tally = corpus.run(named)
+    per_input = (1 + len(corpus.RELABEL_SEEDS)) * (len(corpus.RULES) + len(corpus.DELTAS) + 1)
+    assert len(lines) == len(named) * per_input
+    cases = [json.loads(line)["case"] for line in lines]
+    assert len(set(cases)) == len(cases)
+    for key in ("base", "bipartite-reduction", "short-cycle", "lemma2-branch",
+                "selector-branch", "InternalInconsistency", "PipelineAssertError"):
+        assert tally[key] > 0, key
+    assert corpus.run(named) == (lines, tally)  # byte-reproducible

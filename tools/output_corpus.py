@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Byte-identity corpus of the searches' outputs.
+
+    python3 tools/output_corpus.py [--out FILE]
+
+Runs ``find_mono_odd_cycle`` under each rule set of ``RULES``,
+``proposition_pipeline`` at each delta of ``DELTAS`` and
+``min_colour_odd_cycle`` on every colouring of ``inputs()``, each as built
+and under two seeded vertex relabellings. Every case becomes one JSON line:
+the certificate, ``bound_claimed`` and trace JSON lines of a result, or the
+type, message, witness and ``failed`` list of an exception. The tool prints
+the case count, a tally of the branches the traces record and of the
+exceptions raised, and the sha256 of all lines; ``--out`` also writes the
+lines. It imports the package from the ``src`` next to its own directory,
+so a copy of this file run in two checkouts compares their outputs: a change
+that must keep every output gives the same hash on both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import oddcycle as oc  # noqa: E402
+
+
+def _rules(k, threshold, **kwargs):
+    """``PipelineParams`` arguments: budget ``k`` (an int or a rule in q),
+    a fixed small threshold and ``kwargs``."""
+    k_of_q = k if callable(k) else (lambda q: k)
+    return dict(k_of_q=k_of_q, small_threshold_of_q=lambda q: threshold, **kwargs)
+
+
+# Rule sets that reach every branch of the search on desk-scale inputs: the
+# defaults (base branch), tiny budgets that force peeling (short cycles, the
+# lemma-2 shortening, the selector with either fallback), and budgets at
+# which nothing is small or everything is.
+RULES = {
+    "default": {},
+    "k3t4-C0.01": _rules(3, 4, C=0.01),
+    "k3t4-eps0.9": _rules(3, 4, eps=0.9, C=0.1),
+    "disjoint-oracle": _rules(3, 4, eps=0.1, C=0.1),
+    "disjoint-fail": _rules(3, 4, eps=0.1, C=0.1, fallback="fail"),
+    "lemma2-oracle": _rules(lambda q: q // 2 - 1, 1, eps=0.9, C=1e-9),
+    "lemma2-fail": _rules(lambda q: q // 2 - 1, 1, eps=0.9, C=1e-9, fallback="fail"),
+    "k4t3-eps0.3": _rules(4, 3, eps=0.3, C=0.05),
+    "k4t4": _rules(4, 4, C=0.1),
+    "k5t4": _rules(5, 4, C=0.1),
+    "k1t1-fail": _rules(1, 1, C=0.1, fallback="fail"),
+    "k2t100-fail": _rules(2, 100, C=0.1, fallback="fail"),
+}
+DELTAS = (1, 0.5, 0.25)
+RELABEL_SEEDS = (1, 2)
+
+
+def _disjoint_cycles(m, copies):
+    """``copies`` vertex-disjoint m-cycles, one colour each, every other
+    pair uncoloured: a deliberately incomplete colouring."""
+    classes = [[(b * m + i, b * m + (i + 1) % m) for i in range(m)] for b in range(copies)]
+    return oc.colouring_from_classes(m * copies, classes, validate=False)
+
+
+def inputs():
+    """(name, colouring) of the full corpus."""
+    ham = {m: oc.hamilton_colouring(m) for m in range(2, 9)}
+    binary = {b: oc.binary_colouring(b) for b in range(1, 5)}
+    pentagon = oc.colouring_from_classes(
+        5, [[(i, (i + 1) % 5) for i in range(5)], [(i, (i + 2) % 5) for i in range(5)]])
+    out = [(f"ham{m}", c) for m, c in ham.items()]
+    out += [(f"ham{m}xham{m}", oc.product_colouring(ham[m], ham[m])) for m in ham]
+    out += [("ham2xham3", oc.product_colouring(ham[2], ham[3]))]
+    out += [(f"binary{b}", binary[b]) for b in range(2, 5)]
+    out += [(f"binary{b}xham{m}", oc.product_colouring(binary[b], ham[m]))
+            for b in range(1, 4) for m in range(2, 5)]
+    out += [(f"binary{b}xC5", oc.product_colouring(binary[b], pentagon)) for b in range(1, 4)]
+    out += [(f"disjoint{m}x{copies}", _disjoint_cycles(m, copies))
+            for m, copies in ((5, 2), (7, 2), (9, 3), (11, 3), (13, 3), (27, 2), (27, 3))]
+    out += [(f"random{n}q{q}", oc.random_colouring(n, q, 100 * q + n))
+            for q in range(2, 6) for n in (2**q + 1, 2**q + 7)]
+    out += [(f"sparse-random{n}q{q}", oc.random_colouring(n, q, n + q))
+            for n, q in ((5, 6), (9, 5), (12, 4))]
+    return out
+
+
+def relabellings(named):
+    """Each (name, colouring) as built and under each seeded vertex
+    permutation of ``RELABEL_SEEDS``."""
+    for name, c in named:
+        yield name, c
+        for seed in RELABEL_SEEDS:
+            perm = np.random.default_rng(seed).permutation(c.n)
+            table = c.table[np.ix_(perm, perm)]
+            yield f"{name}~{seed}", oc.EdgeColouring(c.n, c.q, table, validate=c.is_complete())
+
+
+def _record(call):
+    """The JSON-ready outcome of ``call()``, and the branches and exception
+    it shows for the tally."""
+    try:
+        got = call()
+    except (oc.InputError, oc.InternalInconsistency, oc.PipelineAssertError) as exc:
+        witness = getattr(exc, "witness", None)
+        branches = [witness["trace"]["branch"]] if witness and "trace" in witness else []
+        return ({"error": type(exc).__name__, "message": str(exc), "witness": witness,
+                 "failed": list(getattr(exc, "failed", ()))}, branches, type(exc).__name__)
+    if got is None or isinstance(got, tuple):  # min_colour_odd_cycle
+        colour, length, cert = got or (None, None, None)
+        return {"oracle": [colour, length, cert and list(cert.vertices)]}, [], None
+    cert = got.certificate
+    return ({"vertices": list(cert.vertices), "colour": cert.colour,
+             "bound": got.bound_claimed, "trace": got.trace.to_json_lines()},
+            [lvl.branch for lvl in got.trace.levels], None)
+
+
+def run(named):
+    """The corpus lines over ``relabellings(named)`` and the tally."""
+    lines, tally = [], Counter()
+    for name, c in relabellings(named):
+        calls = [(f"find/{rule}", lambda p=p: oc.find_mono_odd_cycle(c, oc.PipelineParams(**p)))
+                 for rule, p in RULES.items()]
+        calls += [(f"proposition/{d}", lambda d=d: oc.proposition_pipeline(c, d)) for d in DELTAS]
+        calls += [("oracle", lambda: oc.min_colour_odd_cycle(c))]
+        for how, call in calls:
+            record, branches, error = _record(call)
+            tally.update(branches)
+            if error is not None:
+                tally[error] += 1
+            lines.append(json.dumps({"case": f"{name}/{how}", **record}, sort_keys=True,
+                                    default=str))
+    return lines, tally
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="also write the corpus lines here")
+    args = parser.parse_args(argv)
+    lines, tally = run(inputs())
+    text = "".join(line + "\n" for line in lines)
+    if args.out is not None:
+        args.out.write_text(text)
+    print(f"cases {len(lines)}")
+    for key, count in sorted(tally.items()):
+        print(f"  {key}: {count}")
+    print(f"sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
