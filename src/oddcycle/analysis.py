@@ -6,8 +6,25 @@ q-colourings of K_n, maximize the minimum monochromatic odd cycle length.
 Internally "no monochromatic odd cycle" is the sentinel n+1 so maximization
 is total; the public value is None in that case. Both searches keep each
 colour class as one row int per vertex, bit v of row u set iff {u, v} has
-that colour; an annealing move flips two bits in each of the two colours it
+that colour; a recolour flips two bits in each of the two colours it
 touches, and a colouring table is built only for the result.
+
+Between recolours both searches also keep each colour's odd girth and the
+edge set of one shortest odd cycle (its witness; None when unknown), and
+update them by two exact rules instead of sweeping the two classes again:
+
+- *Into* colour c: an odd cycle through the new edge {u, v} is that edge
+  plus an even u-v walk of the old class, and a closed odd walk contains an
+  odd cycle no longer than itself. So the new odd girth is min(g_c, 1 + d),
+  d the least even length of a u-v walk before the edge is added. d is the
+  distance from u to v in the class's double cover (a copy of each vertex
+  per walk parity), found by the package's one BFS kernel and searched only
+  below g_c - 1, so a girth-3 class needs no search. A lowered girth leaves
+  the witness unknown.
+- *Out of* colour c: odd girth cannot fall when an edge goes, and the
+  witness still stands while it avoids {u, v}, so g_c stays. Otherwise
+  (or when the witness is unknown) c gets one full ``odd_girth`` sweep,
+  which also records a new witness.
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ import numpy as np
 
 from .colouring import _from_pairs, _pair_colours, binary_colouring, random_colouring
 from .errors import InputError, InternalInconsistency, NoMonochromaticOddCycle
-from .graph import Graph, odd_girth
+from .graph import Graph, _bfs, _scalar_id, odd_girth
 from .pipeline import (
     LevelTrace,
     MonoOddCycle,
@@ -46,10 +63,51 @@ def _class_rows(n, q, edges, colours):
     return rows
 
 
-def _girth(rows, sentinel):
-    """Odd girth of the class on ``rows``, or ``sentinel`` when it is bipartite."""
+def _sweep(rows):
+    """Odd girth of the class on ``rows`` and the pairs (u < v) of a shortest
+    odd cycle, or (n + 1, no pairs) when the class is bipartite."""
     got = odd_girth(Graph._from_rows(rows, (1 << len(rows)) - 1))
-    return sentinel if got is None else got[0]
+    if got is None:
+        return len(rows) + 1, frozenset()
+    cycle = got[1].vertices
+    return got[0], frozenset((min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def _class_girths(rows):
+    """Each colour's odd girth and witness pairs, as two lists."""
+    girths, witnesses = zip(*map(_sweep, rows))
+    return list(girths), list(witnesses)
+
+
+def _even_walk(rows, u, v, below):
+    """Least even length below ``below`` of a u-v walk in the class on
+    ``rows``, or None: the distance from u to v in the class's double cover,
+    where vertex x + p*n is x reached by a walk of parity p."""
+    n = len(rows)
+    cover = [row << n for row in rows] + rows
+    for d, (layer, _) in enumerate(itertools.islice(_bfs(cover, u), below)):
+        if layer >> v & 1:
+            return d
+    return None
+
+
+def _recolour(rows, girths, witnesses, u, v, old, new):
+    """Move the pair {u, v} (u < v) from colour ``old`` to colour ``new``,
+    keeping both colours' odd girths and witnesses exact by the module's
+    two rules."""
+    bit_u, bit_v = 1 << u, 1 << v
+    out_of, into = rows[old], rows[new]
+    out_of[u] ^= bit_v
+    out_of[v] ^= bit_u
+    witness = witnesses[old]
+    if witness is None or (u, v) in witness:
+        girths[old], witnesses[old] = _sweep(out_of)
+    if girths[new] > 3:
+        d = _even_walk(into, u, v, girths[new] - 1)
+        if d is not None:
+            girths[new], witnesses[new] = d + 1, None
+    into[u] ^= bit_v
+    into[v] ^= bit_u
 
 
 def _shown(x):
@@ -67,6 +125,8 @@ def exhaustive_L(q, n):
     all (possible iff n <= 2^q). Colour-permutation symmetry is folded away
     by fixing the colour of the edge {0,1}; no further isomorphism pruning.
     """
+    q = _scalar_id(q, "q must be an integer")
+    n = _scalar_id(n, "n must be an integer")
     if q < 1:
         raise InputError("need q >= 1")
     if n < 3:
@@ -86,14 +146,27 @@ def exhaustive_L(q, n):
         )
     edges = list(itertools.combinations(range(n), 2))
     sentinel = n + 1
+    colours = [0] * n_edges
+    rows = _class_rows(n, q, edges, colours)
+    girths, witnesses = _class_girths(rows)
     best_val, best = -1, None
-    for rest in itertools.product(range(q), repeat=n_edges - 1):
-        colours = (0,) + rest
-        val = min(_girth(rows, sentinel) for rows in _class_rows(n, q, edges, colours))
+    while True:
+        val = min(girths)
         if val > best_val:
-            best_val, best = val, colours
+            best_val, best = val, tuple(colours)
             if best_val == sentinel:
                 break  # sentinel is the maximum possible
+        # the next colouring in itertools.product order, as an odometer: the
+        # last pair's colour turns fastest, and pair 0 keeps colour 0
+        k = n_edges - 1
+        while k and colours[k] == q - 1:
+            k -= 1
+        if not k:
+            break
+        for j in range(k, n_edges):
+            new = (colours[j] + 1) % q
+            _recolour(rows, girths, witnesses, *edges[j], colours[j], new)
+            colours[j] = new
     witness = _from_pairs(n, q, best, f"exhaustive q={q} n={n}")
     return (None if best_val == sentinel else best_val), witness
 
@@ -104,6 +177,9 @@ def anneal_search(q, n, iterations, seed, init=None):
 
     Deterministic under a fixed seed. Returns (best objective, colouring).
     """
+    q = _scalar_id(q, "q must be an integer")
+    n = _scalar_id(n, "n must be an integer")
+    iterations = _scalar_id(iterations, "iterations must be an integer")
     if iterations < 1:
         raise InputError("need iterations >= 1")
     if q < 1 or n < 3:
@@ -117,8 +193,7 @@ def anneal_search(q, n, iterations, seed, init=None):
     edges = list(itertools.combinations(range(n), 2))
     colours = _pair_colours(start).tolist()
     rows = _class_rows(n, q, edges, colours)
-    sentinel = n + 1
-    girths = [_girth(r, sentinel) for r in rows]
+    girths, witnesses = _class_girths(rows)
     objective = best_value = min(girths)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
@@ -128,11 +203,8 @@ def anneal_search(q, n, iterations, seed, init=None):
         u, v = edges[k]
         old = colours[k]
         new = (old + int(rng.integers(1, q))) % q
-        before = girths[old], girths[new]
-        for c in (old, new):
-            rows[c][u] ^= 1 << v
-            rows[c][v] ^= 1 << u
-            girths[c] = _girth(rows[c], sentinel)
+        before = girths[old], girths[new], witnesses[old], witnesses[new]
+        _recolour(rows, girths, witnesses, u, v, old, new)
         proposed = min(girths)
         delta = proposed - objective
         if delta >= 0 or rng.random() < math.exp(delta / temperature):
@@ -145,7 +217,7 @@ def anneal_search(q, n, iterations, seed, init=None):
             for c in (old, new):
                 rows[c][u] ^= 1 << v
                 rows[c][v] ^= 1 << u
-            girths[old], girths[new] = before
+            girths[old], girths[new], witnesses[old], witnesses[new] = before
     return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={seed}")
 
 

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .colouring import EdgeColouring
+from .errors import InputError
 from .graph import Graph
 from .peeling import PeelDecomposition, PeelParams, ShortCycle
 
@@ -122,8 +123,11 @@ def verify_peel(g, k, outcome):
     removed set and components partition the active vertices, no active edge
     joins two distinct components, every component bipartition is valid, each
     centre reaches its component within min(claimed radius, k), and the
-    removed set respects ceil(factor * n).
+    removed set respects ceil(factor * n). A budget k that is not an
+    integer (a bool is not one) is an InputError.
     """
+    if _not_integer([k]) is not None:
+        raise InputError(f"radius budget k must be an integer, not {type(k).__name__}")
     matrix = g.masked_matrix()
     active = set(int(v) for v in np.flatnonzero(g.active_mask))
     if isinstance(outcome, ShortCycle):

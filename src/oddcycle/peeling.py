@@ -43,6 +43,7 @@ class PeelParams:
     k: int
 
     def __post_init__(self):
+        _scalar_id(self.k, "radius budget k must be an integer")
         if self.k < 1:
             raise InputError(f"radius budget must be >= 1, got {self.k}")
 

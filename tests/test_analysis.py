@@ -1,17 +1,21 @@
 import time
+from collections import Counter
 
 import pytest
 
 from oddcycle import (
     Bipartition,
+    Graph,
     InputError,
     binary_colouring,
     check_bipartite,
     colour_class,
     colouring_from_classes,
     exhaustive_L,
+    hamilton_colouring,
     odd_girth,
 )
+from oddcycle import analysis
 from oddcycle.analysis import (
     anneal_search,
     experiment_table,
@@ -24,6 +28,84 @@ from oracles import anneal_search_by_tables, exhaustive_L_by_tables
 def girth_or(c, i, sentinel):
     got = odd_girth(colour_class(c, i))
     return sentinel if got is None else got[0]
+
+
+class RecolourCheck:
+    """Stands in for ``analysis._recolour``: before and after every recolour,
+    each colour's kept odd girth must equal a from-scratch ``odd_girth`` of
+    its class, and a known witness must be a cycle of the class of that
+    length. Counts the moves the next recolour finds undone (rejected) or
+    kept, the removals from a colour whose witness is unknown, and the adds
+    whose walk search found an even walk longer than 2."""
+
+    def __init__(self):
+        self.recolour = analysis._recolour
+        self.counts = Counter()
+        self.last = None  # the rows before the last recolour of this search
+
+    @staticmethod
+    def verify(rows, girths, witnesses):
+        n = len(rows[0])
+        for c, row_list in enumerate(rows):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if row_list[u] >> v & 1]
+            got = odd_girth(Graph.from_edges(n, pairs))
+            want = n + 1 if got is None else got[0]
+            assert girths[c] == want, (c, girths[c], want)
+            if witnesses[c] is not None:
+                assert len(witnesses[c]) == (0 if got is None else want)
+                assert witnesses[c] <= set(pairs)
+                assert set(Counter(x for pair in witnesses[c] for x in pair).values()) <= {2}
+
+    def __call__(self, rows, girths, witnesses, u, v, old, new):
+        state = [list(r) for r in rows]
+        if self.last is not None:
+            self.counts["rejected" if state == self.last else "kept"] += 1
+        self.last = state
+        self.verify(rows, girths, witnesses)
+        self.counts["unknown"] += witnesses[old] is None
+        before = girths[new]
+        self.recolour(rows, girths, witnesses, u, v, old, new)
+        self.counts["walk"] += 5 <= girths[new] < before
+        self.verify(rows, girths, witnesses)
+
+
+@pytest.fixture
+def check(monkeypatch):
+    checker = RecolourCheck()
+    monkeypatch.setattr(analysis, "_recolour", checker)
+    return checker
+
+
+class TestRecolourRules:
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 8), (3, 9), (4, 17)])
+    def test_random_inits(self, check, q, n):
+        for seed in (0, 1, 2):
+            check.last = None
+            anneal_search(q, n, 300, seed)
+        # above K_5 the objective stays 3 from a random init, so no move is
+        # rejected there; the binary and Hamilton inits below reject some
+        assert check.counts["kept"] > 0
+
+    def test_binary_init(self, check):
+        # every class starts bipartite: the sentinel girth and empty witness
+        for seed in (0, 3):
+            check.last = None
+            anneal_search(3, 8, 300, seed, init=binary_colouring(3))
+        assert check.counts["kept"] > 0 and check.counts["rejected"] > 0
+
+    def test_hamilton_init(self, check):
+        # girth 9 in every class: adds search walks beyond length 2, and a
+        # lowered girth's unknown witness is swept again on the next removal
+        for seed in (0, 1, 2):
+            check.last = None
+            anneal_search(4, 9, 300, seed, init=hamilton_colouring(4))
+        counts = check.counts
+        assert min(counts["kept"], counts["rejected"], counts["unknown"], counts["walk"]) > 0
+
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (4, 4)])
+    def test_exhaustive_odometer(self, check, q, n):
+        exhaustive_L(q, n)
+        assert check.counts["kept"] > 0
 
 
 class TestExhaustive:
@@ -71,6 +153,14 @@ class TestExhaustive:
         assert value == want_value
         assert witness.table.tobytes() == want.table.tobytes()
         assert witness.provenance == want.provenance
+
+    @pytest.mark.parametrize("q, n, what", [
+        (2, 5.0, "n must be an integer"), (2.0, 3, "q must be an integer"),
+        (True, 3, "q must be an integer"), (2, True, "n must be an integer"),
+    ])
+    def test_non_integer_arguments_rejected(self, q, n, what):
+        with pytest.raises(InputError, match=what):
+            exhaustive_L(q, n)
 
     def test_deterministic_witness(self):
         a = exhaustive_L(2, 5)
@@ -124,6 +214,24 @@ class TestAnneal:
                 assert obj == want_obj
                 assert best.table.tobytes() == want.table.tobytes()
                 assert best.provenance == want.provenance
+
+    @pytest.mark.parametrize("q, n, iterations, what", [
+        (2, 5, 2.5, "iterations must be an integer"), (2, 5, True, "iterations must be an integer"),
+        (2.0, 5, 10, "q must be an integer"), (True, 5, 10, "q must be an integer"),
+        (2, 5.0, 10, "n must be an integer"), (2, "5", 10, "n must be an integer"),
+    ])
+    def test_non_integer_arguments_rejected(self, q, n, iterations, what):
+        with pytest.raises(InputError, match=what):
+            anneal_search(q, n, iterations, 0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_matches_table_search_from_hamilton_init(self, seed):
+        init = hamilton_colouring(4)
+        obj, best = anneal_search(4, 9, 300, seed, init=init)
+        want_obj, want = anneal_search_by_tables(4, 9, 300, seed, init=init)
+        assert obj == want_obj
+        assert best.table.tobytes() == want.table.tobytes()
+        assert best.provenance == want.provenance
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_table_search_from_binary_init(self, seed):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oddcycle import (
+    InputError,
     OddCycleCertificate,
     PeelComponent,
     PeelDecomposition,
@@ -94,6 +95,15 @@ class TestPeelVerifier:
         assert verify_peel(g, 4, peel(g, 4)) is None
         k4 = complete_graph(4)
         assert verify_peel(k4, 2, peel(k4, 2)) is None
+
+    @pytest.mark.parametrize("k", [4.5, True, 4.0])
+    def test_non_integer_k_rejected(self, k):
+        # before either branch reads k: 2k+1 of a cycle, or k's removal bound
+        even, odd = cycle_graph(16), cycle_graph(9)
+        for g, outcome in ((even, peel(even, 4)), (odd, ShortCycle(odd_girth(odd)[1]))):
+            with pytest.raises(InputError, match="radius budget k must be an integer"):
+                verify_peel(g, k, outcome)
+            assert verify_peel(g, np.int64(4), outcome) is None
 
     def test_short_cycle_too_long(self):
         g = cycle_graph(9)

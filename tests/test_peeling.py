@@ -52,6 +52,12 @@ class TestPeelParams:
         with pytest.raises(InputError):
             PeelParams(0)
 
+    @pytest.mark.parametrize("k", [2.5, True, 4.0, "4"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InputError, match="radius budget k must be an integer"):
+            PeelParams(k)
+        assert PeelParams(np.int64(4)).removed_bound(16) == 16
+
 
 class TestPeelExamples:
     def test_even_cycle_decomposes(self):
