@@ -1,6 +1,10 @@
+import random
 import time
+import tracemalloc
 from collections import Counter
+from math import comb
 
+import numpy as np
 import pytest
 
 from oddcycle import (
@@ -21,7 +25,7 @@ from oddcycle.analysis import (
     experiment_table,
     rows_to_csv,
 )
-from oddcycle.colouring import colouring_to_text
+from oddcycle.colouring import _MAX_N, colouring_to_text
 from oracles import anneal_search_by_tables, exhaustive_L_by_tables
 
 
@@ -162,10 +166,108 @@ class TestExhaustive:
         with pytest.raises(InputError, match=what):
             exhaustive_L(q, n)
 
+    def test_one_colour_builds_only_the_witness(self):
+        # K_n in one colour is a triangle: the answer takes the witness's
+        # 4.3 MiB table and no pair list, colour list or class rows
+        tracemalloc.start()
+        try:
+            value, witness = exhaustive_L(1, 1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 3 and witness.n == 1500 and witness.is_complete()
+        assert witness.provenance == "exhaustive q=1 n=1500"
+        assert peak < 8 * 2**20
+
     def test_deterministic_witness(self):
         a = exhaustive_L(2, 5)
         b = exhaustive_L(2, 5)
         assert a[0] == b[0] and a[1] == b[1]
+
+
+NUMPY_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                        np.random.SFC64, np.random.MT19937]
+
+
+class TestDraws:
+    """``analysis._Draws`` against a real ``Generator`` on the same seed."""
+
+    # a range of one, small ranges, the pair counts of K_9 and K_17, the
+    # largest pair count a colouring can have, and ranges past 2**31 where
+    # a quarter to a half of all 32-bit draws are rejected
+    KS = [1, 2, 3, 36, 136, comb(_MAX_N, 2) - 1, comb(_MAX_N, 2), 2**31 + 1, 3 * 2**30 + 7]
+
+    @staticmethod
+    def state(gen):
+        return repr(gen.bit_generator.state)  # Philox's state holds arrays
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_interleaved_draws_match_the_generator(self, seed):
+        ops = random.Random(seed)
+        want = np.random.default_rng(seed)
+        gen = np.random.default_rng(seed)
+        draws = analysis._Draws(gen.bit_generator)
+        for _ in range(2000):  # several batches of words
+            k = ops.choice(self.KS)
+            how = ops.randrange(3)
+            if how == 0:
+                assert draws.below(k) == want.integers(k)
+            elif how == 1:  # the recolour draw, integers(1, q) for q = k + 1
+                assert 1 + draws.below(k) == want.integers(1, k + 1)
+            else:
+                assert draws.random() == want.random()
+        draws.settle()
+        assert self.state(gen) == self.state(want)
+
+    def test_a_range_of_one_draws_nothing(self):
+        gen, want = np.random.default_rng(4), np.random.default_rng(4)
+        draws = analysis._Draws(gen.bit_generator)
+        assert [draws.below(1) for _ in range(5)] == [0] * 5
+        assert want.integers(1, 2) == 1
+        draws.settle()
+        assert self.state(gen) == self.state(want) == self.state(np.random.default_rng(4))
+
+    @pytest.mark.parametrize("k, rejects", [(36, False), (2**31 + 1, True),
+                                            (3 * 2**30 + 7, True)])
+    def test_rejections_follow_the_generator(self, k, rejects):
+        # 600 bounded draws without a rejection read 300 whole words; the
+        # generator itself shows whether it read more. A draw is rejected
+        # with odds 2**32 mod k / 2**32: about 1/2 and 1/4 for the large k
+        read_more = []
+        for seed in range(5):
+            want = np.random.default_rng(seed)
+            gen = np.random.default_rng(seed)
+            draws = analysis._Draws(gen.bit_generator)
+            assert [draws.below(k) for _ in range(600)] == want.integers(k, size=600).tolist()
+            draws.settle()
+            assert self.state(gen) == self.state(want)
+            no_rejection = np.random.default_rng(seed).bit_generator
+            no_rejection.random_raw(300)
+            read_more.append(want.bit_generator.state["state"] != no_rejection.state["state"])
+        assert any(read_more) if rejects else not any(read_more)
+
+    @pytest.mark.parametrize("bits", NUMPY_BIT_GENERATORS)
+    def test_every_numpy_bit_generator(self, bits):
+        # a pending 32-bit half and a part-read batch carried in and out
+        want, gen = np.random.Generator(bits(9)), np.random.Generator(bits(9))
+        for g in (want, gen):
+            g.integers(5)
+            g.random()
+        draws = analysis._Draws(gen.bit_generator)
+        for j in range(700):
+            k = self.KS[j % len(self.KS)]
+            assert draws.below(k) == want.integers(k)
+            if j % 3 == 0:
+                assert draws.random() == want.random()
+        draws.settle()
+        assert self.state(gen) == self.state(want)
+
+    def test_bit_generator_not_of_numpy_rejected(self):
+        class Foreign(np.random.BitGenerator):
+            pass
+
+        with pytest.raises(InputError, match="Foreign"):
+            analysis._Draws(Foreign())
 
 
 class TestAnneal:
@@ -204,8 +306,8 @@ class TestAnneal:
         with pytest.raises(InputError, match="init colouring leaves pairs uncoloured"):
             anneal_search(3, 8, 50, seed=0, init=init)
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [3, 5, 8, 9, 17])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 5, 8, 9, 17, 33])
     def test_matches_table_search(self, q, n):
         for seed in (0, 1, 2):
             for iterations in (1, 40, 250):
@@ -232,6 +334,21 @@ class TestAnneal:
         assert obj == want_obj
         assert best.table.tobytes() == want.table.tobytes()
         assert best.provenance == want.provenance
+
+    @pytest.mark.parametrize("bits", NUMPY_BIT_GENERATORS)
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 9), (4, 17)])
+    def test_generator_seed_drawn_as_numpy_draws(self, bits, q, n):
+        # a Generator passed as seed feeds the random init and then the
+        # moves, and ends in the state the Generator's own calls leave
+        gen, twin = np.random.Generator(bits(q + n)), np.random.Generator(bits(q + n))
+        for g in (gen, twin):
+            g.integers(7)  # leaves a 32-bit half pending
+        obj, best = anneal_search(q, n, 300, gen)
+        want_obj, want = anneal_search_by_tables(q, n, 300, twin)
+        assert obj == want_obj
+        assert best.table.tobytes() == want.table.tobytes()
+        assert best.provenance == want.provenance
+        assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_table_search_from_binary_init(self, seed):

@@ -136,10 +136,15 @@ def test_claim_needs_no_more_failed_operations(paired_bench):
 CORPUS = Path(__file__).resolve().parents[1] / "tools" / "output_corpus.py"
 
 
-def test_output_corpus_reaches_every_branch_and_self_check():
+def _corpus():
     spec = importlib.util.spec_from_file_location("output_corpus", CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
+    return corpus
+
+
+def test_output_corpus_reaches_every_branch_and_self_check():
+    corpus = _corpus()
     oc = corpus.oc
     ham3 = oc.hamilton_colouring(3)
     named = [("ham4", oc.hamilton_colouring(4)),
@@ -156,3 +161,20 @@ def test_output_corpus_reaches_every_branch_and_self_check():
                 "selector-branch", "InternalInconsistency", "PipelineAssertError"):
         assert tally[key] > 0, key
     assert corpus.run(named) == (lines, tally)  # byte-reproducible
+
+
+def test_output_corpus_search_lines_are_byte_reproducible():
+    corpus = _corpus()
+    lines = corpus.search_lines()
+    records = [json.loads(line) for line in lines]
+    cases = [r["case"] for r in records]
+    assert len(set(cases)) == len(cases) == len(corpus.searches())
+    for q, n in corpus.EXHAUSTIVE:
+        assert f"exhaustive/q{q}n{n}" in cases
+    inits = {case.split("/")[1] for case in cases if case.startswith("anneal/")}
+    for init, qs in (("random", range(1, 6)), ("binary", range(2, 6)), ("hamilton", range(1, 6))):
+        for q in qs:  # binary(1) has two vertices, too few to search
+            assert any(name.startswith(f"{init}-q{q}n") for name in inits), (init, q)
+    # every Generator-seeded run records the state it left the Generator in
+    assert all((r["generator"] is None) == ("/generator" not in r["case"]) for r in records)
+    assert corpus.search_lines() == lines

@@ -8,10 +8,13 @@ Runs ``find_mono_odd_cycle`` under each rule set of ``RULES``,
 ``min_colour_odd_cycle`` on every colouring of ``inputs()``, each as built
 and under two seeded vertex relabellings. Every case becomes one JSON line:
 the certificate, ``bound_claimed`` and trace JSON lines of a result, or the
-type, message, witness and ``failed`` list of an exception. The tool prints
-the case count, a tally of the branches the traces record and of the
-exceptions raised, and the sha256 of all lines; ``--out`` also writes the
-lines. It imports the package from the ``src`` next to its own directory,
+type, message, witness and ``failed`` list of an exception. Then come the
+small-case searches of ``searches()``: ``exhaustive_L`` and seeded
+``anneal_search`` runs, one line each with the value, the colouring's text
+and provenance, and for a run seeded by a ``Generator`` that generator's
+state afterwards. The tool prints the case count, a tally of the branches
+the traces record and of the exceptions raised, and the sha256 of all
+lines; ``--out`` also writes the lines. It imports the package from the ``src`` next to its own directory,
 so a copy of this file run in two checkouts compares their outputs: a change
 that must keep every output gives the same hash on both.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
@@ -138,11 +142,58 @@ def run(named):
     return lines, tally
 
 
+# Every size the tests enumerate, and annealing runs at q = 1..5 from each
+# kind of init: a random colouring (from the seed), the all-bipartite binary
+# colouring and the Hamilton-cycle colouring, whose classes have odd girth
+# n. Each setting also runs once seeded by a Generator.
+EXHAUSTIVE = ((1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 4))
+ANNEAL_SEEDS = (0, 1, 2)
+ANNEAL_ITERATIONS = 300
+
+
+def searches():
+    """(name, call) of the small-case searches; a call returns the value,
+    the colouring and the state of the Generator it seeded, if any."""
+    cases = [(f"exhaustive/q{q}n{n}", lambda q=q, n=n: (*oc.exhaustive_L(q, n), None))
+             for q, n in EXHAUSTIVE]
+    inits = [(f"random-q{q}", q, 2**q + 1, None) for q in range(1, 6)]
+    inits += [(f"binary-q{q}", q, 2**q, oc.binary_colouring(q)) for q in range(2, 6)]
+    inits += [(f"hamilton-q{q}", q, 2 * q + 1, oc.hamilton_colouring(q)) for q in range(1, 6)]
+
+    def anneal(q, n, seed, init):
+        return (*oc.anneal_search(q, n, ANNEAL_ITERATIONS, seed, init), None)
+
+    def anneal_by_generator(q, n, seed, init):
+        gen = np.random.default_rng(seed)
+        return (*oc.anneal_search(q, n, ANNEAL_ITERATIONS, gen, init), gen.bit_generator.state)
+
+    for name, q, n, init in inits:
+        cases += [(f"anneal/{name}n{n}/seed{seed}", lambda q=q, n=n, s=seed, c=init: anneal(q, n, s, c))
+                  for seed in ANNEAL_SEEDS]
+        cases.append((f"anneal/{name}n{n}/generator{ANNEAL_SEEDS[0]}",
+                      lambda q=q, n=n, c=init: anneal_by_generator(q, n, ANNEAL_SEEDS[0], c)))
+    return cases
+
+
+def search_lines():
+    """One JSON line per case of ``searches()``."""
+    lines = []
+    for name, call in searches():
+        value, colouring, state = call()
+        text = io.StringIO()
+        oc.write_colouring(colouring, text)
+        lines.append(json.dumps({"case": name, "value": value, "colouring": text.getvalue(),
+                                 "provenance": colouring.provenance, "generator": state},
+                                sort_keys=True))
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="also write the corpus lines here")
     args = parser.parse_args(argv)
     lines, tally = run(inputs())
+    lines += search_lines()
     text = "".join(line + "\n" for line in lines)
     if args.out is not None:
         args.out.write_text(text)
