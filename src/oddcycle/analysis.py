@@ -131,7 +131,7 @@ class _Draws:
                 x, self._half, self._has_half = word & 0xFFFFFFFF, word >> 32, self._split
             m = x * k
             low = m & 0xFFFFFFFF
-            if low >= k or low >= (1 << 32) % k:  # numpy's order of the two tests
+            if low >= k or low >= (1 << 32) % k:  # as numpy: low >= k spares the modulo
                 return m >> 32
 
     def random(self):
@@ -271,6 +271,9 @@ def anneal_search(q, n, iterations, seed, init=None):
     minimum monochromatic odd cycle length (sentinel n+1 = none exists).
 
     Deterministic under a fixed seed. Returns (best objective, colouring).
+    ``seed`` is anything ``np.random.default_rng`` takes; a ``Generator``
+    feeds the random init and the moves, and ends where its own scalar
+    draws would have left it.
     """
     q = _scalar_id(q, "q must be an integer")
     n = _scalar_id(n, "n must be an integer")
