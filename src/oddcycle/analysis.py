@@ -9,22 +9,30 @@ colour class as one row int per vertex, bit v of row u set iff {u, v} has
 that colour; a recolour flips two bits in each of the two colours it
 touches, and a colouring table is built only for the result.
 
-Between recolours both searches also keep each colour's odd girth and the
-edge set of one shortest odd cycle (its witness; None when unknown), and
-update them by two exact rules instead of sweeping the two classes again:
+Between recolours both searches also keep each colour's odd girth, its
+number of triangles, and the edge set of one shortest odd cycle (its
+witness; None when unknown), and update them by exact rules instead of
+sweeping the two classes again. The triangles through a pair {u, v} are its
+common neighbours, ``(rows[u] & rows[v]).bit_count()``, so a recolour moves
+that many triangles from one count to the other; and a class has odd girth
+3 exactly when its count is positive.
 
 - *Into* colour c: an odd cycle through the new edge {u, v} is that edge
   plus an even u-v walk of the old class, and a closed odd walk contains an
   odd cycle no longer than itself. So the new odd girth is min(g_c, 1 + d),
-  d the least even length of a u-v walk before the edge is added. d is the
-  distance from u to v in the class's double cover (a copy of each vertex
-  per walk parity), found by the package's one BFS kernel and searched only
-  below g_c - 1, so a girth-3 class needs no search. A lowered girth leaves
-  the witness unknown.
-- *Out of* colour c: odd girth cannot fall when an edge goes, and the
-  witness still stands while it avoids {u, v}, so g_c stays. Otherwise
-  (or when the witness is unknown) c gets one full ``odd_girth`` sweep,
-  which also records a new witness.
+  d the least even length of a u-v walk before the edge is added. A common
+  neighbour is d = 2 and makes the girth 3 at once. Otherwise d >= 4, so
+  only a class of girth above 5 can fall, and it is searched for d below
+  g_c - 1: the distance from u to v in the class's double cover (a copy of
+  each vertex per walk parity), found by the package's one BFS kernel. A
+  lowered girth leaves the witness unknown.
+- *Out of* colour c: odd girth cannot fall when an edge goes. A class of
+  girth 3 stays at 3 while its count is positive, and keeps no witness: the
+  witness is only read at girth 5 and above, so it is dropped rather than
+  checked, and every witness kept is a cycle of its class. A class of
+  higher girth keeps g_c while its witness avoids {u, v}. Otherwise (a
+  count fallen to 0, a hit witness or an unknown one) c gets one full
+  ``odd_girth`` sweep, which also records a new witness.
 
 The annealing search draws its moves through ``_Draws``, which reads the
 seeded bit generator's raw words ``_DRAW_WORDS`` at a time and turns them
@@ -49,7 +57,14 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .colouring import _from_pairs, _pair_colours, binary_colouring, random_colouring
+from .colouring import (
+    EdgeColouring,
+    _from_pairs,
+    _pair_colours,
+    _seeded,
+    binary_colouring,
+    random_colouring,
+)
 from .errors import InputError, InternalInconsistency, NoMonochromaticOddCycle
 from .graph import Graph, _bfs, _scalar_id, odd_girth
 from .pipeline import (
@@ -166,10 +181,17 @@ def _sweep(rows):
     return got[0], frozenset((min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def _class_girths(rows):
-    """Each colour's odd girth and witness pairs, as two lists."""
+def _triangles(rows):
+    """Number of triangles of the class on ``rows``: each edge {u, v}, u < v,
+    counts its common neighbours, so every triangle is counted three times."""
+    return sum((row & rows[v]).bit_count()
+               for u, row in enumerate(rows) for v in range(u + 1, len(rows)) if row >> v & 1) // 3
+
+
+def _class_state(rows):
+    """Each colour's odd girth, witness pairs and triangle count, as three lists."""
     girths, witnesses = zip(*map(_sweep, rows))
-    return list(girths), list(witnesses)
+    return list(girths), list(witnesses), [_triangles(r) for r in rows]
 
 
 def _even_walk(rows, u, v, below):
@@ -184,18 +206,30 @@ def _even_walk(rows, u, v, below):
     return None
 
 
-def _recolour(rows, girths, witnesses, u, v, old, new):
+def _recolour(rows, girths, witnesses, triangles, u, v, old, new):
     """Move the pair {u, v} (u < v) from colour ``old`` to colour ``new``,
-    keeping both colours' odd girths and witnesses exact by the module's
-    two rules."""
+    keeping both colours' odd girths, witnesses and triangle counts exact by
+    the module's rules."""
     bit_u, bit_v = 1 << u, 1 << v
     out_of, into = rows[old], rows[new]
     out_of[u] ^= bit_v
     out_of[v] ^= bit_u
-    witness = witnesses[old]
-    if witness is None or (u, v) in witness:
-        girths[old], witnesses[old] = _sweep(out_of)
-    if girths[new] > 3:
+    if girths[old] == 3:
+        triangles[old] -= (out_of[u] & out_of[v]).bit_count()
+        if triangles[old]:
+            witnesses[old] = None
+        else:
+            girths[old], witnesses[old] = _sweep(out_of)
+    else:
+        witness = witnesses[old]
+        if witness is None or (u, v) in witness:
+            girths[old], witnesses[old] = _sweep(out_of)
+    common = (into[u] & into[v]).bit_count()
+    if common:
+        triangles[new] += common
+        if girths[new] > 3:
+            girths[new], witnesses[new] = 3, None
+    elif girths[new] > 5:
         d = _even_walk(into, u, v, girths[new] - 1)
         if d is not None:
             girths[new], witnesses[new] = d + 1, None
@@ -243,7 +277,7 @@ def exhaustive_L(q, n):
     sentinel = n + 1
     colours = [0] * n_edges
     rows = _class_rows(n, q, edges, colours)
-    girths, witnesses = _class_girths(rows)
+    girths, witnesses, triangles = _class_state(rows)
     best_val, best = -1, None
     while True:
         val = min(girths)
@@ -260,7 +294,7 @@ def exhaustive_L(q, n):
             break
         for j in range(k, n_edges):
             new = (colours[j] + 1) % q
-            _recolour(rows, girths, witnesses, *edges[j], colours[j], new)
+            _recolour(rows, girths, witnesses, triangles, *edges[j], colours[j], new)
             colours[j] = new
     witness = _from_pairs(n, q, best, f"exhaustive q={q} n={n}")
     return (None if best_val == sentinel else best_val), witness
@@ -271,9 +305,11 @@ def anneal_search(q, n, iterations, seed, init=None):
     minimum monochromatic odd cycle length (sentinel n+1 = none exists).
 
     Deterministic under a fixed seed. Returns (best objective, colouring).
-    ``seed`` is anything ``np.random.default_rng`` takes; a ``Generator``
-    feeds the random init and the moves, and ends where its own scalar
-    draws would have left it.
+    ``seed`` is anything ``np.random.default_rng`` takes (else an
+    ``InputError``); a ``Generator`` feeds the random init and the moves,
+    and ends where its own scalar draws would have left it. ``init``, a
+    complete ``EdgeColouring`` of K_n in q colours, replaces the random
+    start.
     """
     q = _scalar_id(q, "q must be an integer")
     n = _scalar_id(n, "n must be an integer")
@@ -282,7 +318,9 @@ def anneal_search(q, n, iterations, seed, init=None):
         raise InputError("need iterations >= 1")
     if q < 1 or n < 3:
         raise InputError("need q >= 1 and n >= 3")
-    rng = np.random.default_rng(seed)
+    if init is not None and not isinstance(init, EdgeColouring):
+        raise InputError(f"init must be an EdgeColouring, not {type(init).__name__}")
+    rng, shown = _seeded(seed)
     start = init if init is not None else random_colouring(n, q, seed)
     if start.n != n or start.q != q:
         raise InputError("init colouring does not match (n, q)")
@@ -291,7 +329,7 @@ def anneal_search(q, n, iterations, seed, init=None):
     edges = list(itertools.combinations(range(n), 2))
     colours = _pair_colours(start).tolist()
     rows = _class_rows(n, q, edges, colours)
-    girths, witnesses = _class_girths(rows)
+    girths, witnesses, triangles = _class_state(rows)
     objective = best_value = min(girths)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
@@ -303,8 +341,9 @@ def anneal_search(q, n, iterations, seed, init=None):
             u, v = edges[k]
             old = colours[k]
             new = (old + 1 + draws.below(q - 1)) % q  # old + rng.integers(1, q)
-            before = girths[old], girths[new], witnesses[old], witnesses[new]
-            _recolour(rows, girths, witnesses, u, v, old, new)
+            before = (girths[old], girths[new], witnesses[old], witnesses[new],
+                      triangles[old], triangles[new])
+            _recolour(rows, girths, witnesses, triangles, u, v, old, new)
             proposed = min(girths)
             delta = proposed - objective
             if delta >= 0 or draws.random() < math.exp(delta / temperature):
@@ -317,10 +356,11 @@ def anneal_search(q, n, iterations, seed, init=None):
                 for c in (old, new):
                     rows[c][u] ^= 1 << v
                     rows[c][v] ^= 1 << u
-                girths[old], girths[new], witnesses[old], witnesses[new] = before
+                (girths[old], girths[new], witnesses[old], witnesses[new],
+                 triangles[old], triangles[new]) = before
     finally:
         draws.settle()
-    return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={seed}")
+    return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={shown}")
 
 
 @dataclass

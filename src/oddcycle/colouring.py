@@ -195,12 +195,27 @@ def random_colouring(n, q, seed):
         raise InputError("random colouring needs q >= 1")
     _check_size(n)
     _check_colours(q)
-    rng = np.random.default_rng(seed)
+    rng, shown = _seeded(seed)
     # the table before the draw: a draw freed below the table would leave a
     # hole in the heap too small for the next table, raising peak RSS
     table = np.full((n, n), -1, dtype=np.int16)
     _write_pairs(table, rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16))
-    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={seed}")
+    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={shown}")
+
+
+def _seeded(seed):
+    """``np.random.default_rng(seed)`` and the seed as a provenance names it.
+
+    A ``BitGenerator`` is named by its class, since its repr holds an object
+    address that differs between processes; any other seed as it prints. A
+    seed numpy refuses (a negative int, a float, a string) is an
+    ``InputError``.
+    """
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid seed: {_clip(str(exc), 60)}") from None
+    return rng, type(seed).__name__ if isinstance(seed, np.random.BitGenerator) else seed
 
 
 def _write_pairs(table, colours):
@@ -508,6 +523,6 @@ def _past_int_limit(token):
     return digits.isascii() and digits.isdigit()
 
 
-def _clip(token):
-    """A token as quoted in an error message: at most 20 characters."""
-    return token if len(token) <= 20 else token[:17] + "..."
+def _clip(token, width=20):
+    """A token as quoted in an error message: at most ``width`` characters."""
+    return token if len(token) <= width else token[:width - 3] + "..."

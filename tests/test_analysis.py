@@ -34,13 +34,23 @@ def girth_or(c, i, sentinel):
     return sentinel if got is None else got[0]
 
 
+def triangle_count(n, pairs):
+    """Triangles of the graph on ``pairs``, as trace(A^3) / 6."""
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in pairs:
+        a[u, v] = a[v, u] = 1
+    return int(np.trace(a @ a @ a)) // 6
+
+
 class RecolourCheck:
     """Stands in for ``analysis._recolour``: before and after every recolour,
     each colour's kept odd girth must equal a from-scratch ``odd_girth`` of
-    its class, and a known witness must be a cycle of the class of that
-    length. Counts the moves the next recolour finds undone (rejected) or
-    kept, the removals from a colour whose witness is unknown, and the adds
-    whose walk search found an even walk longer than 2."""
+    its class, its kept triangle count a from-scratch count, and a known
+    witness must be a cycle of the class of that length. Counts the moves
+    the next recolour finds undone (rejected) or kept, the removals from a
+    colour whose witness is unknown, the adds whose walk search found an
+    even walk longer than 2, and the removals from a girth-3 colour that
+    keeps a triangle."""
 
     def __init__(self):
         self.recolour = analysis._recolour
@@ -48,29 +58,31 @@ class RecolourCheck:
         self.last = None  # the rows before the last recolour of this search
 
     @staticmethod
-    def verify(rows, girths, witnesses):
+    def verify(rows, girths, witnesses, triangles):
         n = len(rows[0])
         for c, row_list in enumerate(rows):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if row_list[u] >> v & 1]
             got = odd_girth(Graph.from_edges(n, pairs))
             want = n + 1 if got is None else got[0]
             assert girths[c] == want, (c, girths[c], want)
+            assert triangles[c] == triangle_count(n, pairs), (c, triangles[c])
             if witnesses[c] is not None:
                 assert len(witnesses[c]) == (0 if got is None else want)
                 assert witnesses[c] <= set(pairs)
                 assert set(Counter(x for pair in witnesses[c] for x in pair).values()) <= {2}
 
-    def __call__(self, rows, girths, witnesses, u, v, old, new):
+    def __call__(self, rows, girths, witnesses, triangles, u, v, old, new):
         state = [list(r) for r in rows]
         if self.last is not None:
             self.counts["rejected" if state == self.last else "kept"] += 1
         self.last = state
-        self.verify(rows, girths, witnesses)
+        self.verify(rows, girths, witnesses, triangles)
         self.counts["unknown"] += witnesses[old] is None
         before = girths[new]
-        self.recolour(rows, girths, witnesses, u, v, old, new)
+        self.recolour(rows, girths, witnesses, triangles, u, v, old, new)
         self.counts["walk"] += 5 <= girths[new] < before
-        self.verify(rows, girths, witnesses)
+        self.counts["triangle kept"] += triangles[old] > 0
+        self.verify(rows, girths, witnesses, triangles)
 
 
 @pytest.fixture
@@ -89,6 +101,8 @@ class TestRecolourRules:
         # above K_5 the objective stays 3 from a random init, so no move is
         # rejected there; the binary and Hamilton inits below reject some
         assert check.counts["kept"] > 0
+        if n > 5:
+            assert check.counts["triangle kept"] > 0
 
     def test_binary_init(self, check):
         # every class starts bipartite: the sentinel girth and empty witness
@@ -110,6 +124,29 @@ class TestRecolourRules:
     def test_exhaustive_odometer(self, check, q, n):
         exhaustive_L(q, n)
         assert check.counts["kept"] > 0
+
+    def test_removal_keeping_a_triangle_makes_no_sweep(self, monkeypatch):
+        # a girth-3 colour that still holds a triangle after a removal is
+        # known to stay at 3: that recolour sweeps neither class
+        sweep, recolour = analysis._sweep, analysis._recolour
+        sweeps, outcomes = [], Counter()
+
+        def counted_sweep(rows):
+            sweeps.append(len(rows))
+            return sweep(rows)
+
+        def watched(rows, girths, witnesses, triangles, u, v, old, new):
+            n, done = len(rows[0]), len(sweeps)
+            recolour(rows, girths, witnesses, triangles, u, v, old, new)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rows[old][a] >> b & 1]
+            if triangle_count(n, pairs):
+                outcomes[len(sweeps) - done] += 1
+
+        monkeypatch.setattr(analysis, "_sweep", counted_sweep)
+        monkeypatch.setattr(analysis, "_recolour", watched)
+        anneal_search(3, 9, 500, 11)
+        assert outcomes[0] > 100 and set(outcomes) == {0}
+        assert sweeps  # the initial classes and the removals that emptied a count
 
 
 class TestExhaustive:
@@ -325,6 +362,31 @@ class TestAnneal:
     def test_non_integer_arguments_rejected(self, q, n, iterations, what):
         with pytest.raises(InputError, match=what):
             anneal_search(q, n, iterations, 0)
+
+    @pytest.mark.parametrize("seed", [-1, "abc", 2.5, [3, -1]],
+                             ids=["negative", "str", "float", "negative-entry"])
+    def test_seed_numpy_refuses_is_input_error(self, seed):
+        with pytest.raises(InputError, match="invalid seed"):
+            anneal_search(2, 5, 10, seed)
+        with pytest.raises(InputError, match="invalid seed"):  # it still draws the moves
+            anneal_search(2, 4, 10, seed, init=binary_colouring(2))
+
+    @pytest.mark.parametrize("init, kind", [
+        (np.zeros((5, 5), dtype=np.int16), "ndarray"), ("colouring", "str"), ([[0]], "list"),
+    ])
+    def test_init_not_a_colouring_rejected(self, init, kind):
+        with pytest.raises(InputError, match=f"init must be an EdgeColouring, not {kind}"):
+            anneal_search(2, 5, 10, 0, init=init)
+
+    @pytest.mark.parametrize("bits", NUMPY_BIT_GENERATORS)
+    def test_bit_generator_seed_named_by_class(self, bits):
+        # the same draws as the Generator around it, and a provenance that
+        # names its class, not its object address
+        obj, best = anneal_search(3, 9, 200, bits(4))
+        want_obj, want = anneal_search_by_tables(3, 9, 200, np.random.Generator(bits(4)))
+        assert obj == want_obj
+        assert best.table.tobytes() == want.table.tobytes()
+        assert best.provenance == f"anneal q=3 n=9 seed={bits.__name__}"
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_table_search_from_hamilton_init(self, seed):

@@ -230,6 +230,17 @@ class TestAnalysisCommands:
         assert result.exit_code == 2
         assert "input error:" in result.output
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--q", "2", "--n", "5", "--iters", "10"],
+        ["gen", "--kind", "random", "--q", "2", "--n", "5"],
+    ], ids=["search", "gen"])
+    def test_negative_seed_exits_2(self, runner, tmp_path, command):
+        out = tmp_path / "x.txt"
+        result = runner.invoke(main, command + ["--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "input error: invalid seed" in result.output
+        assert not out.exists()
+
     def test_search_writes_colouring(self, runner, tmp_path):
         out = tmp_path / "best.txt"
         result = runner.invoke(

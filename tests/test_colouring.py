@@ -181,6 +181,24 @@ class TestRandomColouring:
         assert a == b
         assert random_colouring(5, 2, 2) != a
 
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.5, [1, -2], object()],
+                             ids=["negative", "str", "float", "negative-entry", "object"])
+    def test_seed_numpy_refuses_is_input_error(self, seed):
+        with pytest.raises(InputError, match="invalid seed"):
+            random_colouring(5, 2, seed)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
+    def test_bit_generator_seed_named_by_class(self, bits):
+        # an object's repr holds its address, which no other process repeats
+        c = random_colouring(5, 2, bits(3))
+        assert c.provenance == f"random n=5 q=2 seed={bits.__name__}"
+        assert c == random_colouring(5, 2, np.random.Generator(bits(3)))
+
+    def test_int_and_generator_seeds_keep_their_provenance(self):
+        assert random_colouring(5, 2, 7).provenance == "random n=5 q=2 seed=7"
+        got = random_colouring(5, 2, np.random.default_rng(7)).provenance
+        assert got == "random n=5 q=2 seed=Generator(PCG64)"
+
     def test_complete(self):
         c = random_colouring(9, 3, 7)
         counts = [int((c.table == i).sum()) // 2 for i in range(3)]
