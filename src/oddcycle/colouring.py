@@ -8,7 +8,10 @@ corrupted inputs for the pipeline's self-check tests).
 This module is the one home of that layout, of the pair order (the pairs
 u < v row by row, which is ``itertools.combinations`` order and the file's)
 and of the ``_BLOCK``-sized row blocks the table is walked in: every other
-module reads a colouring through the functions here. ``certify`` alone
+module reads a colouring through the functions here. A colour class is
+built in those row blocks too: each block is compared with the colour into
+one reused bool buffer and packed into row ints, so a class needs its rows
+and one block of scratch, not an n x n temporary. ``certify`` alone
 reads ``table`` itself, on purpose, so that the verifiers stay independent
 of the producers.
 
@@ -70,6 +73,8 @@ class EdgeColouring:
     """Assignment of a colour in [0,q) to every pair {u,v} of K_n."""
 
     def __init__(self, n, q, table, provenance=None, validate=True):
+        n = _scalar_id(n, "vertex count n must be an integer")
+        q = _scalar_id(q, "colour count q must be an integer")
         if n < 1:
             raise InputError("colouring needs at least one vertex")
         if q < 0:
@@ -140,6 +145,7 @@ def binary_colouring(q):
     the dense-table limit.
     """
     max_q = _MAX_N.bit_length() - 1
+    q = _scalar_id(q, "q must be an integer")
     if not 1 <= q <= max_q:
         raise InputError(f"q must be in [1, {max_q}], got {q}")
     n = 1 << q
@@ -159,6 +165,7 @@ def hamilton_colouring(m):
     (mod 2m). In closed form, {u, v} with u, v < 2m gets ((u+v) mod 2m) // 2
     and {2m, v} gets v mod m, written a row block at a time."""
     max_m = (_MAX_N - 1) // 2
+    m = _scalar_id(m, "m must be an integer")
     if not 1 <= m <= max_m:
         raise InputError(f"m must be in [1, {max_m}], got {m}")
     n, rim = 2 * m + 1, 2 * m
@@ -189,6 +196,8 @@ def product_colouring(c1, c2):
 
 def random_colouring(n, q, seed):
     """Uniform independent colour per pair from a deterministic seeded stream."""
+    n = _scalar_id(n, "vertex count n must be an integer")
+    q = _scalar_id(q, "colour count q must be an integer")
     if n < 2:
         raise InputError("random colouring needs n >= 2")
     if q < 1:
@@ -245,6 +254,7 @@ def colouring_from_classes(n, classes, validate=True):
     Pairs not listed anywhere stay uncoloured (-1), which is rejected unless
     ``validate=False``; that switch exists to craft corrupted instances.
     """
+    n = _scalar_id(n, "vertex count n must be an integer")
     _check_size(n)
     _check_colours(len(classes))
     table = np.full((n, n), -1, dtype=np.int16)
@@ -260,11 +270,22 @@ def colouring_from_classes(n, classes, validate=True):
 
 
 def colour_class(c, i):
-    """Graph on all n vertices whose edges are exactly the colour-i pairs."""
+    """Graph on all n vertices whose edges are exactly the colour-i pairs.
+
+    The table is compared with i and packed one row block at a time, in one
+    bool buffer of a block's size, so no n x n temporary is made."""
+    i = _scalar_id(i, "colour index must be an integer")
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range [0, {c.q})")
+    blocks = _row_blocks(c.n, c.n)
+    buf = np.empty((blocks[0][1], c.n), dtype=bool)
+    rows = []
+    for u0, u1 in blocks:
+        block = buf[: u1 - u0]
+        np.equal(c.table[u0:u1], i, out=block)
+        rows += _pack_rows(block)
     # packed unchecked: the table is symmetric with a -1 diagonal by invariant
-    return Graph._from_rows(_pack_rows(c.table == i), (1 << c.n) - 1)
+    return Graph._from_rows(rows, (1 << c.n) - 1)
 
 
 def _edge_near_0(c, i):

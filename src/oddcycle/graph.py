@@ -8,9 +8,12 @@ matrix. Every BFS in the package runs through one kernel on these rows,
 which keeps the inner loops at word speed for every size this package
 targets (n <= 2^13). ``_bfs`` ORs each layer's rows once; that union gives
 the next layer and the layer's *inner* mask, its vertices with a neighbour
-in the layer (BFS parity conflicts), so no layer is scanned twice. It
-stores no parent: ``_walk_back`` recovers a witness path on demand, the
-parent of a layer-d vertex being its lowest neighbour in layer d-1.
+in the layer (BFS parity conflicts), so no layer is scanned twice, and a
+conflict cycle is built only for a nonzero inner mask. ``_union_rows``
+takes the frontier apart by its lowest set bit in an inline loop, with no
+per-bit generator. The kernel stores no parent: ``_walk_back`` recovers a
+witness path on demand, the parent of a layer-d vertex being its lowest
+neighbour in layer d-1.
 """
 
 from __future__ import annotations
@@ -252,9 +255,12 @@ class OddClosedWalk:
 
 
 def _union_rows(masks, frontier):
+    """OR of the rows of the frontier's vertices, taken lowest bit first."""
     out = 0
-    for v in _iter_bits(frontier):
-        out |= masks[v]
+    while frontier:
+        low = frontier & -frontier
+        out |= masks[low.bit_length() - 1]
+        frontier ^= low
     return out
 
 
@@ -328,9 +334,8 @@ def check_bipartite(g):
         layers = []
         for layer, inner in _bfs(masks, (left & -left).bit_length() - 1):
             layers.append(layer)
-            cycle = _conflict_cycle(masks, layers, inner)
-            if cycle is not None:
-                return cycle
+            if inner:
+                return _conflict_cycle(masks, layers, inner)
             sides[(len(layers) - 1) & 1] |= layer
             left &= ~layer
     return Bipartition(side0=_bits_to_array(sides[0]), side1=_bits_to_array(sides[1]))
@@ -369,14 +374,15 @@ def odd_girth(g):
     masks = g.row_masks()
     allowed = g._active
     best = None
+    cap = g.n + 1  # layers a BFS grows at most; once best is set, 2 * cap + 1 is its length
     while allowed:
         # every lower vertex is done or dropped, so the root is the lowest left
         root = (allowed & -allowed).bit_length() - 1
         layers = []
         for layer, inner in _bfs(masks, root, allowed):
             layers.append(layer)
-            cycle = _conflict_cycle(masks, layers, inner)
-            if cycle is not None:
+            if inner:
+                cycle = _conflict_cycle(masks, layers, inner)
                 depth = len(layers) - 1
                 if cycle.length % 2 == 0 or cycle.length > 2 * depth + 1:
                     raise InternalInconsistency(
@@ -385,14 +391,15 @@ def odd_girth(g):
                     )
                 if best is None or cycle.length < best.length:
                     best = cycle
+                    cap = best.length // 2
                 break
-            if best is not None and 2 * len(layers) + 1 >= best.length:
+            if len(layers) >= cap:
                 break
         else:  # no conflict anywhere in the component: it is bipartite
             for layer in layers:
                 allowed &= ~layer
         allowed &= ~(1 << root)
-        if best is not None and best.length == 3:
+        if cap == 1:  # a triangle: no odd cycle is shorter
             break
     return None if best is None else (best.length, best)
 
@@ -401,10 +408,12 @@ def _twin_free(g):
     """View of g keeping the lowest active vertex of each set of active
     vertices with equal rows (false twins). Twins are non-adjacent, so
     mapping each vertex to its kept twin is a homomorphism onto the view:
-    the view has g's odd girth, and its cycles are cycles of g."""
+    the view has g's odd girth, and its cycles are cycles of g. Only the
+    active ids are read, so an inactive vertex, whose row is 0, never
+    stands for an active isolated vertex."""
     rows = g._rows
-    lowest = {}  # row -> bit of its lowest vertex
-    for v in _iter_bits(g._active):
+    lowest = {}  # row -> bit of its lowest active vertex
+    for v in np.flatnonzero(g.active_mask).tolist():
         lowest.setdefault(rows[v], 1 << v)
     return Graph._from_rows(rows, sum(lowest.values()))
 

@@ -156,9 +156,8 @@ def peel(g, k):
                 break
             # layer joins the ball: check it for a parity conflict first
             ball_layers.append(nxt)
-            cycle = _conflict_cycle(masks, ball_layers, inner)
-            if cycle is not None:
-                return ShortCycle(cycle)
+            if inner:
+                return ShortCycle(_conflict_cycle(masks, ball_layers, inner))
             ball |= nxt
         sides = [0, 0]
         for i, layer in enumerate(ball_layers):

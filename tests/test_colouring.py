@@ -236,18 +236,42 @@ class TestColourClass:
         with pytest.raises(InputError):
             colour_class(random_colouring(4, 2, 0), 2)
 
+    # 0.5 once compared equal to no entry and gave an empty class, and True
+    # was read as colour 1
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+    def test_non_integer_colour_rejected(self, bad):
+        with pytest.raises(InputError, match="colour index must be an integer"):
+            colour_class(random_colouring(5, 2, 0), bad)
+
+    def test_numpy_colour_accepted(self):
+        c = random_colouring(9, 3, 1)
+        for i in (np.int64(2), np.uint8(2), np.int16(2)):
+            assert colour_class(c, i).row_masks() == colour_class(c, 2).row_masks()
+
     def test_matches_validating_graph(self):
-        # colour_class packs the table unchecked; the validating Graph and
-        # the dense table itself must agree with it
+        # colour_class packs the table unchecked, a row block at a time; the
+        # validating Graph and the dense table itself must agree with it
+        self.check_against_graph()
+
+    @pytest.mark.parametrize("block", [1, 50, 300])
+    def test_matches_validating_graph_in_any_row_block(self, block, monkeypatch):
+        # blocks of one row, of a few rows and of every row of the small cases
+        monkeypatch.setattr(colouring, "_BLOCK", block)
+        self.check_against_graph()
+
+    @staticmethod
+    def check_against_graph():
         incomplete = colouring_from_classes(6, [[(0, 1), (1, 2)], [(3, 4), (0, 5)]], validate=False)
         cases = [
             random_colouring(2, 1, 0),
             random_colouring(17, 3, 1),
             random_colouring(130, 5, 2),
+            random_colouring(1000, 4, 6),  # by default 15 blocks of 65 rows, then 25
             binary_colouring(4),
             product_colouring(binary_colouring(2), random_colouring(5, 2, 3)),
             incomplete,
             product_colouring(incomplete, binary_colouring(1)),
+            product_colouring(incomplete, random_colouring(70, 2, 4)),  # n = 420
         ]
         for c in cases:
             for i in range(c.q):
@@ -256,6 +280,50 @@ class TestColourClass:
                 assert np.array_equal(got.masked_matrix(), c.table == i)
                 assert np.array_equal(got.active_mask, want.active_mask)
                 assert got.edge_count() == want.edge_count()
+
+
+class TestIntegerDimensions:
+    """Sizes, colour counts and colour indices are Python or numpy integers;
+    a float, a bool or a string is an InputError, never a wrong colouring
+    or numpy's TypeError."""
+
+    BAD = [2.0, 2.5, True, "2", None]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_random_colouring(self, bad):
+        with pytest.raises(InputError, match="n must be an integer"):
+            random_colouring(bad, 2, 0)
+        with pytest.raises(InputError, match="q must be an integer"):
+            random_colouring(5, bad, 0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_builders(self, bad):
+        with pytest.raises(InputError, match="q must be an integer"):
+            binary_colouring(bad)
+        with pytest.raises(InputError, match="m must be an integer"):
+            hamilton_colouring(bad)
+        with pytest.raises(InputError, match="n must be an integer"):
+            colouring_from_classes(bad, [[(0, 1)]])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_edge_colouring(self, bad):
+        table = random_colouring(5, 2, 0).table
+        with pytest.raises(InputError, match="n must be an integer"):
+            EdgeColouring(bad, 2, table)
+        with pytest.raises(InputError, match="q must be an integer"):
+            EdgeColouring(5, bad, table)
+
+    def test_numpy_integers_accepted(self):
+        n, q = np.int64(9), np.uint8(3)
+        c = random_colouring(n, q, 4)
+        assert c == random_colouring(9, 3, 4)
+        assert (type(c.n), type(c.q)) == (int, int)
+        assert c.provenance == random_colouring(9, 3, 4).provenance
+        assert binary_colouring(np.int32(3)) == binary_colouring(3)
+        assert hamilton_colouring(np.int16(3)) == hamilton_colouring(3)
+        again = EdgeColouring(n, q, c.table)
+        assert again == c and (type(again.n), type(again.q)) == (int, int)
+        assert colouring_from_classes(np.int64(3), [[(0, 1), (1, 2)], [(0, 2)]]).n == 3
 
 
 class TestValidation:
@@ -840,6 +908,19 @@ def test_hamilton_build_memory_bounded():
     out = []
     peak = _peak_bytes(lambda: out.append(hamilton_colouring(511)))
     assert peak <= out[0].table.nbytes + 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_colour_class_memory_bounded(seed):
+    # K_4097 in 12 random colours, one class: its 4097 row ints take about
+    # 2.3 MiB. Comparing the whole table at once made a 16 MiB bool
+    # temporary (peak near 22.3 MiB); one row block at a time peaks near
+    # 2.4 MiB
+    c = random_colouring(4097, 12, seed)
+    out = []
+    peak = _peak_bytes(lambda: out.append(colour_class(c, 5)))
+    assert out[0].row_masks() == Graph(c.table == 5).row_masks()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -373,6 +373,17 @@ class TestTwinFree:
         assert {None, 3, 5, 7, 9, 11, 13} <= girths
         assert collapsed > 100
 
+    def test_inactive_vertex_never_stands_for_an_isolated_one(self):
+        # vertex 0 is inactive and vertex 1 active and isolated: both rows
+        # are 0, and only 1 may be kept. Vertices 2 and 4 are twins (row {3})
+        g = Graph.from_edges(6, [(0, 3), (2, 3), (3, 4), (4, 5)]).without([0, 5])
+        view = _twin_free(g)
+        assert view.row_masks()[0] == view.row_masks()[1] == 0
+        assert view.active_vertices().tolist() == [1, 2, 3]
+        assert view.edge_count() == 1
+        # with every zero-row vertex inactive, no zero row is kept at all
+        assert _twin_free(g.without([1])).active_vertices().tolist() == [2, 3]
+
 
 class TestConflictCycleAgainstLayerScan:
     """The kernel's inner masks and same-layer edges against the per-layer
@@ -401,6 +412,84 @@ class TestConflictCycleAgainstLayerScan:
                         hits += edge is not None
                         misses += edge is None
         assert hits > 1000 and misses > 1000
+
+
+def _mask_of(vertices):
+    return sum(1 << v for v in vertices)
+
+
+class TestBfsKernelAgainstDistances:
+    """Each BFS layer of the kernel is the set of vertices at that distance
+    (Floyd-Warshall), each inner mask the layer's vertices with a neighbour
+    in it, and the conflict edge the per-layer scan's, from every root of
+    random graphs whose widest layers hold 64 or more vertices."""
+
+    @pytest.mark.parametrize("seed,frac", [(0, 0.0), (1, 0.2)])
+    def test_layers_and_inner_masks(self, seed, frac):
+        rng = np.random.default_rng(seed)
+        g = _masked(random_graph(130, 0.08, seed), rng, frac)
+        dist = naive_distance_matrix(g)
+        masks = g.row_masks()
+        widest = conflicts = 0
+        for root in (int(v) for v in g.active_vertices()):
+            layers = []
+            for layer, inner in _bfs(masks, root):
+                depth = len(layers)
+                layers.append(layer)
+                where = (seed, root, depth)
+                assert layer == _mask_of(v for v in range(g.n) if dist[root][v] == depth), where
+                members = [v for v in range(g.n) if layer >> v & 1]
+                assert inner == _mask_of(v for v in members if masks[v] & layer), where
+                edge = layer_edge_by_scan(masks, layer)
+                cycle = _conflict_cycle(masks, layers, inner) if inner else None
+                assert (cycle and (cycle.vertices[0], cycle.vertices[-1])) == edge, where
+                conflicts += cycle is not None
+                widest = max(widest, len(members))
+            reachable = _mask_of(v for v in range(g.n) if dist[root][v] < np.inf)
+            assert sum(layers) == reachable, (seed, root)
+        assert widest >= 64 and conflicts > 100
+
+
+def _disjoint_odd_cycles(lengths, seed):
+    """Disjoint cycles of the given lengths, vertices shuffled."""
+    perm = np.random.default_rng(seed).permutation(sum(lengths)).tolist()
+    edges, start = [], 0
+    for m in lengths:
+        edges += [(perm[start + i], perm[start + (i + 1) % m]) for i in range(m)]
+        start += m
+    return Graph.from_edges(start, edges)
+
+
+class TestOddGirthOnStructuredClasses:
+    """The root sweep against the double-cover sweep on disjoint cycles and
+    on whole (not twin-free) classes of Hamilton products, where each BFS
+    must run to a long odd cycle."""
+
+    @pytest.mark.parametrize("lengths,girth", [
+        ((9, 7, 11), 7), ((8, 13, 6, 9), 9), ((4, 6, 10), None), ((5,) * 6, 5),
+        ((21, 3), 3), ((15, 17, 19), 15),
+    ])
+    def test_disjoint_cycles(self, lengths, girth):
+        for seed in range(3):
+            g = _disjoint_odd_cycles(lengths, seed)
+            assert odd_girth_by_double_cover(g) == girth
+            got = odd_girth(g)
+            assert (got and got[0]) == girth
+            if girth is not None:
+                assert got[1].length == girth
+                assert verify_mono_odd_cycle(g, got[1]) is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_hamilton_product_classes(self, m):
+        rng = np.random.default_rng(m)
+        c = _relabelled(product_colouring(hamilton_colouring(m), hamilton_colouring(m)), rng)
+        for i in range(c.q):
+            g = colour_class(c, i)
+            expected = odd_girth_by_double_cover(g)
+            assert expected == 2 * m + 1
+            length, cert = odd_girth(g)
+            assert length == cert.length == expected
+            assert verify_mono_odd_cycle(g, cert) is None
 
 
 class TestOddCycleFromWalk:
