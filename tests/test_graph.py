@@ -450,7 +450,7 @@ class TestBfsKernelAgainstDistances:
         assert widest >= 64 and conflicts > 100
 
 
-def _disjoint_odd_cycles(lengths, seed):
+def _disjoint_cycles(lengths, seed):
     """Disjoint cycles of the given lengths, vertices shuffled."""
     perm = np.random.default_rng(seed).permutation(sum(lengths)).tolist()
     edges, start = [], 0
@@ -471,7 +471,7 @@ class TestOddGirthOnStructuredClasses:
     ])
     def test_disjoint_cycles(self, lengths, girth):
         for seed in range(3):
-            g = _disjoint_odd_cycles(lengths, seed)
+            g = _disjoint_cycles(lengths, seed)
             assert odd_girth_by_double_cover(g) == girth
             got = odd_girth(g)
             assert (got and got[0]) == girth
