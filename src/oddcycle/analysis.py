@@ -1,6 +1,12 @@
 """Exact small-case computation, heuristic extremal search, and the
 experiment grid.
 
+The grid and ``oddcycle gen``/``find`` share one run path:
+``_build_colouring`` makes a colouring by generator name and ``_run_method``
+runs a search by method name, the pipeline on ``PipelineParams`` with only
+the keys its caller sets. A grid cell thus gets the command line's argument
+checks, inside the ``try`` that turns its failure into an error row.
+
 The small-case quantity is the worst colouring's best cycle: over all
 q-colourings of K_n, maximize the minimum monochromatic odd cycle length.
 Internally "no monochromatic odd cycle" is the sentinel n+1 so maximization
@@ -63,15 +69,17 @@ from .colouring import (
     _pair_colours,
     _seeded,
     binary_colouring,
+    product_colouring,
     random_colouring,
 )
-from .errors import InputError, InternalInconsistency, NoMonochromaticOddCycle
+from .errors import InputError, InternalInconsistency, PipelineAssertError
 from .graph import Graph, _bfs, _scalar_id, odd_girth
 from .pipeline import (
     LevelTrace,
     MonoOddCycle,
     PipelineParams,
     PipelineTrace,
+    _oracle_result,
     find_mono_odd_cycle,
     min_colour_odd_cycle,
     proposition_pipeline,
@@ -365,7 +373,7 @@ def anneal_search(q, n, iterations, seed, init=None):
 
 @dataclass
 class ExperimentRow:
-    q: int
+    q: int | None
     n: int
     seed: int | None
     method: str
@@ -382,33 +390,34 @@ class ExperimentRow:
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
-def _build_colouring(spec):
-    kind = spec.get("generator", "random")
-    q = int(spec["q"])
+def _build_colouring(kind, q, n, seed, other):
+    """The colouring of generator ``kind``: binary of K_{2^q}, random of K_n
+    from an integer seed, or the product of binary(q) with ``other``."""
     if kind == "binary":
         return binary_colouring(q)
     if kind == "random":
-        return random_colouring(int(spec["n"]), q, spec.get("_seed"))
+        if n is None or seed is None:
+            raise InputError("random generator needs n and seed")
+        return random_colouring(n, q, _scalar_id(seed, "seed must be an integer"))
+    if kind == "product":
+        if other is None:
+            raise InputError("product generator needs a second colouring")
+        return product_colouring(binary_colouring(q), other)
     raise InputError(f"unknown generator {kind!r}")
 
 
-def _run_method(colouring, method, spec):
-    if method == "oracle":
-        best = min_colour_odd_cycle(colouring)
-        if best is None:
-            raise NoMonochromaticOddCycle("every colour class is bipartite")
-        _, length, cert = best
-        trace = PipelineTrace([LevelTrace(0, colouring.q, colouring.n, branch="base")])
-        return MonoOddCycle(cert, colouring.n, trace)
+def _run_method(colouring, method, params, delta):
+    """Result of ``method`` on ``colouring``: the pipeline on
+    ``PipelineParams(**params)``, the proposition at ``delta`` (1 when
+    None), or the base branch's odd-girth oracle with its trace record."""
     if method == "pipeline":
-        params = PipelineParams(
-            eps=float(spec.get("eps", 0.5)),
-            C=float(spec.get("C", 4.0)),
-            fallback=spec.get("fallback", "oracle"),
-        )
-        return find_mono_odd_cycle(colouring, params)
+        return find_mono_odd_cycle(colouring, PipelineParams(**params))
     if method == "proposition":
-        return proposition_pipeline(colouring, spec.get("delta", 1))
+        return proposition_pipeline(colouring, 1 if delta is None else delta)
+    if method == "oracle":
+        lvl = LevelTrace(0, colouring.q, colouring.n, branch="base")
+        cert, bound = _oracle_result(colouring, lvl, min_colour_odd_cycle(colouring))
+        return MonoOddCycle(cert, bound, PipelineTrace([lvl]))
     raise InputError(f"unknown method {method!r}")
 
 
@@ -416,35 +425,38 @@ def experiment_table(config):
     """Run the configured grid and return ExperimentRows in grid order.
 
     config = {"timing": bool, "grid": [{generator, q, n?, seeds?, methods,
-    delta?, eps?, C?, fallback?}, ...]}. With timing off (the default) the
+    delta?, eps?, C?, fallback?}, ...]}; InputError unless grid is a list of
+    objects with list seeds and methods. With timing off (the default) the
     wall_time_ms column stays empty so output bytes are a pure function of
-    the config. Failures become rows with the error column set.
+    the config. Failures, malformed cells too, become rows with the error
+    column set.
     """
+    grid = config.get("grid", []) if isinstance(config, dict) else None
+    if not isinstance(grid, list) or not all(isinstance(cell, dict) for cell in grid):
+        raise InputError("config must be an object whose grid is a list of objects")
+    plan = [(cell, cell.get("seeds", [None]), cell.get("methods", ["oracle"])) for cell in grid]
+    if not all(isinstance(seeds, list) and isinstance(methods, list) for _, seeds, methods in plan):
+        raise InputError("each grid cell's seeds and methods must be lists")
     timing = bool(config.get("timing", False))
     rows = []
-    for spec in config.get("grid", []):
-        seeds = spec.get("seeds", [None])
-        methods = spec.get("methods", ["oracle"])
-        for seed in seeds:
-            cell = dict(spec)
-            cell["_seed"] = seed
-            for method in methods:
-                row = ExperimentRow(
-                    q=int(spec["q"]), n=0, seed=seed, method=method
-                )
-                start = time.perf_counter()
-                try:
-                    colouring = _build_colouring(cell)
-                    row.n = colouring.n
-                    result = _run_method(colouring, method, cell)
-                    row.cycle_length = result.certificate.length
-                    row.bound_claimed = result.bound_claimed
-                    row.branch = result.trace.last().branch
-                except (InputError, InternalInconsistency) as exc:
-                    row.error = f"{type(exc).__name__}: {exc}"
-                if timing:
-                    row.wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
-                rows.append(row)
+    for cell, seeds, methods in plan:
+        params = {key: cell[key] for key in ("eps", "C", "fallback") if key in cell}
+        for seed, method in itertools.product(seeds, methods):
+            row = ExperimentRow(q=None, n=0, seed=seed, method=method)
+            start = time.perf_counter()
+            try:
+                colouring = _build_colouring(cell.get("generator", "random"), cell.get("q"),
+                                             cell.get("n"), seed, None)
+                row.q, row.n = colouring.q, colouring.n
+                result = _run_method(colouring, method, params, cell.get("delta"))
+                row.cycle_length = result.certificate.length
+                row.bound_claimed = result.bound_claimed
+                row.branch = result.trace.last().branch
+            except (InputError, InternalInconsistency, PipelineAssertError) as exc:
+                row.error = f"{type(exc).__name__}: {exc}"
+            if timing:
+                row.wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
+            rows.append(row)
     return rows
 
 

@@ -4,31 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-from .graph import Graph
-
-
-def _check_sizes(*sizes):
-    if min(sizes) < 0:
-        raise InputError(f"graph size must be >= 0, got {min(sizes)}")
+from .graph import Graph, _size
 
 
 def cycle_graph(m):
+    m = _size(m)
     return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def path_graph(m):
+    m = _size(m)
     return Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
 
 
 def complete_graph(n):
-    _check_sizes(n)
+    n = _size(n)
     adj = ~np.eye(n, dtype=bool)
     return Graph(adj)
 
 
 def complete_bipartite_graph(a, b):
-    _check_sizes(a, b)
+    a, b = _size(a), _size(b)
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     adj[a:, :a] = True
@@ -43,12 +39,12 @@ def petersen_graph():
 
 
 def empty_graph(n):
-    _check_sizes(n)
+    n = _size(n)
     return Graph(np.zeros((n, n), dtype=bool))
 
 
 def random_graph(n, p, seed):
-    _check_sizes(n)
+    n = _size(n)
     rng = np.random.default_rng(seed)
     upper = rng.random((n, n)) < p
     adj = np.triu(upper, 1)
@@ -59,7 +55,7 @@ def random_graph(n, p, seed):
 def random_bipartite_graph(n, p, seed):
     """Random bipartite graph: vertices split uniformly into two sides, each
     cross pair an edge with probability p."""
-    _check_sizes(n)
+    n = _size(n)
     rng = np.random.default_rng(seed)
     side = rng.integers(0, 2, size=n).astype(bool)
     cross = side[:, None] != side[None, :]

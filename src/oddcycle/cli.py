@@ -14,31 +14,20 @@ import sys
 
 import click
 
-from .analysis import _run_method, anneal_search, experiment_table, exhaustive_L, rows_to_csv
+from .analysis import (
+    _build_colouring,
+    _run_method,
+    anneal_search,
+    experiment_table,
+    exhaustive_L,
+    rows_to_csv,
+)
 from .certify import verify_mono_odd_cycle, verify_peel
-from .colouring import (
-    binary_colouring,
-    colour_class,
-    product_colouring,
-    random_colouring,
-    read_colouring,
-    write_colouring,
-)
-from .errors import (
-    InputError,
-    InternalInconsistency,
-    ParseError,
-    PipelineAssertError,
-)
+from .colouring import colour_class, read_colouring, write_colouring
+from .errors import InputError, InternalInconsistency, ParseError, PipelineAssertError
 from .graph import OddCycleCertificate
 from .peeling import ShortCycle, peel
-from .pipeline import (
-    PipelineParams,
-    default_k_rule,
-    default_small_threshold_rule,
-    find_mono_odd_cycle,
-    proposition_pipeline,
-)
+from .pipeline import PipelineParams
 
 
 def _guarded(fn):
@@ -79,16 +68,8 @@ def gen(kind, q, n, seed, in2, out):
     colouring of K_n (needs --n, --seed). product: the product of the binary
     colouring of K_{2^q} with the colouring read from --in2.
     """
-    if kind == "binary":
-        colouring = binary_colouring(q)
-    elif kind == "random":
-        if n is None or seed is None:
-            raise InputError("random generator needs --n and --seed")
-        colouring = random_colouring(n, q, seed)
-    else:
-        if in2 is None:
-            raise InputError("product generator needs --in2")
-        colouring = product_colouring(binary_colouring(q), read_colouring(in2))
+    other = read_colouring(in2) if kind == "product" and in2 is not None else None
+    colouring = _build_colouring(kind, q, n, seed, other)
     write_colouring(colouring, out)
     click.echo(f"wrote {colouring.n}-vertex {colouring.q}-colouring to {out}")
 
@@ -117,32 +98,25 @@ def _read_certificate(path):
 @main.command("find")
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--method", type=click.Choice(["pipeline", "proposition", "oracle"]), required=True)
-@click.option("--eps", type=float, default=0.5, show_default=True)
-@click.option("--C", "big_c", type=float, default=4.0, show_default=True)
-@click.option("--delta", type=float, default=1.0, show_default=True)
+@click.option("--eps", type=float, default=PipelineParams.eps, show_default=True)
+@click.option("--C", "big_c", type=float, default=PipelineParams.C, show_default=True)
+@click.option("--delta", type=float, default=None, help="proposition's delta in (0, 1]; 1 if unset")
 @click.option("--k-rule", "k_rule", type=str, default=None, help="expression in q, e.g. '8*q**3'")
 @click.option("--small-rule", "small_rule", type=str, default=None, help="expression in q, e.g. '4*q**10'")
-@click.option("--fallback", type=click.Choice(["oracle", "fail"]), default="oracle", show_default=True)
+@click.option("--fallback", type=click.Choice(["oracle", "fail"]), default=PipelineParams.fallback,
+              show_default=True)
 @click.option("--out-cert", type=click.Path(dir_okay=False), required=True)
 @click.option("--trace", type=click.Path(dir_okay=False), required=True)
 @_guarded
 def find(infile, method, eps, big_c, delta, k_rule, small_rule, fallback, out_cert, trace):
     """Find a monochromatic odd cycle in a colouring file."""
     colouring = read_colouring(infile)
-    spec = {"eps": eps, "C": big_c, "delta": delta, "fallback": fallback}
-    if method == "pipeline":
-        params = PipelineParams(
-            eps=eps,
-            C=big_c,
-            k_of_q=_rule(k_rule) if k_rule else default_k_rule,
-            small_threshold_of_q=_rule(small_rule) if small_rule else default_small_threshold_rule,
-            fallback=fallback,
-        )
-        result = find_mono_odd_cycle(colouring, params)
-    elif method == "proposition":
-        result = proposition_pipeline(colouring, delta)
-    else:
-        result = _run_method(colouring, "oracle", spec)
+    params = {"eps": eps, "C": big_c, "fallback": fallback}
+    if k_rule:
+        params["k_of_q"] = _rule(k_rule)
+    if small_rule:
+        params["small_threshold_of_q"] = _rule(small_rule)
+    result = _run_method(colouring, method, params, delta)
     _write_certificate(result, out_cert)
     with open(trace, "w") as fh:
         fh.write(result.trace.to_json_lines())
@@ -280,8 +254,11 @@ def search(q, n, iters, seed, out):
 @_guarded
 def table(config, out):
     """Run an experiment grid from a JSON config and write CSV."""
-    with open(config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(config) as fh:
+            cfg = json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON, or an int past Python's digit limit
+        raise ParseError(f"config is not JSON: {exc}") from None
     rows = experiment_table(cfg)
     with open(out, "w") as fh:
         fh.write(rows_to_csv(rows))

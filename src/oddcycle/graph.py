@@ -18,6 +18,7 @@ neighbour in layer d-1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 
@@ -45,6 +46,21 @@ def _scalar_id(v, what="ids must be integers"):
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise InputError(f"{what}, not {type(v).__name__}")
     return int(v)
+
+
+def _real(x, name):
+    """``x`` itself; InputError unless it is a real number (a bool is not)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InputError(f"{name} must be a real number, not {type(x).__name__}")
+    return x
+
+
+def _size(n):
+    """A graph size as an int; InputError unless it is an integer >= 0."""
+    n = _scalar_id(n, "graph size must be an integer")
+    if n < 0:
+        raise InputError(f"graph size must be >= 0, got {n}")
+    return n
 
 
 def _integer_ids(ids, message):
@@ -136,8 +152,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        if n < 0:
-            raise InputError(f"graph size must be >= 0, got {n}")
+        n = _size(n)
         rows = [0] * n
         for u, v in edges:
             u, v = _scalar_id(u), _scalar_id(v)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -64,6 +65,7 @@ from .graph import (
     OddCycleCertificate,
     _component_masks,
     _integer_ids,
+    _real,
     _twin_free,
     _unpack_rows,
     check_bipartite,
@@ -99,8 +101,10 @@ class PipelineParams:
     fallback: str = "oracle"  # "oracle" | "fail"
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
+        if not 0 < _real(self.eps, "eps") < 1:
             raise InputError(f"eps must lie in (0,1), got {self.eps}")
+        if not 0 < _real(self.C, "C") <= sys.float_info.max:  # the base test divides C as a float
+            raise InputError(f"C must be finite and positive, got {self.C}")
         if self.fallback not in ("oracle", "fail"):
             raise InputError(f"fallback must be 'oracle' or 'fail', got {self.fallback!r}")
 
@@ -254,7 +258,10 @@ def find_mono_odd_cycle(c, params=None):
     return MonoOddCycle(certificate=cert, bound_claimed=bound, trace=trace)
 
 
-def _oracle_result(c, lvl, best):
+def _oracle_result(c, lvl, best, fallback=False):
+    """The oracle's ``best`` cycle with the bound n, recorded in ``lvl``
+    (``fallback`` marks the answer as a fallback)."""
+    lvl.fallback_used = fallback
     if best is None:
         raise NoMonochromaticOddCycle(
             "every colour class is bipartite; no monochromatic odd cycle exists"
@@ -295,15 +302,13 @@ def _find_level(c, params, trace, level):
             reduced, kept = reduce_bipartite_colour(c, i, got)
             lvl.sizes["reduced_n"] = reduced.n
             if reduced.n < 3:  # q >= 3 here, so reduced.q >= 2
-                lvl.fallback_used = True
-                return _oracle_result(c, lvl, min_colour_odd_cycle(c))
+                return _oracle_result(c, lvl, min_colour_odd_cycle(c), fallback=True)
             try:
                 sub_cert, sub_bound = _find_level(reduced, params, trace, level + 1)
             except NoMonochromaticOddCycle:
                 # Out of the complete-colouring regime the discarded side may
                 # hold every odd cycle; answer from the oracle instead.
-                lvl.fallback_used = True
-                return _oracle_result(c, lvl, min_colour_odd_cycle(c))
+                return _oracle_result(c, lvl, min_colour_odd_cycle(c), fallback=True)
             verts = [int(kept[v]) for v in sub_cert.vertices]
             colour = sub_cert.colour
             if colour is not None and colour >= i:
@@ -412,8 +417,7 @@ def _find_level(c, params, trace, level):
     lvl.asserts_failed.append("survivor-count")
 
     if params.fallback == "oracle":
-        lvl.fallback_used = True
-        return _oracle_result(c, lvl, best)
+        return _oracle_result(c, lvl, best, fallback=True)
     raise PipelineAssertError(
         "selector branch asserts failed: " + ", ".join(lvl.asserts_failed),
         failed=lvl.asserts_failed,
@@ -487,7 +491,10 @@ def proposition_pipeline(c, delta, q=None):
         q = c.q
     if c.q > q:
         raise InputError(f"colouring uses {c.q} colours, more than the stated {q}")
-    d = Fraction(delta)
+    try:  # int and Fraction exactly, other reals (numpy's too) as their float
+        d = Fraction(delta if isinstance(_real(delta, "delta"), (int, Fraction)) else float(delta))
+    except (ValueError, OverflowError):  # nan, inf
+        raise InputError(f"delta must be finite, got {delta}") from None
     if not 0 < d <= 1:
         raise InputError(f"delta must lie in (0, 1], got {delta}")
     needed = math.ceil((1 + d) * 2**q)

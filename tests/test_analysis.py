@@ -1,3 +1,4 @@
+import json
 import random
 import time
 import tracemalloc
@@ -11,13 +12,16 @@ from oddcycle import (
     Bipartition,
     Graph,
     InputError,
+    PipelineParams,
     binary_colouring,
     check_bipartite,
     colour_class,
     colouring_from_classes,
     exhaustive_L,
+    find_mono_odd_cycle,
     hamilton_colouring,
     odd_girth,
+    random_colouring,
 )
 from oddcycle import analysis
 from oddcycle.analysis import (
@@ -468,3 +472,51 @@ class TestExperimentTable:
         cfg = {"timing": True, "grid": [{"generator": "random", "q": 2, "n": 5, "seeds": [0], "methods": ["oracle"]}]}
         rows = experiment_table(cfg)
         assert rows[0].wall_time_ms is not None
+
+    def test_malformed_cells_become_error_rows(self):
+        good = {"generator": "random", "q": 2, "n": 5, "seeds": [0], "methods": ["oracle"]}
+        bad = [
+            {"generator": "random", "q": 2, "n": 5, "methods": ["oracle"]},  # no seeds
+            {"generator": "random", "q": 2.7, "n": 5, "seeds": [0]},  # ran as q = 2
+            {"generator": "random", "n": 5, "seeds": [0]},  # KeyError
+            {"generator": "binary", "q": "abc"},  # ValueError
+            {"generator": "random", "q": 2, "seeds": [0]},  # KeyError
+            {"generator": "random", "q": 2, "n": 5.0, "seeds": [0]},
+            {"generator": "random", "q": 2, "n": 5, "seeds": [1.5, [1, 2], True]},
+            {"generator": "product", "q": 2, "seeds": [0]},
+            {"generator": "random", "q": 2, "n": 5, "seeds": [0], "methods": ["nope", 7]},
+            {"generator": "random", "q": 2, "n": 5, "seeds": [0], "methods": ["pipeline"],
+             "eps": "0.5"},
+        ]
+        rows = experiment_table({"grid": [good, *bad, good]})
+        assert len(rows) == 2 + len(bad) + 3
+        assert rows[0] == rows[-1] and not rows[0].error and rows[0].cycle_length == 3
+        for row in rows[1:-1]:
+            assert row.error.startswith("InputError: "), row
+            assert row.cycle_length is None and row.branch == ""
+        assert rows_to_csv(rows) == rows_to_csv(experiment_table({"grid": [good, *bad, good]}))
+
+    @pytest.mark.parametrize("config", [
+        [], {"grid": {"q": 3}}, {"grid": [3]}, {"grid": [CONFIG["grid"][1], None]},
+        {"grid": [{"q": 3, "methods": "oracle"}]}, {"grid": [{"q": 3, "seeds": 0}]},
+    ])
+    def test_config_of_wrong_shape_rejected(self, config):
+        with pytest.raises(InputError, match="grid|seeds and methods"):
+            experiment_table(config)
+
+    def test_pipeline_defaults_are_the_params_defaults(self):
+        # a cell that sets no pipeline key runs PipelineParams() itself
+        cell = {"generator": "random", "q": 3, "n": 9, "seeds": [4], "methods": ["pipeline"]}
+        (row,) = experiment_table({"grid": [cell]})
+        want = find_mono_odd_cycle(random_colouring(9, 3, 4), PipelineParams())
+        assert (row.cycle_length, row.bound_claimed) == (want.certificate.length, want.bound_claimed)
+        (row,) = experiment_table({"grid": [dict(cell, C=-1.0)]})
+        assert "C must be finite and positive" in row.error
+
+    def test_oracle_method_writes_the_base_record(self):
+        c = random_colouring(9, 3, 7)
+        got = analysis._run_method(c, "oracle", {}, None)
+        (record,) = [json.loads(line) for line in got.trace.to_json_lines().splitlines()]
+        assert record["bound_claimed"] == got.bound_claimed == 9
+        assert record["sizes"] == {"oracle_length": got.certificate.length}
+        assert record["branch"] == "base"

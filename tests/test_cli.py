@@ -83,6 +83,34 @@ class TestFindVerify:
             verdict = runner.invoke(main, ["verify", "--in", str(col), "--cert", str(cert)])
             assert verdict.exit_code == 0
 
+    @pytest.mark.parametrize("n, q, seed", [(9, 3, 7), (16, 3, 11), (8, 2, 3)])
+    def test_oracle_trace_records_its_bound(self, runner, tmp_path, n, q, seed):
+        # the trace record is the base branch's: bound and oracle length set
+        col = gen_random(runner, tmp_path / "c.txt", n=n, q=q, seed=seed)
+        cert, trace = tmp_path / "o.cert", tmp_path / "o.trace"
+        result = runner.invoke(main, ["find", "--in", str(col), "--method", "oracle",
+                                      "--out-cert", str(cert), "--trace", str(trace)])
+        assert result.exit_code == 0, result.output
+        printed = int(result.output.rsplit("claimed bound", 1)[1].strip(" )\n"))
+        (record,) = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert record["bound_claimed"] == printed == n
+        assert record["branch"] == "base" and not record["fallback_used"]
+        assert record["sizes"] == {"oracle_length": len(cert.read_text().split()) - 2}
+
+    @pytest.mark.parametrize("method, option, value", [
+        ("proposition", "--delta", "nan"), ("proposition", "--delta", "inf"),
+        ("proposition", "--delta", "0"), ("pipeline", "--C", "nan"),
+        ("pipeline", "--C", "inf"), ("pipeline", "--C", "-1"), ("pipeline", "--eps", "nan"),
+    ])
+    def test_bad_real_option_exits_2(self, runner, tmp_path, method, option, value):
+        col = gen_random(runner, tmp_path / "c.txt", n=16, q=3, seed=11)
+        trace = tmp_path / "x.trace"
+        result = runner.invoke(main, ["find", "--in", str(col), "--method", method, option, value,
+                                      "--out-cert", str(tmp_path / "x.cert"), "--trace", str(trace)])
+        assert result.exit_code == 2, result.output
+        assert "input error" in result.stderr and "Traceback" not in result.output
+        assert not trace.exists()
+
     def test_rule_overrides_accepted(self, runner, tmp_path):
         col = gen_random(runner, tmp_path / "c.txt")
         result = runner.invoke(
@@ -149,12 +177,12 @@ class TestFindVerify:
 
     def test_internal_inconsistency_exits_3(self, runner, tmp_path, monkeypatch):
         col = gen_random(runner, tmp_path / "c.txt")
-        import oddcycle.cli as cli_mod
+        import oddcycle.analysis as run_mod  # the module whose runner find calls
 
         def boom(*args, **kwargs):
             raise InternalInconsistency("forced", witness={"edge": (0, 1)})
 
-        monkeypatch.setattr(cli_mod, "find_mono_odd_cycle", boom)
+        monkeypatch.setattr(run_mod, "find_mono_odd_cycle", boom)
         result = runner.invoke(
             main,
             ["find", "--in", str(col), "--method", "pipeline",
@@ -267,3 +295,30 @@ class TestAnalysisCommands:
         r2 = runner.invoke(main, ["table", "--config", str(cfg), "--out", str(out2)])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("config", [
+        '[]', '{"grid": {"q": 3}}', '{"grid": [3]}', '{"grid": [{"q": 3, "methods": "oracle"}]}',
+        '{"grid": [{"q": 3, "seeds": 0}]}', '{"grid": [',
+        pytest.param('{"grid": [{"q": 1' + '0' * 5000 + '}]}', id="int-past-digit-limit"),
+    ])
+    def test_table_config_of_wrong_shape_exits_2(self, runner, tmp_path, config):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(config)
+        result = runner.invoke(main, ["table", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "input error" in result.stderr
+        assert not out.exists()
+
+    def test_table_malformed_cells_become_error_rows(self, runner, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"grid": [
+            {"generator": "random", "q": "abc", "n": 9, "seeds": [0]},
+            {"generator": "random", "q": 3, "n": 9},
+            {"generator": "random", "q": 3, "n": 9, "seeds": [0]},
+        ]}))
+        result = runner.invoke(main, ["table", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert "InputError" in lines[1] and "InputError" in lines[2]
+        assert lines[3].startswith("3,9,0,oracle,3,9,base,,")

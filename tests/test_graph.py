@@ -757,6 +757,32 @@ def test_builders_reject_negative_sizes(builder):
         NEGATIVE_SIZES[builder]()
 
 
+NON_INTEGER_SIZES = {
+    "from_edges_bool": lambda: Graph.from_edges(True, []),  # was a 1-vertex graph
+    "from_edges_float": lambda: Graph.from_edges(5.0, []),
+    "cycle": lambda: cycle_graph(5.0),
+    "path": lambda: path_graph("5"),
+    "complete": lambda: complete_graph(True),
+    "complete_bipartite_a": lambda: complete_bipartite_graph(2.0, 3),
+    "complete_bipartite_b": lambda: complete_bipartite_graph(2, None),
+    "empty": lambda: empty_graph(np.float64(3)),
+    "random": lambda: random_graph(5.0, 0.5, 0),
+    "random_bipartite": lambda: random_bipartite_graph(False, 0.5, 0),
+}
+
+
+@pytest.mark.parametrize("builder", NON_INTEGER_SIZES)
+def test_builders_reject_non_integer_sizes(builder):
+    with pytest.raises(InputError, match="graph size must be an integer"):
+        NON_INTEGER_SIZES[builder]()
+
+
+def test_builders_take_numpy_integer_sizes():
+    assert cycle_graph(np.int64(5)).n == 5 and Graph.from_edges(np.int32(3), [(0, 1)]).n == 3
+    assert complete_bipartite_graph(np.uint8(2), np.int16(3)).edge_count() == 6
+    assert random_graph(np.int64(6), 0.5, 0).n == empty_graph(np.int8(6)).n == 6
+
+
 def assert_matches_dense(g, adj, active):
     """Every query of g against dense numpy on the input matrix and mask."""
     n = len(adj)

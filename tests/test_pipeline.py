@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -529,9 +531,6 @@ class TestProposition:
     def test_short_cycle_on_random_colourings_grid(self):
         # module invariant: 100 random colourings per (q, delta) always
         # return via a short cycle within 2k+1, never the pigeonhole
-        import math
-        from fractions import Fraction
-
         for q in range(2, 7):
             for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
                 n = math.ceil((1 + delta) * 2**q)
@@ -585,6 +584,21 @@ class TestProposition:
             proposition_pipeline(random_colouring(8, 2, 0), 0)
         with pytest.raises(InputError):
             proposition_pipeline(random_colouring(8, 2, 0), 1, q=1)
+
+    @pytest.mark.parametrize("delta", [True, "1/2", None, 0.5j, math.nan, math.inf, -math.inf,
+                                       np.float64(math.nan), np.bool_(True), [0.5]])
+    def test_delta_not_a_finite_real_rejected(self, delta):
+        # True ran as 1 and '1/2' as 1/2; nan, inf and None raised Python's own errors
+        with pytest.raises(InputError, match="delta"):
+            proposition_pipeline(random_colouring(16, 3, 0), delta)
+
+    @pytest.mark.parametrize("delta", [1, 0.5, Fraction(1, 2), np.int64(1), np.float32(0.5),
+                                       np.float64(0.25)])
+    def test_delta_real_kinds_accepted(self, delta):
+        c = random_colouring(16, 3, 0)
+        got = proposition_pipeline(c, delta)
+        assert got.trace.last().params["delta"] == float(delta)
+        assert verify_mono_odd_cycle(c, got.certificate) is None
 
 
 class TestSignatures:
@@ -848,3 +862,26 @@ class TestTraces:
             '"sizes": {"delta": 1.0, "n_prime": 12, "oracle_length": 9, "removed_total": 15, '
             '"small_vertex_counts": [12, 12, 12], "survivor_count": 12}, '
             '"steps": ["short-cycle-probe", "peel-all", "component-split"]}\n')
+
+
+class TestPipelineParams:
+    @pytest.mark.parametrize("big_c", [math.nan, math.inf, -math.inf, 0, -1, 0.0, -1e-9,
+                                       np.float64(math.nan),
+                                       pytest.param(10**400, id="int-past-floats")])
+    def test_c_not_finite_and_positive_rejected(self, big_c):
+        # nan and inf reached the trace as NaN and Infinity, which are not
+        # JSON; an int past the largest float overflowed in the base test
+        with pytest.raises(InputError, match="C must be finite and positive"):
+            PipelineParams(C=big_c)
+
+    @pytest.mark.parametrize("field", ["eps", "C"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, 0.5j, [0.5]])
+    def test_non_real_eps_or_c_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a real number"):
+            PipelineParams(**{field: value})
+
+    @pytest.mark.parametrize("eps, big_c", [(0.5, 4), (Fraction(1, 3), 1e-9), (np.float64(0.9), 10**300),
+                                            (np.float32(0.1), np.int64(2))])
+    def test_real_kinds_accepted(self, eps, big_c):
+        params = PipelineParams(eps=eps, C=big_c)
+        assert (params.eps, params.C) == (eps, big_c)

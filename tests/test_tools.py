@@ -178,3 +178,30 @@ def test_output_corpus_search_lines_are_byte_reproducible():
     # every Generator-seeded run records the state it left the Generator in
     assert all((r["generator"] is None) == ("/generator" not in r["case"]) for r in records)
     assert corpus.search_lines() == lines
+
+
+def test_output_corpus_front_end_lines_are_byte_reproducible():
+    corpus = _corpus()
+    lines = corpus.front_end_lines()
+    records = {r["case"]: r for r in map(json.loads, lines)}
+    files = [name for name, _ in corpus.FILES]
+    assert list(records) == ([f"gen/{name}" for name in files] + ["gen/binary-q3", "gen/product-q2"]
+                             + [f"find/{name}/{method}" for name in files for method in corpus.METHODS]
+                             + [f"table/{name}" for name in corpus.CONFIGS])
+    # K_9 is too small for the proposition at delta 1; every other command succeeds
+    assert [case for case, r in records.items() if r["exit"]] == [f"find/{files[0]}/proposition"]
+    for name in files:
+        oracle = records[f"find/{name}/oracle"]
+        (trace,) = [text for key, text in oracle["files"].items() if key.endswith(".trace")]
+        printed = int(oracle["stdout"].rsplit("claimed bound", 1)[1].strip(" )\n"))
+        assert json.loads(trace)["bound_claimed"] == printed
+    assert corpus.front_end_lines() == lines  # the temporary directory shows as <dir>
+
+
+def test_output_corpus_grid_configs_copy_their_sources():
+    from test_analysis import CONFIG
+
+    corpus = _corpus()
+    readme = (CORPUS.parents[1] / "README.md").read_text()
+    block = readme.split("### Experiment grid config", 1)[1].split("```json", 1)[1].split("```")[0]
+    assert corpus.CONFIGS == {"readme": json.loads(block), "test-analysis": CONFIG}

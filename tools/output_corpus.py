@@ -13,19 +13,33 @@ small-case searches of ``searches()``: ``exhaustive_L`` and seeded
 ``anneal_search`` runs, one line each with the value, the colouring's text
 and provenance, and for a run seeded by a ``Generator`` that generator's
 state afterwards. The tool prints the case count, a tally of the branches
-the traces record and of the exceptions raised, and the sha256 of all
-lines; ``--out`` also writes the lines. It imports the package from the ``src`` next to its own directory,
-so a copy of this file run in two checkouts compares their outputs: a change
-that must keep every output gives the same hash on both.
+the traces record and of the exceptions raised, and the sha256 of these
+lines.
+
+Last come the front ends of ``front_end_lines()``, run in-process in a
+temporary directory: ``oddcycle gen`` of each kind, ``oddcycle find`` by
+each method on two seeded files, and ``oddcycle table`` on the grid configs
+of ``CONFIGS``. One line each holds the exit code, stdout and stderr (the
+directory shown as ``<dir>``) and every file the command wrote. Their count
+and sha256 are printed on a line of their own, so a change to a front end
+leaves the searches' hash as it was. ``--out`` also writes all lines.
+
+The tool imports the package from the ``src`` next to its own directory, so
+a copy of this file run in two checkouts compares their outputs: a change
+that must keep every output gives the same hashes on both, and ``diff`` of
+the two ``--out`` files shows the lines that changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +48,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import oddcycle as oc  # noqa: E402
+from oddcycle.cli import main as cli_main  # noqa: E402
 
 
 def _rules(k, threshold, **kwargs):
@@ -188,19 +203,91 @@ def search_lines():
     return lines
 
 
+# The grid configs of README's "Experiment grid config" and of
+# tests/test_analysis.py's CONFIG, copied so that both checkouts run the same
+# inputs (tests/test_tools.py keeps the copies equal to their sources).
+README_CONFIG = {
+    "timing": False,
+    "grid": [
+        {"generator": "random", "q": 3, "n": 9, "seeds": [0, 1, 2],
+         "methods": ["pipeline", "proposition", "oracle"], "delta": 1},
+    ],
+}
+CONFIGS = {
+    "readme": README_CONFIG,
+    "test-analysis": {
+        "timing": False,
+        "grid": [dict(README_CONFIG["grid"][0]),
+                 {"generator": "binary", "q": 3, "methods": ["pipeline"]}],
+    },
+}
+# (name, gen arguments) of the seeded files that find runs on: K_9 is too
+# small for the proposition at delta 1, K_16 is not
+FILES = (("random-q3n9", ["--kind", "random", "--q", "3", "--n", "9", "--seed", "7"]),
+         ("random-q3n16", ["--kind", "random", "--q", "3", "--n", "16", "--seed", "11"]))
+METHODS = ("pipeline", "proposition", "oracle")
+
+
+def _invoke(workdir, args, outputs):
+    """One in-process ``oddcycle`` command: its exit code, stdout, stderr and
+    the text of each file of ``outputs`` (None if not written)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            cli_main.main(args=args, prog_name="oddcycle", standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    files = {name: (Path(workdir) / name).read_text() if (Path(workdir) / name).exists() else None
+             for name in outputs}
+    return {"exit": code, "stdout": stdout.getvalue().replace(str(workdir), "<dir>"),
+            "stderr": stderr.getvalue().replace(str(workdir), "<dir>"), "files": files}
+
+
+def front_end_lines():
+    """One JSON line per front-end case."""
+    lines = []
+    with tempfile.TemporaryDirectory() as workdir:
+        def at(name):
+            return str(Path(workdir) / name)
+
+        def case(name, args, outputs):
+            record = _invoke(workdir, args, outputs)
+            lines.append(json.dumps({"case": name, **record}, sort_keys=True))
+
+        gens = list(FILES) + [("binary-q3", ["--kind", "binary", "--q", "3"]),
+                              ("product-q2", ["--kind", "product", "--q", "2",
+                                              "--in2", at(f"{FILES[0][0]}.txt")])]
+        for name, args in gens:
+            case(f"gen/{name}", ["gen", *args, "--out", at(f"{name}.txt")], [f"{name}.txt"])
+        for (name, _), method in itertools.product(FILES, METHODS):
+            cert, trace = f"{name}-{method}.cert", f"{name}-{method}.trace"
+            case(f"find/{name}/{method}", ["find", "--in", at(f"{name}.txt"), "--method", method,
+                                           "--out-cert", at(cert), "--trace", at(trace)],
+                 [cert, trace])
+        for name, config in CONFIGS.items():
+            Path(at(f"{name}.json")).write_text(json.dumps(config))
+            case(f"table/{name}", ["table", "--config", at(f"{name}.json"),
+                                   "--out", at(f"{name}.csv")], [f"{name}.csv"])
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="also write the corpus lines here")
     args = parser.parse_args(argv)
     lines, tally = run(inputs())
     lines += search_lines()
+    front = front_end_lines()
     text = "".join(line + "\n" for line in lines)
+    front_text = "".join(line + "\n" for line in front)
     if args.out is not None:
-        args.out.write_text(text)
+        args.out.write_text(text + front_text)
     print(f"cases {len(lines)}")
     for key, count in sorted(tally.items()):
         print(f"  {key}: {count}")
     print(f"sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"front ends {len(front)} sha256 {hashlib.sha256(front_text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
