@@ -434,13 +434,15 @@ def experiment_table(config):
     grid = config.get("grid", []) if isinstance(config, dict) else None
     if not isinstance(grid, list) or not all(isinstance(cell, dict) for cell in grid):
         raise InputError("config must be an object whose grid is a list of objects")
-    plan = [(cell, cell.get("seeds", [None]), cell.get("methods", ["oracle"])) for cell in grid]
-    if not all(isinstance(seeds, list) and isinstance(methods, list) for _, seeds, methods in plan):
-        raise InputError("each grid cell's seeds and methods must be lists")
+    for cell in grid:
+        if not isinstance(cell.get("seeds", []), list) or not isinstance(cell.get("methods", []), list):
+            raise InputError("each grid cell's seeds and methods must be lists")
     timing = bool(config.get("timing", False))
     rows = []
-    for cell, seeds, methods in plan:
+    for cell in grid:
         params = {key: cell[key] for key in ("eps", "C", "fallback") if key in cell}
+        seeds = cell.get("seeds", [None])
+        methods = cell.get("methods", ["oracle"])
         for seed, method in itertools.product(seeds, methods):
             row = ExperimentRow(q=None, n=0, seed=seed, method=method)
             start = time.perf_counter()

@@ -258,10 +258,7 @@ def find_mono_odd_cycle(c, params=None):
     return MonoOddCycle(certificate=cert, bound_claimed=bound, trace=trace)
 
 
-def _oracle_result(c, lvl, best, fallback=False):
-    """The oracle's ``best`` cycle with the bound n, recorded in ``lvl``
-    (``fallback`` marks the answer as a fallback)."""
-    lvl.fallback_used = fallback
+def _oracle_result(c, lvl, best):
     if best is None:
         raise NoMonochromaticOddCycle(
             "every colour class is bipartite; no monochromatic odd cycle exists"
@@ -279,7 +276,7 @@ def _find_level(c, params, trace, level):
     trace.append(lvl)
 
     # (1) base: the claimed bound is vacuous at this size
-    if q <= 2 or params.C * 2**q / q ** (1.0 - params.eps) >= n:
+    if q <= 2 or float(params.C) * 2**q / q ** (1.0 - params.eps) >= n:
         lvl.branch = "base"
         return _oracle_result(c, lvl, min_colour_odd_cycle(c))
 
@@ -302,13 +299,15 @@ def _find_level(c, params, trace, level):
             reduced, kept = reduce_bipartite_colour(c, i, got)
             lvl.sizes["reduced_n"] = reduced.n
             if reduced.n < 3:  # q >= 3 here, so reduced.q >= 2
-                return _oracle_result(c, lvl, min_colour_odd_cycle(c), fallback=True)
+                lvl.fallback_used = True
+                return _oracle_result(c, lvl, min_colour_odd_cycle(c))
             try:
                 sub_cert, sub_bound = _find_level(reduced, params, trace, level + 1)
             except NoMonochromaticOddCycle:
                 # Out of the complete-colouring regime the discarded side may
                 # hold every odd cycle; answer from the oracle instead.
-                return _oracle_result(c, lvl, min_colour_odd_cycle(c), fallback=True)
+                lvl.fallback_used = True
+                return _oracle_result(c, lvl, min_colour_odd_cycle(c))
             verts = [int(kept[v]) for v in sub_cert.vertices]
             colour = sub_cert.colour
             if colour is not None and colour >= i:
@@ -417,7 +416,8 @@ def _find_level(c, params, trace, level):
     lvl.asserts_failed.append("survivor-count")
 
     if params.fallback == "oracle":
-        return _oracle_result(c, lvl, best, fallback=True)
+        lvl.fallback_used = True
+        return _oracle_result(c, lvl, best)
     raise PipelineAssertError(
         "selector branch asserts failed: " + ", ".join(lvl.asserts_failed),
         failed=lvl.asserts_failed,
@@ -491,8 +491,9 @@ def proposition_pipeline(c, delta, q=None):
         q = c.q
     if c.q > q:
         raise InputError(f"colouring uses {c.q} colours, more than the stated {q}")
+    _real(delta, "delta")
     try:  # int and Fraction exactly, other reals (numpy's too) as their float
-        d = Fraction(delta if isinstance(_real(delta, "delta"), (int, Fraction)) else float(delta))
+        d = Fraction(delta) if isinstance(delta, (int, Fraction)) else Fraction(float(delta))
     except (ValueError, OverflowError):  # nan, inf
         raise InputError(f"delta must be finite, got {delta}") from None
     if not 0 < d <= 1:

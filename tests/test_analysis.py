@@ -513,6 +513,13 @@ class TestExperimentTable:
         (row,) = experiment_table({"grid": [dict(cell, C=-1.0)]})
         assert "C must be finite and positive" in row.error
 
+    def test_json_int_c_past_float_products_gives_a_row(self):
+        # a JSON int C below the largest float whose product with 2**q is not
+        config = json.loads('{"grid": [{"generator": "random", "q": 3, "n": 9, "seeds": [0], '
+                            '"methods": ["pipeline"], "C": 1' + "0" * 308 + '}]}')
+        (row,) = experiment_table(config)
+        assert (row.error, row.branch, row.bound_claimed) == ("", "base", 9)
+
     def test_oracle_method_writes_the_base_record(self):
         c = random_colouring(9, 3, 7)
         got = analysis._run_method(c, "oracle", {}, None)

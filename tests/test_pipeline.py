@@ -885,3 +885,11 @@ class TestPipelineParams:
     def test_real_kinds_accepted(self, eps, big_c):
         params = PipelineParams(eps=eps, C=big_c)
         assert (params.eps, params.C) == (eps, big_c)
+
+    def test_int_c_whose_product_passes_floats_runs_the_base(self):
+        # 10**308 * 2**3 is an int past the largest float; dividing it by a
+        # float raised OverflowError in the base test
+        c = random_colouring(9, 3, 0)
+        got = find_mono_odd_cycle(c, PipelineParams(C=10**308))
+        assert got.trace.last().branch == "base" and got.bound_claimed == 9
+        assert verify_mono_odd_cycle(c, got.certificate) is None
