@@ -50,7 +50,8 @@ def _scalar_id(v, what="ids must be integers"):
 
 def _real(x, name):
     """``x`` itself; InputError unless it is a real number (a bool is not)."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    # int and float first: they skip the ABC's slower instance check
+    if isinstance(x, bool) or not isinstance(x, (int, float, numbers.Real)):
         raise InputError(f"{name} must be a real number, not {type(x).__name__}")
     return x
 
