@@ -40,16 +40,10 @@ that many triangles from one count to the other; and a class has odd girth
   count fallen to 0, a hit witness or an unknown one) c gets one full
   ``odd_girth`` sweep, which also records a new witness.
 
-The annealing search draws its moves through ``_Draws``, which reads the
-seeded bit generator's raw words ``_DRAW_WORDS`` at a time and turns them
-into exactly the values, and the consumption, of numpy's own scalar
-``Generator.integers(k)`` and ``Generator.random()``. Those go through
-per-call argument checks that cost several times the draw itself; the
-arithmetic below them is fixed by numpy's ``random_bounded_uint64`` and
-``next_double``, and ``_Draws`` repeats it on the same words. The tests
-hold it to a real ``Generator`` over many seeds and interleaved draws, and
-the whole search to the table-based search of ``tests/oracles.py``, which
-still calls the ``Generator``.
+The annealing search makes all its draws through numpy's public API on one
+``Generator``: the random init, if any, then per batch of ``_BATCH`` steps
+one vectorised draw each of the steps' pairs, colour shifts and acceptance
+coins. A batch bounds the draws' memory whatever the iteration count.
 """
 
 from __future__ import annotations
@@ -68,6 +62,7 @@ from .colouring import (
     _from_pairs,
     _pair_colours,
     _seeded,
+    _shown,
     binary_colouring,
     product_colouring,
     random_colouring,
@@ -86,88 +81,7 @@ from .pipeline import (
 )
 
 ENUMERATION_GUARD = 2**24
-_DRAW_WORDS = 512  # raw words the annealing search reads at a time
-
-
-class _Draws:
-    """numpy's scalar ``Generator.integers(k)`` and ``Generator.random()``,
-    read off batches of the bit generator's raw words.
-
-    - ``below(k)``, 0 < k < 2**32, is ``integers(k)``: numpy's
-      ``random_bounded_uint64`` takes such a range to Lemire's
-      multiply-and-reject draw on 32 bits (D. Lemire, "Fast random integer
-      generation in an interval", ACM TOMACS 2019): x * k >> 32 for the next
-      32-bit draw x, drawn again while the low 32 bits of x * k fall below
-      2**32 mod k. A range of one (k = 1, as ``integers(1, 2)``) returns 0
-      and draws nothing.
-    - ``random()`` is the bit generator's double, 53 bits times 2**-53.
-
-    Both depend on how the bit generator makes words. PCG64, PCG64DXSM,
-    Philox and SFC64 make 64-bit words: a 32-bit draw is the high half kept
-    from the last word if one is pending, else the low half of a fresh word,
-    whose high half is then kept; a double is ``(word >> 11) * 2**-53`` of a
-    fresh word, a pending half staying pending. MT19937 makes 32-bit words:
-    a 32-bit draw is one word, a double ``((a >> 5) * 2**26 + (b >> 6)) *
-    2**-53`` of two.
-
-    Words are drawn from the bit generator itself, which the batch leaves
-    ahead. ``settle()`` puts it where numpy's own draws would have left it:
-    the state before the last batch, moved on by the words read from it,
-    with the pending half as here. A ``Generator`` the caller passed as seed
-    thus ends in the same state as after the same scalar calls.
-    """
-
-    __slots__ = ("_bits", "_split", "_start", "_words", "_next", "_has_half", "_half")
-
-    def __init__(self, bits):
-        # named here, not at import: numpy loads np.random on first access
-        if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
-                             np.random.SFC64)):
-            split = True
-        elif isinstance(bits, np.random.MT19937):
-            split = False
-        else:
-            raise InputError(f"seed's bit generator {type(bits).__name__} is not one of numpy's")
-        state = bits.state
-        self._bits, self._split, self._start = bits, split, state
-        self._words, self._next = (), 0
-        self._has_half, self._half = bool(state.get("has_uint32")), state.get("uinteger")
-
-    def _word(self):
-        i = self._next
-        if i == len(self._words):
-            self._start = self._bits.state
-            self._words = self._bits.random_raw(_DRAW_WORDS).tolist()
-            i = 0
-        self._next = i + 1
-        return self._words[i]
-
-    def below(self, k):
-        if k == 1:
-            return 0
-        while True:
-            if self._has_half:
-                self._has_half = False
-                x = self._half
-            else:
-                word = self._word()
-                x, self._half, self._has_half = word & 0xFFFFFFFF, word >> 32, self._split
-            m = x * k
-            low = m & 0xFFFFFFFF
-            if low >= k or low >= (1 << 32) % k:  # as numpy: low >= k spares the modulo
-                return m >> 32
-
-    def random(self):
-        if self._split:
-            return (self._word() >> 11) * 2.0**-53
-        return ((self._word() >> 5) * 67108864.0 + (self._word() >> 6)) * 2.0**-53
-
-    def settle(self):
-        state = dict(self._start)
-        if self._split:
-            state.update(has_uint32=int(self._has_half), uinteger=self._half)
-        self._bits.state = state
-        self._bits.random_raw(self._next)
+_BATCH = 4096  # annealing steps whose draws are made at a time
 
 
 def _class_rows(n, q, edges, colours):
@@ -245,10 +159,17 @@ def _recolour(rows, girths, witnesses, triangles, u, v, old, new):
     into[v] ^= bit_u
 
 
-def _shown(x):
-    """A size as quoted in a message: decimal up to 64 bits, else its bit
-    length, so no huge int is formatted (``str`` refuses 4300+ digits)."""
-    return str(x) if x.bit_length() <= 64 else f"({x.bit_length()}-bit number)"
+def _draws(rng, pairs, q, steps):
+    """Each of ``steps`` annealing steps' pair index in [0, pairs), colour
+    shift in [1, q) and acceptance coin in [0, 1), drawn from ``rng``
+    ``_BATCH`` steps at a time: per batch, all its pair indices, then all
+    its shifts, then all its coins."""
+    for first in range(0, steps, _BATCH):
+        size = min(_BATCH, steps - first)
+        picks = rng.integers(pairs, size=size).tolist()
+        shifts = rng.integers(1, q, size=size).tolist()
+        coins = rng.random(size).tolist()
+        yield from zip(picks, shifts, coins)
 
 
 def exhaustive_L(q, n):
@@ -314,10 +235,13 @@ def anneal_search(q, n, iterations, seed, init=None):
 
     Deterministic under a fixed seed. Returns (best objective, colouring).
     ``seed`` is anything ``np.random.default_rng`` takes (else an
-    ``InputError``); a ``Generator`` feeds the random init and the moves,
-    and ends where its own scalar draws would have left it. ``init``, a
-    complete ``EdgeColouring`` of K_n in q colours, replaces the random
-    start.
+    ``InputError``), and every draw comes from that one ``Generator``:
+    first the random init, ``random_colouring(n, q, rng)``, unless ``init``
+    (a complete ``EdgeColouring`` of K_n in q colours) replaces it; then, a
+    batch of ``_BATCH`` steps at a time, the steps' pairs, colour shifts and
+    acceptance coins (``_draws``). An int seed thus gives the same result as
+    ``np.random.default_rng`` of it, and a ``Generator`` passed as seed ends
+    after the last batch. With q = 1 no move exists, so none is drawn.
     """
     q = _scalar_id(q, "q must be an integer")
     n = _scalar_id(n, "n must be an integer")
@@ -329,7 +253,7 @@ def anneal_search(q, n, iterations, seed, init=None):
     if init is not None and not isinstance(init, EdgeColouring):
         raise InputError(f"init must be an EdgeColouring, not {type(init).__name__}")
     rng, shown = _seeded(seed)
-    start = init if init is not None else random_colouring(n, q, seed)
+    start = init if init is not None else random_colouring(n, q, rng)
     if start.n != n or start.q != q:
         raise InputError("init colouring does not match (n, q)")
     if not start.is_complete():
@@ -341,33 +265,29 @@ def anneal_search(q, n, iterations, seed, init=None):
     objective = best_value = min(girths)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
-    draws = _Draws(rng.bit_generator)
-    try:
-        for step in range(iterations if q > 1 else 0):  # one colour: no move exists
-            temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
-            k = draws.below(len(edges))  # rng.integers(len(edges))
-            u, v = edges[k]
-            old = colours[k]
-            new = (old + 1 + draws.below(q - 1)) % q  # old + rng.integers(1, q)
-            before = (girths[old], girths[new], witnesses[old], witnesses[new],
-                      triangles[old], triangles[new])
-            _recolour(rows, girths, witnesses, triangles, u, v, old, new)
-            proposed = min(girths)
-            delta = proposed - objective
-            if delta >= 0 or draws.random() < math.exp(delta / temperature):
-                colours[k] = new
-                objective = proposed
-                if proposed > best_value:
-                    best_value = proposed
-                    best = colours.copy()
-            else:
-                for c in (old, new):
-                    rows[c][u] ^= 1 << v
-                    rows[c][v] ^= 1 << u
-                (girths[old], girths[new], witnesses[old], witnesses[new],
-                 triangles[old], triangles[new]) = before
-    finally:
-        draws.settle()
+    moves = _draws(rng, len(edges), q, iterations if q > 1 else 0)  # one colour: no move exists
+    for step, (k, shift, coin) in enumerate(moves):
+        temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
+        u, v = edges[k]
+        old = colours[k]
+        new = (old + shift) % q
+        before = (girths[old], girths[new], witnesses[old], witnesses[new],
+                  triangles[old], triangles[new])
+        _recolour(rows, girths, witnesses, triangles, u, v, old, new)
+        proposed = min(girths)
+        delta = proposed - objective
+        if delta >= 0 or coin < math.exp(delta / temperature):
+            colours[k] = new
+            objective = proposed
+            if proposed > best_value:
+                best_value = proposed
+                best = colours.copy()
+        else:
+            for c in (old, new):
+                rows[c][u] ^= 1 << v
+                rows[c][v] ^= 1 << u
+            (girths[old], girths[new], witnesses[old], witnesses[new],
+             triangles[old], triangles[new]) = before
     return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={shown}")
 
 
@@ -384,7 +304,7 @@ class ExperimentRow:
     error: str = ""
 
     def as_csv_row(self):
-        return ["" if x is None else str(x) for x in astuple(self)]
+        return ["" if x is None else _shown(x) for x in astuple(self)]
 
 
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]

@@ -216,15 +216,31 @@ def _seeded(seed):
     """``np.random.default_rng(seed)`` and the seed as a provenance names it.
 
     A ``BitGenerator`` is named by its class, since its repr holds an object
-    address that differs between processes; any other seed as it prints. A
-    seed numpy refuses (a negative int, a float, a string) is an
-    ``InputError``.
+    address that differs between processes; any other seed as ``_shown``
+    quotes it. A seed numpy refuses (a negative int, a float, a string) is
+    an ``InputError``, and so is a bit generator, bare or in a
+    ``Generator``, that is not one of numpy's own: numpy would crash the
+    interpreter on its first draw.
     """
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid seed: {_clip(str(exc), 60)}") from None
-    return rng, type(seed).__name__ if isinstance(seed, np.random.BitGenerator) else seed
+    bits = rng.bit_generator
+    # named here, not at import: numpy loads np.random on first access
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                             np.random.SFC64, np.random.MT19937)):
+        raise InputError(f"seed's bit generator {type(bits).__name__} is not one of numpy's")
+    return rng, type(seed).__name__ if isinstance(seed, np.random.BitGenerator) else _shown(seed)
+
+
+def _shown(x):
+    """``x`` as a message, a provenance or a table cell quotes it: an int
+    past 64 bits by its bit length, so no huge int is formatted (``str``
+    refuses 4300+ digits); any other value as it prints."""
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"({x.bit_length()}-bit number)"
+    return str(x)
 
 
 def _write_pairs(table, colours):

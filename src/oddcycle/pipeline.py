@@ -275,8 +275,11 @@ def _find_level(c, params, trace, level):
     lvl.params = {"eps": params.eps, "C": params.C}
     trace.append(lvl)
 
-    # (1) base: the claimed bound is vacuous at this size
-    if q <= 2 or float(params.C) * 2**q / q ** (1.0 - params.eps) >= n:
+    # (1) base: the claimed bound C * 2^q / q^(1-eps) is vacuous at this
+    # size. Tested as C / q^(1-eps) >= n / 2^q: scaling both sides by 2^-q
+    # is exact, and int / int is a correctly rounded float for every q,
+    # where 2^q itself overflows a float from q = 1024 on
+    if q <= 2 or float(params.C) / q ** (1.0 - params.eps) >= n / 2**q:
         lvl.branch = "base"
         return _oracle_result(c, lvl, min_colour_odd_cycle(c))
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from oddcycle import EdgeColouring, Graph, ParseError, odd_girth, random_colouring
+from oddcycle import analysis as analysis_module
 from oddcycle import colouring as colouring_module
 from oddcycle.colouring import FORMAT_MAGIC, colour_class, colouring_from_classes
 
@@ -404,22 +405,30 @@ def exhaustive_L_by_tables(q, n):
 def anneal_search_by_tables(q, n, iterations, seed, init=None):
     """``anneal_search`` on a numpy table that each move edits and each
     re-girthed class is cut from: the same RNG draws, accept test and best
-    colouring, for a complete ``init``."""
+    colouring, for a complete ``init``. The draws are batched by the
+    package's ``_BATCH``, read when the search starts, so a test may set it."""
     rng = np.random.default_rng(seed)
-    start = init if init is not None else random_colouring(n, q, seed)
+    start = init if init is not None else random_colouring(n, q, rng)
     table = np.array(start.table, dtype=np.int16)
     girths = [table_girth(table, i) for i in range(q)]
     objective = best_objective = min(girths)
     best_table = table.copy()
     edges = list(itertools.combinations(range(n), 2))
     t_hot, t_cold = 1.0, 0.05
+    batch = analysis_module._BATCH
     for step in range(iterations):
         if q < 2:
             break
+        at = step % batch
+        if at == 0:
+            size = min(batch, iterations - step)
+            picks = rng.integers(len(edges), size=size)
+            shifts = rng.integers(1, q, size=size)
+            coins = rng.random(size)
         temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
-        u, v = edges[int(rng.integers(len(edges)))]
+        u, v = edges[int(picks[at])]
         old = int(table[u, v])
-        new = (old + int(rng.integers(1, q))) % q
+        new = (old + int(shifts[at])) % q
         table[u, v] = table[v, u] = new
         changed = {}
         for i in (old, new):
@@ -427,7 +436,7 @@ def anneal_search_by_tables(q, n, iterations, seed, init=None):
             girths[i] = table_girth(table, i)
         proposed = min(girths)
         delta = proposed - objective
-        if delta >= 0 or rng.random() < math.exp(delta / temperature):
+        if delta >= 0 or coins[at] < math.exp(delta / temperature):
             objective = proposed
             if proposed > best_objective:
                 best_objective, best_table = proposed, table.copy()

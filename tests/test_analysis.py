@@ -1,9 +1,7 @@
 import json
-import random
 import time
 import tracemalloc
 from collections import Counter
-from math import comb
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from oddcycle.analysis import (
     experiment_table,
     rows_to_csv,
 )
-from oddcycle.colouring import _MAX_N, colouring_to_text
+from oddcycle.colouring import colouring_to_text
 from oracles import anneal_search_by_tables, exhaustive_L_by_tables
 
 
@@ -226,89 +224,29 @@ class TestExhaustive:
         assert a[0] == b[0] and a[1] == b[1]
 
 
+def assert_same_search(got, want, provenance=True):
+    """Two ``anneal_search`` results agree: objective, table bytes and, if
+    asked, provenance."""
+    assert got[0] == want[0]
+    assert got[1].table.tobytes() == want[1].table.tobytes()
+    if provenance:
+        assert got[1].provenance == want[1].provenance
+
+
+def assert_matches_table_search(q, n, iterations, seed, init=None):
+    """``anneal_search`` agrees with the table-based search from the int
+    ``seed``, and again from two Generators on it, which end in the same
+    state."""
+    assert_same_search(anneal_search(q, n, iterations, seed, init),
+                       anneal_search_by_tables(q, n, iterations, seed, init))
+    gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_search(anneal_search(q, n, iterations, gen, init),
+                       anneal_search_by_tables(q, n, iterations, twin, init))
+    assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
+
+
 NUMPY_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                         np.random.SFC64, np.random.MT19937]
-
-
-class TestDraws:
-    """``analysis._Draws`` against a real ``Generator`` on the same seed."""
-
-    # a range of one, small ranges, the pair counts of K_9 and K_17, the
-    # largest pair count a colouring can have, and ranges past 2**31 where
-    # a quarter to a half of all 32-bit draws are rejected
-    KS = [1, 2, 3, 36, 136, comb(_MAX_N, 2) - 1, comb(_MAX_N, 2), 2**31 + 1, 3 * 2**30 + 7]
-
-    @staticmethod
-    def state(gen):
-        return repr(gen.bit_generator.state)  # Philox's state holds arrays
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_interleaved_draws_match_the_generator(self, seed):
-        ops = random.Random(seed)
-        want = np.random.default_rng(seed)
-        gen = np.random.default_rng(seed)
-        draws = analysis._Draws(gen.bit_generator)
-        for _ in range(2000):  # several batches of words
-            k = ops.choice(self.KS)
-            how = ops.randrange(3)
-            if how == 0:
-                assert draws.below(k) == want.integers(k)
-            elif how == 1:  # the recolour draw, integers(1, q) for q = k + 1
-                assert 1 + draws.below(k) == want.integers(1, k + 1)
-            else:
-                assert draws.random() == want.random()
-        draws.settle()
-        assert self.state(gen) == self.state(want)
-
-    def test_a_range_of_one_draws_nothing(self):
-        gen, want = np.random.default_rng(4), np.random.default_rng(4)
-        draws = analysis._Draws(gen.bit_generator)
-        assert [draws.below(1) for _ in range(5)] == [0] * 5
-        assert want.integers(1, 2) == 1
-        draws.settle()
-        assert self.state(gen) == self.state(want) == self.state(np.random.default_rng(4))
-
-    @pytest.mark.parametrize("k, rejects", [(36, False), (2**31 + 1, True),
-                                            (3 * 2**30 + 7, True)])
-    def test_rejections_follow_the_generator(self, k, rejects):
-        # 600 bounded draws without a rejection read 300 whole words; the
-        # generator itself shows whether it read more. A draw is rejected
-        # with odds 2**32 mod k / 2**32: about 1/2 and 1/4 for the large k
-        read_more = []
-        for seed in range(5):
-            want = np.random.default_rng(seed)
-            gen = np.random.default_rng(seed)
-            draws = analysis._Draws(gen.bit_generator)
-            assert [draws.below(k) for _ in range(600)] == want.integers(k, size=600).tolist()
-            draws.settle()
-            assert self.state(gen) == self.state(want)
-            no_rejection = np.random.default_rng(seed).bit_generator
-            no_rejection.random_raw(300)
-            read_more.append(want.bit_generator.state["state"] != no_rejection.state["state"])
-        assert any(read_more) if rejects else not any(read_more)
-
-    @pytest.mark.parametrize("bits", NUMPY_BIT_GENERATORS)
-    def test_every_numpy_bit_generator(self, bits):
-        # a pending 32-bit half and a part-read batch carried in and out
-        want, gen = np.random.Generator(bits(9)), np.random.Generator(bits(9))
-        for g in (want, gen):
-            g.integers(5)
-            g.random()
-        draws = analysis._Draws(gen.bit_generator)
-        for j in range(700):
-            k = self.KS[j % len(self.KS)]
-            assert draws.below(k) == want.integers(k)
-            if j % 3 == 0:
-                assert draws.random() == want.random()
-        draws.settle()
-        assert self.state(gen) == self.state(want)
-
-    def test_bit_generator_not_of_numpy_rejected(self):
-        class Foreign(np.random.BitGenerator):
-            pass
-
-        with pytest.raises(InputError, match="Foreign"):
-            analysis._Draws(Foreign())
 
 
 class TestAnneal:
@@ -352,11 +290,37 @@ class TestAnneal:
     def test_matches_table_search(self, q, n):
         for seed in (0, 1, 2):
             for iterations in (1, 40, 250):
-                obj, best = anneal_search(q, n, iterations, seed)
-                want_obj, want = anneal_search_by_tables(q, n, iterations, seed)
-                assert obj == want_obj
-                assert best.table.tobytes() == want.table.tobytes()
-                assert best.provenance == want.provenance
+                assert_matches_table_search(q, n, iterations, seed)
+
+    @pytest.mark.parametrize("q, n", [(1, 5), (2, 5), (3, 9), (4, 17)])
+    def test_batches_match_table_search(self, monkeypatch, q, n):
+        # a batch of 7 steps: runs that end before, on and after a batch's
+        # end, and runs of many batches
+        monkeypatch.setattr(analysis, "_BATCH", 7)
+        for seed in (0, 1):
+            for iterations in (6, 7, 8, 14, 250):
+                assert_matches_table_search(q, n, iterations, seed)
+
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 6), (3, 7), (4, 9)])
+    def test_int_seed_draws_as_its_generator(self, q, n):
+        # the moves read the words after the random init, not the init's
+        # own words again; at these sizes every seed's search leaves its
+        # init, so a shared stream shows in the result
+        for seed in (0, 5, 11):
+            assert_same_search(anneal_search(q, n, 300, seed),
+                               anneal_search(q, n, 300, np.random.default_rng(seed)), provenance=False)
+
+    def test_draws_kept_in_bounded_memory(self):
+        # 20 000 steps drawn at once peak at about 1.1 MiB, mostly their
+        # 20 000 coins; batches of _BATCH steps at about 0.35 MiB
+        anneal_search(2, 5, 10, 0)  # first-call allocations, not counted
+        tracemalloc.start()
+        try:
+            anneal_search(2, 5, 20_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
     @pytest.mark.parametrize("q, n, iterations, what", [
         (2, 5, 2.5, "iterations must be an integer"), (2, 5, True, "iterations must be an integer"),
@@ -386,43 +350,49 @@ class TestAnneal:
     def test_bit_generator_seed_named_by_class(self, bits):
         # the same draws as the Generator around it, and a provenance that
         # names its class, not its object address
-        obj, best = anneal_search(3, 9, 200, bits(4))
-        want_obj, want = anneal_search_by_tables(3, 9, 200, np.random.Generator(bits(4)))
-        assert obj == want_obj
-        assert best.table.tobytes() == want.table.tobytes()
-        assert best.provenance == f"anneal q=3 n=9 seed={bits.__name__}"
+        seed, twin = bits(4), np.random.Generator(bits(4))
+        got = anneal_search(3, 9, 200, seed)
+        assert_same_search(got, anneal_search_by_tables(3, 9, 200, twin), provenance=False)
+        assert got[1].provenance == f"anneal q=3 n=9 seed={bits.__name__}"
+        assert repr(seed.state) == repr(twin.bit_generator.state)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_table_search_from_hamilton_init(self, seed):
-        init = hamilton_colouring(4)
-        obj, best = anneal_search(4, 9, 300, seed, init=init)
-        want_obj, want = anneal_search_by_tables(4, 9, 300, seed, init=init)
-        assert obj == want_obj
-        assert best.table.tobytes() == want.table.tobytes()
-        assert best.provenance == want.provenance
+        assert_matches_table_search(4, 9, 300, seed, init=hamilton_colouring(4))
 
     @pytest.mark.parametrize("bits", NUMPY_BIT_GENERATORS)
     @pytest.mark.parametrize("q, n", [(2, 5), (3, 9), (4, 17)])
     def test_generator_seed_drawn_as_numpy_draws(self, bits, q, n):
         # a Generator passed as seed feeds the random init and then the
-        # moves, and ends in the state the Generator's own calls leave
+        # moves' batches, and ends in the state those draws leave
         gen, twin = np.random.Generator(bits(q + n)), np.random.Generator(bits(q + n))
         for g in (gen, twin):
             g.integers(7)  # leaves a 32-bit half pending
-        obj, best = anneal_search(q, n, 300, gen)
-        want_obj, want = anneal_search_by_tables(q, n, 300, twin)
-        assert obj == want_obj
-        assert best.table.tobytes() == want.table.tobytes()
-        assert best.provenance == want.provenance
+        assert_same_search(anneal_search(q, n, 300, gen), anneal_search_by_tables(q, n, 300, twin))
         assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_table_search_from_binary_init(self, seed):
-        init = binary_colouring(3)
-        obj, best = anneal_search(3, 8, 300, seed, init=init)
-        want_obj, want = anneal_search_by_tables(3, 8, 300, seed, init=init)
-        assert obj == want_obj
-        assert best.table.tobytes() == want.table.tobytes()
+        assert_matches_table_search(3, 8, 300, seed, init=binary_colouring(3))
+
+    def test_bit_generator_not_of_numpy_rejected(self):
+        # numpy would crash the interpreter on the first draw from it
+        class Foreign(np.random.BitGenerator):
+            pass
+
+        for seed in (Foreign(), np.random.Generator(Foreign())):
+            with pytest.raises(InputError, match="bit generator Foreign is not one of numpy's"):
+                random_colouring(5, 2, seed)
+            with pytest.raises(InputError, match="bit generator Foreign"):
+                anneal_search(2, 5, 10, seed)
+            with pytest.raises(InputError, match="bit generator Foreign"):
+                anneal_search(2, 5, 10, seed, init=random_colouring(5, 2, 0))
+
+    def test_seed_past_str_digit_limit_named_by_bit_length(self):
+        seed = 10**5000  # str() refuses an int of more than 4300 digits
+        got = anneal_search(2, 5, 10, seed)
+        assert got[1].provenance == "anneal q=2 n=5 seed=(16610-bit number)"
+        assert_same_search(got, anneal_search(2, 5, 10, np.random.default_rng(seed)), provenance=False)
 
 
 CONFIG = {
@@ -519,6 +489,14 @@ class TestExperimentTable:
                             '"methods": ["pipeline"], "C": 1' + "0" * 308 + '}]}')
         (row,) = experiment_table(config)
         assert (row.error, row.branch, row.bound_claimed) == ("", "base", 9)
+
+    def test_seed_past_str_digit_limit_gives_a_row(self):
+        # str() refuses an int of more than 4300 digits: the provenance and
+        # the seed column name it by its bit length
+        cell = {"generator": "random", "q": 2, "n": 5, "seeds": [10**5000], "methods": ["oracle"]}
+        (row,) = experiment_table({"grid": [cell]})
+        assert row.error == "" and row.cycle_length == 3
+        assert rows_to_csv([row]).splitlines()[1].startswith("2,5,(16610-bit number),oracle,3,")
 
     def test_oracle_method_writes_the_base_record(self):
         c = random_colouring(9, 3, 7)

@@ -199,6 +199,15 @@ class TestRandomColouring:
         got = random_colouring(5, 2, np.random.default_rng(7)).provenance
         assert got == "random n=5 q=2 seed=Generator(PCG64)"
 
+    @pytest.mark.parametrize("seed, shown", [
+        (2**64 - 1, "18446744073709551615"), (2**64, "(65-bit number)"),
+        (10**5000, "(16610-bit number)"),  # str() refuses an int of more than 4300 digits
+    ], ids=["2^64-1", "2^64", "10^5000"])
+    def test_huge_int_seed_named_by_bit_length(self, seed, shown):
+        c = random_colouring(5, 2, seed)
+        assert c.provenance == f"random n=5 q=2 seed={shown}"
+        assert c == random_colouring(5, 2, np.random.default_rng(seed))
+
     def test_complete(self):
         c = random_colouring(9, 3, 7)
         counts = [int((c.table == i).sum()) // 2 for i in range(3)]

@@ -1,11 +1,5 @@
 """The demos run end to end: each is started as its own interpreter, as a
-reader would run it, and must exit 0.
-
-``06_small_case_search.py`` is left out: it takes about 11 s on a 2-core
-machine, against about 1.5 s for the other five together, and what it
-exercises (annealing and exact enumeration) is covered by
-``test_analysis.py``.
-"""
+reader would run it, and must exit 0."""
 
 import os
 import subprocess
@@ -15,11 +9,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS)

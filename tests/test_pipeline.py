@@ -893,3 +893,21 @@ class TestPipelineParams:
         got = find_mono_odd_cycle(c, PipelineParams(C=10**308))
         assert got.trace.last().branch == "base" and got.bound_claimed == 9
         assert verify_mono_odd_cycle(c, got.certificate) is None
+
+    @pytest.mark.parametrize("q", [3, 1023, 1024, 1100, 2**15])
+    def test_base_test_past_floats_of_2_to_the_q(self, q):
+        # 2**q is past the largest float from q = 1024 on; converting it
+        # raised OverflowError in the base test
+        table = np.zeros((5, 5), dtype=np.int16)
+        np.fill_diagonal(table, -1)
+        c = EdgeColouring(5, q, table)
+        got = find_mono_odd_cycle(c)
+        assert got.trace.last().branch == "base" and got.bound_claimed == 5
+        assert verify_mono_odd_cycle(c, got.certificate) is None
+
+    @pytest.mark.parametrize("C, branch", [(0.5, "base"), (math.nextafter(0.5, 0), "bipartite-reduction")])
+    def test_base_test_at_its_edge(self, C, branch):
+        # q = 4, eps = 1/2: C * 2**4 / 4**(1/2) = 8 C against n = 4, so the
+        # bound is vacuous from C = 1/2 up
+        c = EdgeColouring(4, 4, [[-1, 0, 0, 1], [0, -1, 0, 2], [0, 0, -1, 3], [1, 2, 3, -1]])
+        assert find_mono_odd_cycle(c, PipelineParams(eps=0.5, C=C)).trace.levels[0].branch == branch
