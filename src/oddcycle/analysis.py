@@ -15,30 +15,38 @@ colour class as one row int per vertex, bit v of row u set iff {u, v} has
 that colour; a recolour flips two bits in each of the two colours it
 touches, and a colouring table is built only for the result.
 
-Between recolours both searches also keep each colour's odd girth, its
-number of triangles, and the edge set of one shortest odd cycle (its
-witness; None when unknown), and update them by exact rules instead of
-sweeping the two classes again. The triangles through a pair {u, v} are its
-common neighbours, ``(rows[u] & rows[v]).bit_count()``, so a recolour moves
-that many triangles from one count to the other; and a class has odd girth
-3 exactly when its count is positive.
+Between recolours both searches also keep each colour's number of
+triangles and an odd girth that is either exact or a *stale* lower bound,
+and update them by the rules below instead of sweeping the two classes
+again. An exact colour of girth 5 or more may also keep the edge set of one
+shortest odd cycle (its witness; None when unknown). A stale colour has odd
+girth at least its bound, which is at least 5, no triangle and no witness.
+The triangles through a pair {u, v} are its common neighbours,
+``(rows[u] & rows[v]).bit_count()``, so a recolour moves that many
+triangles from one count to the other; and a class has odd girth 3 exactly
+when its count is positive.
 
 - *Into* colour c: an odd cycle through the new edge {u, v} is that edge
   plus an even u-v walk of the old class, and a closed odd walk contains an
   odd cycle no longer than itself. So the new odd girth is min(g_c, 1 + d),
   d the least even length of a u-v walk before the edge is added. A common
-  neighbour is d = 2 and makes the girth 3 at once. Otherwise d >= 4, so
-  only a class of girth above 5 can fall, and it is searched for d below
-  g_c - 1: the distance from u to v in the class's double cover (a copy of
-  each vertex per walk parity), found by the package's one BFS kernel. A
-  lowered girth leaves the witness unknown.
-- *Out of* colour c: odd girth cannot fall when an edge goes. A class of
-  girth 3 stays at 3 while its count is positive, and keeps no witness: the
-  witness is only read at girth 5 and above, so it is dropped rather than
-  checked, and every witness kept is a cycle of its class. A class of
-  higher girth keeps g_c while its witness avoids {u, v}. Otherwise (a
-  count fallen to 0, a hit witness or an unknown one) c gets one full
-  ``odd_girth`` sweep, which also records a new witness.
+  neighbour is d = 2 and makes the girth exactly 3 at once. Otherwise
+  d >= 4, so only a girth or bound above 5 can fall, and d is searched
+  below it minus 1: the distance from u to v in the class's double cover (a
+  copy of each vertex per walk parity), found by the package's one BFS
+  kernel. A walk found gives the exact girth 1 + d, with its witness
+  unknown; none found leaves the girth or bound as it was.
+- *Out of* colour c: odd girth cannot fall when an edge goes, so no class
+  is swept here. A class of girth 3 stays at 3 while its count is positive,
+  and becomes stale at 5 when its count reaches 0. An exact class of higher
+  girth keeps g_c while its witness avoids {u, v}; a hit or unknown witness
+  makes it stale at g_c. A stale class stays stale at its bound.
+- *Reading the least girth* (``_least_girth``): while the least kept value
+  is above 3, every stale colour whose bound is not above it gets one full
+  ``odd_girth`` sweep, which makes it exact with a witness. Then every
+  stale bound exceeds the least value, which is the exact least odd girth.
+  A least value of 3 is exact at once, since every stale bound is at least
+  5: a class is swept only when it could set the minimum.
 
 The annealing search makes all its draws through numpy's public API on one
 ``Generator``: the random init, if any, then per batch of ``_BATCH`` steps
@@ -111,9 +119,12 @@ def _triangles(rows):
 
 
 def _class_state(rows):
-    """Each colour's odd girth, witness pairs and triangle count, as three lists."""
-    girths, witnesses = zip(*map(_sweep, rows))
-    return list(girths), list(witnesses), [_triangles(r) for r in rows]
+    """Each colour's odd girth, witness, triangle count and staleness, as four
+    lists. Nothing is swept: a colour with a triangle has girth exactly 3, and
+    every other colour starts stale at 5."""
+    triangles = [_triangles(r) for r in rows]
+    stale = [not t for t in triangles]
+    return [5 if s else 3 for s in stale], [None] * len(rows), triangles, stale
 
 
 def _even_walk(rows, u, v, below):
@@ -128,35 +139,48 @@ def _even_walk(rows, u, v, below):
     return None
 
 
-def _recolour(rows, girths, witnesses, triangles, u, v, old, new):
+def _recolour(rows, girths, witnesses, triangles, stale, u, v, old, new):
     """Move the pair {u, v} (u < v) from colour ``old`` to colour ``new``,
-    keeping both colours' odd girths, witnesses and triangle counts exact by
-    the module's rules."""
+    keeping both colours' odd girths (exact or stale), witnesses and triangle
+    counts by the module's rules. It sweeps no class."""
     bit_u, bit_v = 1 << u, 1 << v
     out_of, into = rows[old], rows[new]
     out_of[u] ^= bit_v
     out_of[v] ^= bit_u
     if girths[old] == 3:
         triangles[old] -= (out_of[u] & out_of[v]).bit_count()
-        if triangles[old]:
-            witnesses[old] = None
-        else:
-            girths[old], witnesses[old] = _sweep(out_of)
-    else:
-        witness = witnesses[old]
-        if witness is None or (u, v) in witness:
-            girths[old], witnesses[old] = _sweep(out_of)
+        if not triangles[old]:
+            girths[old], stale[old] = 5, True
+    elif witnesses[old] is None or (u, v) in witnesses[old]:
+        witnesses[old], stale[old] = None, True
     common = (into[u] & into[v]).bit_count()
     if common:
         triangles[new] += common
         if girths[new] > 3:
-            girths[new], witnesses[new] = 3, None
+            girths[new], witnesses[new], stale[new] = 3, None, False
     elif girths[new] > 5:
         d = _even_walk(into, u, v, girths[new] - 1)
         if d is not None:
-            girths[new], witnesses[new] = d + 1, None
+            girths[new], witnesses[new], stale[new] = d + 1, None, False
     into[u] ^= bit_v
     into[v] ^= bit_u
+
+
+def _least_girth(rows, girths, witnesses, stale):
+    """The exact least odd girth over the colours (n + 1 when every class is
+    bipartite). Sweeps, and so makes exact, only the stale colours whose
+    bound is the least kept value, until none is left; a least value of 3
+    returns at once, since every stale bound is at least 5."""
+    least = min(girths)
+    while least > 3:
+        due = [c for c, s in enumerate(stale) if s and girths[c] == least]
+        if not due:
+            break
+        for c in due:
+            girths[c], witnesses[c] = _sweep(rows[c])
+            stale[c] = False
+        least = min(girths)
+    return least
 
 
 def _draws(rng, pairs, q, steps):
@@ -206,10 +230,10 @@ def exhaustive_L(q, n):
     sentinel = n + 1
     colours = [0] * n_edges
     rows = _class_rows(n, q, edges, colours)
-    girths, witnesses, triangles = _class_state(rows)
+    girths, witnesses, triangles, stale = _class_state(rows)
     best_val, best = -1, None
     while True:
-        val = min(girths)
+        val = _least_girth(rows, girths, witnesses, stale)
         if val > best_val:
             best_val, best = val, tuple(colours)
             if best_val == sentinel:
@@ -223,7 +247,7 @@ def exhaustive_L(q, n):
             break
         for j in range(k, n_edges):
             new = (colours[j] + 1) % q
-            _recolour(rows, girths, witnesses, triangles, *edges[j], colours[j], new)
+            _recolour(rows, girths, witnesses, triangles, stale, *edges[j], colours[j], new)
             colours[j] = new
     witness = _from_pairs(n, q, best, f"exhaustive q={q} n={n}")
     return (None if best_val == sentinel else best_val), witness
@@ -261,8 +285,8 @@ def anneal_search(q, n, iterations, seed, init=None):
     edges = list(itertools.combinations(range(n), 2))
     colours = _pair_colours(start).tolist()
     rows = _class_rows(n, q, edges, colours)
-    girths, witnesses, triangles = _class_state(rows)
-    objective = best_value = min(girths)
+    girths, witnesses, triangles, stale = _class_state(rows)
+    objective = best_value = _least_girth(rows, girths, witnesses, stale)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
     moves = _draws(rng, len(edges), q, iterations if q > 1 else 0)  # one colour: no move exists
@@ -272,9 +296,9 @@ def anneal_search(q, n, iterations, seed, init=None):
         old = colours[k]
         new = (old + shift) % q
         before = (girths[old], girths[new], witnesses[old], witnesses[new],
-                  triangles[old], triangles[new])
-        _recolour(rows, girths, witnesses, triangles, u, v, old, new)
-        proposed = min(girths)
+                  triangles[old], triangles[new], stale[old], stale[new])
+        _recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
+        proposed = _least_girth(rows, girths, witnesses, stale)
         delta = proposed - objective
         if delta >= 0 or coin < math.exp(delta / temperature):
             colours[k] = new
@@ -287,7 +311,7 @@ def anneal_search(q, n, iterations, seed, init=None):
                 rows[c][u] ^= 1 << v
                 rows[c][v] ^= 1 << u
             (girths[old], girths[new], witnesses[old], witnesses[new],
-             triangles[old], triangles[new]) = before
+             triangles[old], triangles[new], stale[old], stale[new]) = before
     return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={shown}")
 
 

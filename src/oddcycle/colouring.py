@@ -53,7 +53,7 @@ from .graph import Graph, _pack_rows, _scalar_id
 
 FORMAT_MAGIC = "oddcycle-colouring v1"
 
-_MAX_N = 1 << 14  # largest n given a dense table: 512 MiB of int16 entries
+_MAX_N = (1 << 14) + 1  # largest n given a dense table, K_{2^14+1}: 512 MiB of int16
 _MAX_Q = 1 << 15  # largest q whose colours [0, q) all fit the int16 table
 _MAX_DIGITS = len(str(_MAX_Q - 1))
 _BLOCK = 1 << 16  # table entries parsed or formatted per numpy step
@@ -237,10 +237,14 @@ def _seeded(seed):
 def _shown(x):
     """``x`` as a message, a provenance or a table cell quotes it: an int
     past 64 bits by its bit length, so no huge int is formatted (``str``
-    refuses 4300+ digits); any other value as it prints."""
+    refuses 4300+ digits); any other value as it prints, or by its type
+    when ``str`` refuses it (a list seed holding such an int)."""
     if isinstance(x, int) and x.bit_length() > 64:
         return f"({x.bit_length()}-bit number)"
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:
+        return f"({type(x).__name__} holding a number too long to print)"
 
 
 def _write_pairs(table, colours):

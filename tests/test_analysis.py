@@ -8,6 +8,7 @@ import pytest
 
 from oddcycle import (
     Bipartition,
+    EdgeColouring,
     Graph,
     InputError,
     PipelineParams,
@@ -19,6 +20,7 @@ from oddcycle import (
     find_mono_odd_cycle,
     hamilton_colouring,
     odd_girth,
+    product_colouring,
     random_colouring,
 )
 from oddcycle import analysis
@@ -44,53 +46,94 @@ def triangle_count(n, pairs):
     return int(np.trace(a @ a @ a)) // 6
 
 
+def fresh_classes(rows):
+    """Each colour's pairs and odd girth (n + 1 when bipartite), from scratch."""
+    n = len(rows[0])
+    out = []
+    for row_list in rows:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if row_list[u] >> v & 1]
+        got = odd_girth(Graph.from_edges(n, pairs))
+        out.append((pairs, n + 1 if got is None else got[0]))
+    return out
+
+
+def product_init(q):
+    """``binary(q - 2) ⊗ hamilton(2)`` cut to its first 2^q + 1 vertices: no
+    class has a triangle, and the least odd girth is 5."""
+    n = 2**q + 1
+    c = product_colouring(binary_colouring(q - 2), hamilton_colouring(2))
+    return EdgeColouring(n, q, c.table[:n, :n])
+
+
 class RecolourCheck:
-    """Stands in for ``analysis._recolour``: before and after every recolour,
-    each colour's kept odd girth must equal a from-scratch ``odd_girth`` of
-    its class, its kept triangle count a from-scratch count, and a known
-    witness must be a cycle of the class of that length. Counts the moves
-    the next recolour finds undone (rejected) or kept, the removals from a
-    colour whose witness is unknown, the adds whose walk search found an
-    even walk longer than 2, and the removals from a girth-3 colour that
-    keeps a triangle."""
+    """Stands in for ``analysis._recolour`` and ``analysis._least_girth``.
+    Before and after every recolour, each colour's kept triangle count must
+    equal a from-scratch trace(A^3)/6; before and after every recolour and
+    every read of the least girth, an exact colour's kept odd girth must
+    equal a from-scratch ``odd_girth`` of its class, a known witness must be
+    a cycle of the class of that length, and a stale colour's bound must be
+    at least 5 and at most its true odd girth, with no triangle and no
+    witness. Every least girth a search reads must equal the fresh minimum.
+    An add leaves the new colour stale only at its old bound. Counts the
+    moves the next recolour finds undone (rejected) or kept, the
+    removals that make a colour stale at 5 (its last triangle gone) or at
+    its girth (its witness hit or unknown), the adds whose walk search found
+    an even walk longer than 2, the removals from a girth-3 colour that
+    keeps a triangle, and the colours the reads sweep."""
 
     def __init__(self):
-        self.recolour = analysis._recolour
+        self.recolour, self.least_girth = analysis._recolour, analysis._least_girth
         self.counts = Counter()
         self.last = None  # the rows before the last recolour of this search
 
     @staticmethod
-    def verify(rows, girths, witnesses, triangles):
+    def verify(rows, girths, witnesses, stale, triangles=None):
         n = len(rows[0])
-        for c, row_list in enumerate(rows):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if row_list[u] >> v & 1]
-            got = odd_girth(Graph.from_edges(n, pairs))
-            want = n + 1 if got is None else got[0]
+        for c, (pairs, want) in enumerate(fresh_classes(rows)):
+            if triangles is not None:
+                assert triangles[c] == triangle_count(n, pairs), (c, triangles[c])
+            if stale[c]:
+                assert 5 <= girths[c] <= want, (c, girths[c], want)
+                assert witnesses[c] is None, c
+                assert triangles is None or triangles[c] == 0, c
+                continue
             assert girths[c] == want, (c, girths[c], want)
-            assert triangles[c] == triangle_count(n, pairs), (c, triangles[c])
             if witnesses[c] is not None:
-                assert len(witnesses[c]) == (0 if got is None else want)
+                assert len(witnesses[c]) == (0 if want == n + 1 else want)
                 assert witnesses[c] <= set(pairs)
                 assert set(Counter(x for pair in witnesses[c] for x in pair).values()) <= {2}
 
-    def __call__(self, rows, girths, witnesses, triangles, u, v, old, new):
+    def __call__(self, rows, girths, witnesses, triangles, stale, u, v, old, new):
         state = [list(r) for r in rows]
         if self.last is not None:
             self.counts["rejected" if state == self.last else "kept"] += 1
         self.last = state
-        self.verify(rows, girths, witnesses, triangles)
-        self.counts["unknown"] += witnesses[old] is None
-        before = girths[new]
-        self.recolour(rows, girths, witnesses, triangles, u, v, old, new)
-        self.counts["walk"] += 5 <= girths[new] < before
+        self.verify(rows, girths, witnesses, stale, triangles)
+        was = (girths[old], stale[old], girths[new], stale[new])
+        self.recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
+        if stale[old] and not was[1]:
+            self.counts["stale at 5" if was[0] == 3 else "stale at girth"] += 1
+        # an add leaves a stale bound stale only where it did not lower it
+        assert not stale[new] or (was[3] and girths[new] == was[2])
+        self.counts["walk"] += 5 <= girths[new] < was[2]
         self.counts["triangle kept"] += triangles[old] > 0
-        self.verify(rows, girths, witnesses, triangles)
+        self.verify(rows, girths, witnesses, stale, triangles)
+
+    def read(self, rows, girths, witnesses, stale):
+        self.verify(rows, girths, witnesses, stale)
+        was_stale = list(stale)
+        least = self.least_girth(rows, girths, witnesses, stale)
+        self.counts["swept"] += sum(a and not b for a, b in zip(was_stale, stale))
+        assert least == min(g for _, g in fresh_classes(rows))
+        self.verify(rows, girths, witnesses, stale)
+        return least
 
 
 @pytest.fixture
 def check(monkeypatch):
     checker = RecolourCheck()
     monkeypatch.setattr(analysis, "_recolour", checker)
+    monkeypatch.setattr(analysis, "_least_girth", checker.read)
     return checker
 
 
@@ -107,20 +150,23 @@ class TestRecolourRules:
             assert check.counts["triangle kept"] > 0
 
     def test_binary_init(self, check):
-        # every class starts bipartite: the sentinel girth and empty witness
+        # every class starts stale at 5 and the first read sweeps it to the
+        # sentinel girth and empty witness
         for seed in (0, 3):
             check.last = None
             anneal_search(3, 8, 300, seed, init=binary_colouring(3))
         assert check.counts["kept"] > 0 and check.counts["rejected"] > 0
+        assert check.counts["swept"] >= 6
 
     def test_hamilton_init(self, check):
         # girth 9 in every class: adds search walks beyond length 2, and a
-        # lowered girth's unknown witness is swept again on the next removal
+        # lowered girth's unknown witness makes it stale on the next removal
         for seed in (0, 1, 2):
             check.last = None
             anneal_search(4, 9, 300, seed, init=hamilton_colouring(4))
         counts = check.counts
-        assert min(counts["kept"], counts["rejected"], counts["unknown"], counts["walk"]) > 0
+        assert min(counts["kept"], counts["rejected"], counts["stale at girth"],
+                   counts["walk"], counts["swept"]) > 0
 
     @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (4, 4)])
     def test_exhaustive_odometer(self, check, q, n):
@@ -129,26 +175,74 @@ class TestRecolourRules:
 
     def test_removal_keeping_a_triangle_makes_no_sweep(self, monkeypatch):
         # a girth-3 colour that still holds a triangle after a removal is
-        # known to stay at 3: that recolour sweeps neither class
-        sweep, recolour = analysis._sweep, analysis._recolour
-        sweeps, outcomes = [], Counter()
+        # known to stay at 3: that recolour sweeps neither class. No read
+        # sweeps while an exact colour has girth 3, and a colour is swept at
+        # most once each time it becomes stale (at the start, by a removal,
+        # or when a rejected move restores it)
+        sweep, recolour, least_girth = analysis._sweep, analysis._recolour, analysis._least_girth
+        outcomes, seen = Counter(), {}
+        search = {}  # the rows, girths and staleness of the search being run
+
+        def observe():
+            # a colour stale now but exact when last seen starts an episode
+            for c, now in enumerate(search["stale"]):
+                if now and not seen.get(c, False):
+                    search["episodes"][c] += 1
+                seen[c] = now
+
+        def counted_sweep(rows):
+            (c,) = [c for c, r in enumerate(search["rows"]) if r is rows]
+            assert 3 not in search["girths"]
+            assert search["stale"][c] and search["sweeps"][c] < search["episodes"][c]
+            search["sweeps"][c] += 1
+            return sweep(rows)
+
+        def watched(rows, girths, witnesses, triangles, stale, u, v, old, new):
+            observe()
+            n, done = len(rows[0]), sum(search["sweeps"].values())
+            recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
+            observe()
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rows[old][a] >> b & 1]
+            if triangle_count(n, pairs):
+                outcomes[sum(search["sweeps"].values()) - done] += 1
+
+        def read(rows, girths, witnesses, stale):
+            if search.get("rows") is not rows:  # a new search
+                seen.clear()
+                search.update(rows=rows, girths=girths, stale=stale,
+                              episodes=Counter(), sweeps=Counter())
+            observe()
+            least = least_girth(rows, girths, witnesses, stale)
+            observe()
+            return least
+
+        monkeypatch.setattr(analysis, "_sweep", counted_sweep)
+        monkeypatch.setattr(analysis, "_recolour", watched)
+        monkeypatch.setattr(analysis, "_least_girth", read)
+        swept = 0
+        for run in (lambda: anneal_search(3, 9, 500, 11),
+                    lambda: exhaustive_L(2, 5),
+                    lambda: anneal_search(3, 9, 2000, 0, init=product_init(3)),
+                    lambda: anneal_search(4, 9, 300, 1, init=hamilton_colouring(4))):
+            run()
+            swept += sum(search["sweeps"].values())
+        assert outcomes[0] > 100 and set(outcomes) == {0}
+        assert swept > 0
+
+    def test_product_init_sweeps_few_classes(self, monkeypatch):
+        # from binary(1) ⊗ hamilton(2) cut to K_9 the objective stays at 5;
+        # a sweep per removal from a hit witness or an emptied count made
+        # 1 619 sweeps over these five runs, stale bounds make 15
+        sweep, sweeps = analysis._sweep, []
 
         def counted_sweep(rows):
             sweeps.append(len(rows))
             return sweep(rows)
 
-        def watched(rows, girths, witnesses, triangles, u, v, old, new):
-            n, done = len(rows[0]), len(sweeps)
-            recolour(rows, girths, witnesses, triangles, u, v, old, new)
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rows[old][a] >> b & 1]
-            if triangle_count(n, pairs):
-                outcomes[len(sweeps) - done] += 1
-
         monkeypatch.setattr(analysis, "_sweep", counted_sweep)
-        monkeypatch.setattr(analysis, "_recolour", watched)
-        anneal_search(3, 9, 500, 11)
-        assert outcomes[0] > 100 and set(outcomes) == {0}
-        assert sweeps  # the initial classes and the removals that emptied a count
+        for seed in range(5):
+            assert anneal_search(3, 9, 4000, seed, init=product_init(3))[0] == 5
+        assert len(sweeps) <= 50
 
 
 class TestExhaustive:
@@ -371,6 +465,16 @@ class TestAnneal:
         assert_same_search(anneal_search(q, n, 300, gen), anneal_search_by_tables(q, n, 300, twin))
         assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_matches_table_search_from_product_init(self, q):
+        # the objective-5 regime: reads sweep stale colours to set it
+        for seed in (0, 1):
+            assert_matches_table_search(q, 2**q + 1, 2000, seed, init=product_init(q))
+
+    def test_matches_table_search_from_hamilton_init_long(self):
+        for seed in (1, 5):
+            assert_matches_table_search(4, 9, 2000, seed, init=hamilton_colouring(4))
+
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_matches_table_search_from_binary_init(self, seed):
         assert_matches_table_search(3, 8, 300, seed, init=binary_colouring(3))
@@ -392,6 +496,12 @@ class TestAnneal:
         seed = 10**5000  # str() refuses an int of more than 4300 digits
         got = anneal_search(2, 5, 10, seed)
         assert got[1].provenance == "anneal q=2 n=5 seed=(16610-bit number)"
+        assert_same_search(got, anneal_search(2, 5, 10, np.random.default_rng(seed)), provenance=False)
+
+    def test_list_seed_holding_a_huge_int_named_by_type(self):
+        seed = [10**5000]
+        got = anneal_search(2, 5, 10, seed)
+        assert got[1].provenance == "anneal q=2 n=5 seed=(list holding a number too long to print)"
         assert_same_search(got, anneal_search(2, 5, 10, np.random.default_rng(seed)), provenance=False)
 
 

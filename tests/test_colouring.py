@@ -81,9 +81,9 @@ class TestHamiltonColouring:
             assert len(components(g)) == 1
             assert odd_girth(g)[0] == n
 
-    @pytest.mark.parametrize("m", [0, -1, 2**13])  # 2^14 + 1 vertices is past the limit
+    @pytest.mark.parametrize("m", [0, -1, 2**13 + 1])  # 2^14 + 3 vertices is past the limit
     def test_guard(self, m):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"m must be in \[1, 8192\]"):
             hamilton_colouring(m)
 
     def test_closed_form_matches_walecki_edge_lists(self):
@@ -126,9 +126,10 @@ class TestNonIntegerPairIds:
 
 
 def test_dense_tables_over_size_limit_rejected():
-    # each raises before its n x n table is allocated
-    over = 2**14 + 1
-    with pytest.raises(InputError):
+    # each raises before its n x n table is allocated; K_{2^14+1}, the
+    # paper's threshold instance at q = 14, is the largest table
+    over = 2**14 + 2
+    with pytest.raises(InputError, match=r"q must be in \[1, 14\], got 15"):
         binary_colouring(15)
     with pytest.raises(InputError):
         random_colouring(over, 2, 0)
@@ -204,6 +205,18 @@ class TestRandomColouring:
         (10**5000, "(16610-bit number)"),  # str() refuses an int of more than 4300 digits
     ], ids=["2^64-1", "2^64", "10^5000"])
     def test_huge_int_seed_named_by_bit_length(self, seed, shown):
+        c = random_colouring(5, 2, seed)
+        assert c.provenance == f"random n=5 q=2 seed={shown}"
+        assert c == random_colouring(5, 2, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed, shown", [
+        ([2**70], "[1180591620717411303424]"),
+        ([10**5000], "(list holding a number too long to print)"),
+        ((3, 10**5000), "(tuple holding a number too long to print)"),
+        (np.random.SeedSequence(10**5000), "(SeedSequence holding a number too long to print)"),
+    ], ids=["list-2^70", "list-10^5000", "tuple-10^5000", "SeedSequence-10^5000"])
+    def test_seed_holding_a_huge_int_named_by_type(self, seed, shown):
+        # numpy takes these seeds; str() of one refuses its 5001-digit entry
         c = random_colouring(5, 2, seed)
         assert c.provenance == f"random n=5 q=2 seed={shown}"
         assert c == random_colouring(5, 2, np.random.default_rng(seed))
@@ -478,11 +491,18 @@ class TestIO:
         assert kind in str(err.value)
         assert len(str(err.value)) < 200
 
-    @pytest.mark.parametrize("n", [2**14 + 1, 10_000_000])
+    @pytest.mark.parametrize("n", [2**14 + 2, 10_000_000])
     def test_header_over_size_limit(self, n):
         with pytest.raises(ParseError) as err:
             read_colouring(io.StringIO(f"oddcycle-colouring v1\n{n} 3\n0 1 2\n"))
         assert err.value.line == 2
+
+    def test_header_at_size_limit_accepted(self):
+        # n = 2^14 + 1 passes the header check; the missing rows then fail
+        # before the 512 MiB table is allocated
+        with pytest.raises(ParseError, match="row for vertex 0") as err:
+            read_colouring(io.StringIO(f"oddcycle-colouring v1\n{2**14 + 1} 3\n0 1 2\n"))
+        assert err.value.line == 3
 
     @pytest.mark.parametrize("q", [2**15 + 1, 100_000])
     def test_header_over_colour_limit(self, q):
