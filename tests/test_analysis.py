@@ -109,13 +109,13 @@ class RecolourCheck:
             self.counts["rejected" if state == self.last else "kept"] += 1
         self.last = state
         self.verify(rows, girths, witnesses, stale, triangles)
-        was = (girths[old], stale[old], girths[new], stale[new])
+        old_girth, old_stale, new_girth, new_stale = girths[old], stale[old], girths[new], stale[new]
         self.recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
-        if stale[old] and not was[1]:
-            self.counts["stale at 5" if was[0] == 3 else "stale at girth"] += 1
+        if stale[old] and not old_stale:
+            self.counts["stale at 5" if old_girth == 3 else "stale at girth"] += 1
         # an add leaves a stale bound stale only where it did not lower it
-        assert not stale[new] or (was[3] and girths[new] == was[2])
-        self.counts["walk"] += 5 <= girths[new] < was[2]
+        assert not stale[new] or (new_stale and girths[new] == new_girth)
+        self.counts["walk"] += 5 <= girths[new] < new_girth
         self.counts["triangle kept"] += triangles[old] > 0
         self.verify(rows, girths, witnesses, stale, triangles)
 
@@ -171,7 +171,7 @@ class TestRecolourRules:
     @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (4, 4)])
     def test_exhaustive_odometer(self, check, q, n):
         exhaustive_L(q, n)
-        assert check.counts["kept"] > 0
+        assert check.counts["kept"] > 0 and check.counts["stale at 5"] > 0
 
     def test_removal_keeping_a_triangle_makes_no_sweep(self, monkeypatch):
         # a girth-3 colour that still holds a triangle after a removal is
