@@ -2,10 +2,11 @@
 """Exact small cases and a heuristic search for extremal colourings.
 
 The quantity of interest: over all q-colourings of K_n, the largest value of
-the minimum monochromatic odd cycle length. Exhaustive enumeration settles
-tiny cases (the pentagon/pentagram colouring of K_5 is the unique style of
-optimum for q=2); simulated annealing over single-edge recolours rediscovers
-the same optimum and probes sizes the enumeration cannot reach.
+the minimum monochromatic odd cycle length. An exact branch and bound over
+the colourings settles tiny cases (the pentagon/pentagram colouring of K_5
+is the unique style of optimum for q=2); simulated annealing over
+single-edge recolours rediscovers the same optimum and probes sizes the
+exact search cannot reach.
 """
 
 import time
@@ -19,7 +20,7 @@ from oddcycle import (
 from oddcycle.analysis import anneal_search
 
 print("=" * 72)
-print("Exhaustive enumeration")
+print("Exact search (branch and bound)")
 print("=" * 72)
 t0 = time.perf_counter()
 value, witness = exhaustive_L(1, 3)
@@ -52,7 +53,7 @@ bip = [not isinstance(odd_girth(colour_class(best, i)), tuple) for i in range(3)
 print(f"  classes bipartite: {bip}")
 
 print()
-print("A reproducible probe beyond the enumeration guard:")
+print("A reproducible probe beyond the exact search's guard:")
 objective, best = anneal_search(3, 9, iterations=3000, seed=42)
 print(f"  q=3, n=9, 3000 iterations, seed 42: objective {objective}")
 print("  (rerunning with the same seed reproduces this byte for byte)")

@@ -12,19 +12,20 @@ q-colourings of K_n, maximize the minimum monochromatic odd cycle length.
 Internally "no monochromatic odd cycle" is the sentinel n+1 so maximization
 is total; the public value is None in that case. Both searches keep each
 colour class as one row int per vertex, bit v of row u set iff {u, v} has
-that colour; a recolour flips two bits in each of the two colours it
-touches, and a colouring table is built only for the result.
+that colour, and build a colouring table only for the result.
 
-Between recolours both searches also keep each colour's number of
-triangles and an odd girth that is either exact or a *stale* lower bound,
-and update them by the rules below instead of sweeping the two classes
-again. An exact colour of girth 5 or more may also keep the edge set of one
-shortest odd cycle (its witness; None when unknown). A stale colour has odd
-girth at least its bound, which is at least 5, no triangle and no witness.
-The triangles through a pair {u, v} are its common neighbours,
-``(rows[u] & rows[v]).bit_count()``, so a recolour moves that many
-triangles from one count to the other; and a class has odd girth 3 exactly
-when its count is positive.
+Both searches also keep each colour's number of triangles and an odd girth
+that is either exact or a *stale* lower bound, updated by the rules below
+instead of by sweeping a class. A pair joins a class by one rule, ``_add``:
+the exhaustive search adds pairs to empty classes, annealing its start's
+pairs, and only annealing recolours, by an *out of* step and ``_add``. An
+exact colour of girth 5 or more may also keep the edge set of one shortest
+odd cycle (its witness; None when unknown). A stale colour has odd girth at
+least its bound, which is at least 5, no triangle and no witness. The
+triangles through a pair {u, v} are its common neighbours,
+``(rows[u] & rows[v]).bit_count()``, so adding or removing it moves that
+many triangles; and a class has odd girth 3 exactly when its count is
+positive.
 
 - *Into* colour c: an odd cycle through the new edge {u, v} is that edge
   plus an even u-v walk of the old class, and a closed odd walk contains an
@@ -92,15 +93,6 @@ ENUMERATION_GUARD = 2**24
 _BATCH = 4096  # annealing steps whose draws are made at a time
 
 
-def _class_rows(n, q, edges, colours):
-    """rows[c][u] of each colour c: bit v set iff the pair {u, v} has colour c."""
-    rows = [[0] * n for _ in range(q)]
-    for (u, v), c in zip(edges, colours):
-        rows[c][u] |= 1 << v
-        rows[c][v] |= 1 << u
-    return rows
-
-
 def _sweep(rows):
     """Odd girth of the class on ``rows`` and the pairs (u < v) of a shortest
     odd cycle, or (n + 1, no pairs) when the class is bipartite."""
@@ -109,22 +101,6 @@ def _sweep(rows):
         return len(rows) + 1, frozenset()
     cycle = got[1].vertices
     return got[0], frozenset((min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-
-
-def _triangles(rows):
-    """Number of triangles of the class on ``rows``: each edge {u, v}, u < v,
-    counts its common neighbours, so every triangle is counted three times."""
-    return sum((row & rows[v]).bit_count()
-               for u, row in enumerate(rows) for v in range(u + 1, len(rows)) if row >> v & 1) // 3
-
-
-def _class_state(rows):
-    """Each colour's odd girth, witness, triangle count and staleness, as four
-    lists. Nothing is swept: a colour with a triangle has girth exactly 3, and
-    every other colour starts stale at 5."""
-    triangles = [_triangles(r) for r in rows]
-    stale = [not t for t in triangles]
-    return [5 if s else 3 for s in stale], [None] * len(rows), triangles, stale
 
 
 def _even_walk(rows, u, v, below):
@@ -139,31 +115,38 @@ def _even_walk(rows, u, v, below):
     return None
 
 
+def _add(rows, girths, witnesses, triangles, stale, u, v, c):
+    """Add the pair {u, v} (u < v), of no colour yet, to colour c, keeping its
+    odd girth (exact or stale), witness and triangle count by the module's
+    *into* rule. The one place a pair joins a class."""
+    into = rows[c]
+    common = (into[u] & into[v]).bit_count()
+    if common:
+        triangles[c] += common
+        if girths[c] > 3:
+            girths[c], witnesses[c], stale[c] = 3, None, False
+    elif girths[c] > 5:
+        d = _even_walk(into, u, v, girths[c] - 1)
+        if d is not None:
+            girths[c], witnesses[c], stale[c] = d + 1, None, False
+    into[u] ^= 1 << v
+    into[v] ^= 1 << u
+
+
 def _recolour(rows, girths, witnesses, triangles, stale, u, v, old, new):
     """Move the pair {u, v} (u < v) from colour ``old`` to colour ``new``,
     keeping both colours' odd girths (exact or stale), witnesses and triangle
     counts by the module's rules. It sweeps no class."""
-    bit_u, bit_v = 1 << u, 1 << v
-    out_of, into = rows[old], rows[new]
-    out_of[u] ^= bit_v
-    out_of[v] ^= bit_u
+    out_of = rows[old]
+    out_of[u] ^= 1 << v
+    out_of[v] ^= 1 << u
     if girths[old] == 3:
         triangles[old] -= (out_of[u] & out_of[v]).bit_count()
         if not triangles[old]:
             girths[old], stale[old] = 5, True
     elif witnesses[old] is None or (u, v) in witnesses[old]:
         witnesses[old], stale[old] = None, True
-    common = (into[u] & into[v]).bit_count()
-    if common:
-        triangles[new] += common
-        if girths[new] > 3:
-            girths[new], witnesses[new], stale[new] = 3, None, False
-    elif girths[new] > 5:
-        d = _even_walk(into, u, v, girths[new] - 1)
-        if d is not None:
-            girths[new], witnesses[new], stale[new] = d + 1, None, False
-    into[u] ^= bit_v
-    into[v] ^= bit_u
+    _add(rows, girths, witnesses, triangles, stale, u, v, new)
 
 
 def _least_girth(rows, girths, witnesses, stale):
@@ -197,13 +180,19 @@ def _draws(rng, pairs, q, steps):
 
 
 def exhaustive_L(q, n):
-    """Exact worst-colouring bound by enumeration.
+    """Exact worst-colouring bound by branch and bound.
 
     Returns (value, witness): the largest over all q-colourings of K_n of
     the minimum monochromatic odd cycle length, and a colouring attaining
     it. value is None when some colouring has no monochromatic odd cycle at
     all (possible iff n <= 2^q). Colour-permutation symmetry is folded away
     by fixing the colour of the edge {0,1}; no further isomorphism pruning.
+
+    A depth-first search adds the pairs by ``_add``, in ``itertools.product``
+    order, to classes that start empty, so every girth stays exact; it skips
+    each prefix whose least odd girth is not above the best value found. The
+    witness is thus the first colouring in that order to reach the maximum.
+    The guard still bounds the q^(pairs - 1) colourings it could reach.
     """
     q = _scalar_id(q, "q must be an integer")
     n = _scalar_id(n, "n must be an integer")
@@ -228,27 +217,30 @@ def exhaustive_L(q, n):
         return 3, _from_pairs(n, q, np.zeros(n_edges, dtype=np.int16), f"exhaustive q=1 n={n}")
     edges = list(itertools.combinations(range(n), 2))
     sentinel = n + 1
+    rows = [[0] * n for _ in range(q)]
+    girths, witnesses, triangles, stale = [sentinel] * q, [None] * q, [0] * q, [False] * q
     colours = [0] * n_edges
-    rows = _class_rows(n, q, edges, colours)
-    girths, witnesses, triangles, stale = _class_state(rows)
     best_val, best = -1, None
-    while True:
-        val = _least_girth(rows, girths, witnesses, stale)
-        if val > best_val:
-            best_val, best = val, tuple(colours)
+
+    def search(k):
+        nonlocal best_val, best
+        if k == n_edges:
+            best_val, best = min(girths), tuple(colours)
+            return
+        u, v = edges[k]
+        for c in range(q if k else 1):  # pair 0 keeps colour 0
+            kept = girths[c], witnesses[c], triangles[c], stale[c]
+            _add(rows, girths, witnesses, triangles, stale, u, v, c)
+            if min(girths) > best_val:  # a pair added never raises a girth
+                colours[k] = c
+                search(k + 1)
+            rows[c][u] ^= 1 << v
+            rows[c][v] ^= 1 << u
+            girths[c], witnesses[c], triangles[c], stale[c] = kept
             if best_val == sentinel:
-                break  # sentinel is the maximum possible
-        # the next colouring in itertools.product order, as an odometer: the
-        # last pair's colour turns fastest, and pair 0 keeps colour 0
-        k = n_edges - 1
-        while k and colours[k] == q - 1:
-            k -= 1
-        if not k:
-            break
-        for j in range(k, n_edges):
-            new = (colours[j] + 1) % q
-            _recolour(rows, girths, witnesses, triangles, stale, *edges[j], colours[j], new)
-            colours[j] = new
+                return  # sentinel is the maximum possible
+
+    search(0)
     witness = _from_pairs(n, q, best, f"exhaustive q={q} n={n}")
     return (None if best_val == sentinel else best_val), witness
 
@@ -284,8 +276,11 @@ def anneal_search(q, n, iterations, seed, init=None):
         raise InputError("init colouring leaves pairs uncoloured")
     edges = list(itertools.combinations(range(n), 2))
     colours = _pair_colours(start).tolist()
-    rows = _class_rows(n, q, edges, colours)
-    girths, witnesses, triangles, stale = _class_state(rows)
+    # empty classes begin stale at 5: one with a triangle ends exactly at 3
+    rows = [[0] * n for _ in range(q)]
+    girths, witnesses, triangles, stale = [5] * q, [None] * q, [0] * q, [True] * q
+    for (u, v), c in zip(edges, colours):
+        _add(rows, girths, witnesses, triangles, stale, u, v, c)
     objective = best_value = _least_girth(rows, girths, witnesses, stale)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05

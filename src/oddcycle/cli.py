@@ -218,7 +218,7 @@ def peel_cmd(infile, colour, k):
 @click.option("--n", type=int, required=True)
 @_guarded
 def lq_exact(q, n):
-    """Exact worst-colouring bound for small q, n, by enumeration."""
+    """Exact worst-colouring bound for small q, n, by branch and bound."""
     value, witness = exhaustive_L(q, n)
     if value is None:
         click.echo(

@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .colouring import _edge_near_0, _joins_one_side, _without_colour, colour_class
+from .colouring import _edge_near_0, _joins_one_side, _shown, _without_colour, colour_class
 from .errors import (
     InputError,
     InternalInconsistency,
@@ -66,6 +66,7 @@ from .graph import (
     _component_masks,
     _integer_ids,
     _real,
+    _scalar_id,
     _twin_free,
     _unpack_rows,
     check_bipartite,
@@ -107,6 +108,9 @@ class PipelineParams:
             raise InputError(f"C must be finite and positive, got {self.C}")
         if self.fallback not in ("oracle", "fail"):
             raise InputError(f"fallback must be 'oracle' or 'fail', got {self.fallback!r}")
+        for name in ("k_of_q", "small_threshold_of_q"):
+            if not callable(getattr(self, name)):
+                raise InputError(f"{name} must be callable, not {type(getattr(self, name)).__name__}")
 
 
 @dataclass
@@ -283,10 +287,10 @@ def _find_level(c, params, trace, level):
         lvl.branch = "base"
         return _oracle_result(c, lvl, min_colour_odd_cycle(c))
 
-    k = int(params.k_of_q(q))
-    threshold = int(params.small_threshold_of_q(q))
+    k = _scalar_id(params.k_of_q(q), "k_of_q must give an integer")
+    threshold = _scalar_id(params.small_threshold_of_q(q), "small_threshold_of_q must give an integer")
     if k < 1 or threshold < 1:
-        raise InputError(f"rules must be positive, got k={k} threshold={threshold}")
+        raise InputError(f"rules must be positive, got k={_shown(k)} threshold={_shown(threshold)}")
     lvl.params.update({"k": k, "small_threshold": threshold})
 
     # (2) bipartite reduction: drop a bipartite colour, recurse on the
@@ -452,6 +456,7 @@ def reduce_bipartite_colour(c, i, bipartition):
     ``_checked_sides``; only the kept side's rows are gathered, one block
     at a time, into the reduced table.
     """
+    i = _scalar_id(i, "colour index must be an integer")
     if not 0 <= i < c.q:
         raise InputError(f"colour {i} out of range")
     s0, s1 = _checked_sides(c, i, bipartition, np.arange(c.n))
@@ -490,10 +495,9 @@ def proposition_pipeline(c, delta, q=None):
     signature collision exposes an uncoloured pair and raises
     InternalInconsistency (unreachable for genuine complete colourings).
     """
-    if q is None:
-        q = c.q
+    q = c.q if q is None else _scalar_id(q, "q must be an integer")
     if c.q > q:
-        raise InputError(f"colouring uses {c.q} colours, more than the stated {q}")
+        raise InputError(f"colouring uses {c.q} colours, more than the stated {_shown(q)}")
     _real(delta, "delta")
     try:  # int and Fraction exactly, other reals (numpy's too) as their float
         d = Fraction(delta) if isinstance(delta, (int, Fraction)) else Fraction(float(delta))
@@ -501,6 +505,8 @@ def proposition_pipeline(c, delta, q=None):
         raise InputError(f"delta must be finite, got {delta}") from None
     if not 0 < d <= 1:
         raise InputError(f"delta must lie in (0, 1], got {delta}")
+    if q >= max(c.n.bit_length(), 64):  # 2^q > n, refused without building 2^q
+        raise InputError(f"need n > 2^{_shown(q)} for q={_shown(q)}, delta={delta}; got {c.n}")
     needed = math.ceil((1 + d) * 2**q)
     if c.n < needed:
         raise InputError(f"need n >= {needed} for q={q}, delta={delta}; got {c.n}")

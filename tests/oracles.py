@@ -6,6 +6,7 @@ package's optimized kernels have something honest to disagree with.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -381,6 +382,27 @@ def table_girth(table, i):
     when the class is bipartite."""
     got = odd_girth(Graph(table == i))
     return len(table) + 1 if got is None else got[0]
+
+
+def table_girth_by_bfs(table, i):
+    """Odd girth of ``table == i`` by a breadth-first search of (vertex,
+    parity) states from each vertex back to itself at odd parity, on plain
+    Python lists and none of the package's kernels; n+1 when the class is
+    bipartite."""
+    n = len(table)
+    nbrs = [[w for w in range(n) if table[v][w] == i] for v in range(n)]
+    best = n + 1
+    for root in range(n):
+        dist = {(root, 0): 0}
+        queue = collections.deque([(root, 0)])
+        while queue and (root, 1) not in dist:
+            v, p = queue.popleft()
+            for w in nbrs[v]:
+                if (w, 1 - p) not in dist:
+                    dist[w, 1 - p] = dist[v, p] + 1
+                    queue.append((w, 1 - p))
+        best = min(best, dist.get((root, 1), best))
+    return best
 
 
 def exhaustive_L_by_tables(q, n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 import tracemalloc
@@ -30,7 +31,7 @@ from oddcycle.analysis import (
     rows_to_csv,
 )
 from oddcycle.colouring import colouring_to_text
-from oracles import anneal_search_by_tables, exhaustive_L_by_tables
+from oracles import anneal_search_by_tables, exhaustive_L_by_tables, table_girth_by_bfs
 
 
 def girth_or(c, i, sentinel):
@@ -168,11 +169,6 @@ class TestRecolourRules:
         assert min(counts["kept"], counts["rejected"], counts["stale at girth"],
                    counts["walk"], counts["swept"]) > 0
 
-    @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (4, 4)])
-    def test_exhaustive_odometer(self, check, q, n):
-        exhaustive_L(q, n)
-        assert check.counts["kept"] > 0 and check.counts["stale at 5"] > 0
-
     def test_removal_keeping_a_triangle_makes_no_sweep(self, monkeypatch):
         # a girth-3 colour that still holds a triangle after a removal is
         # known to stay at 3: that recolour sweeps neither class. No read
@@ -290,6 +286,33 @@ class TestExhaustive:
         assert value == want_value
         assert witness.table.tobytes() == want.table.tobytes()
         assert witness.provenance == want.provenance
+
+    @pytest.mark.parametrize("q, n, value, digest", [
+        (2, 6, 3, "1c946e8efb758d18"), (2, 7, 3, "c45ce040efb1c8c1"),
+        (3, 5, None, "b0fa88deb1aef6e2"), (3, 6, None, "8c82ca439c3d6c54"),
+        (4, 5, None, "e6aa7fb0e5534b73"),
+    ])
+    def test_largest_admitted_sizes_pinned(self, q, n, value, digest):
+        # values and witness tables (sha256 prefixes) as the full enumeration
+        # of all q^(pairs - 1) colourings gave them; each witness class's odd
+        # girth is re-derived by a BFS independent of the package's kernels
+        got, witness = exhaustive_L(q, n)
+        assert got == value
+        assert hashlib.sha256(witness.table.tobytes()).hexdigest()[:16] == digest
+        girths = [table_girth_by_bfs(witness.table.tolist(), i) for i in range(q)]
+        assert girths == [girth_or(witness, i, n + 1) for i in range(q)]
+        assert min(girths) == (n + 1 if value is None else value)
+
+    def test_answers_by_adding_pairs_alone(self, monkeypatch):
+        # the search only adds pairs to classes that start empty, so every
+        # girth stays exact: it recolours, reads stale bounds and sweeps none
+        def refuse(*args):
+            raise AssertionError("the exhaustive search recoloured or swept")
+
+        for name in ("_recolour", "_least_girth", "_sweep"):
+            monkeypatch.setattr(analysis, name, refuse)
+        for q, n, value in [(2, 5, 5), (2, 6, 3), (3, 5, None), (4, 4, None)]:
+            assert exhaustive_L(q, n)[0] == value
 
     @pytest.mark.parametrize("q, n, what", [
         (2, 5.0, "n must be an integer"), (2.0, 3, "q must be an integer"),

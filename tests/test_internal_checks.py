@@ -148,6 +148,18 @@ def test_table_packing_has_one_home():
     assert _package_uses("_pack_rows") == {"graph.Graph.__init__", "colouring.colour_class"}
 
 
+def test_pairs_join_a_class_by_one_rule():
+    # The small-case searches put a pair into a colour class only through
+    # analysis._add, the one caller of the even-walk search: the exhaustive
+    # search adds every pair by it, annealing builds its start by it and
+    # recolours through it. No second builder of class states is left.
+    assert _package_uses("_even_walk") == {"analysis._add"}
+    defined = {node.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"_class_rows", "_triangles", "_class_state"}
+
+
 def _modules_where(hit):
     """Modules of the package holding an AST node for which ``hit`` holds."""
     return {path.stem for path in sorted(PACKAGE.glob("*.py"))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -293,6 +294,19 @@ class TestBipartiteReduction:
         bip = check_bipartite(colour_class(c, 0))
         reduced, kept = reduce_bipartite_colour(c, 0, bip)
         assert reduced.n == 1 and reduced.q == 0
+
+    @pytest.mark.parametrize("i", ["0", 0.0, True, np.bool_(False), None])
+    def test_colour_index_not_an_integer_rejected(self, i):
+        # "0" raised TypeError; 0.0 and True were taken as colours 0 and 1
+        c = binary_colouring(3)
+        with pytest.raises(InputError, match="colour index must be an integer"):
+            reduce_bipartite_colour(c, i, check_bipartite(colour_class(c, 0)))
+
+    def test_numpy_colour_index_accepted(self):
+        c = binary_colouring(3)
+        bip = check_bipartite(colour_class(c, 2))
+        reduced, kept = reduce_bipartite_colour(c, np.int64(2), bip)
+        assert reduced == binary_colouring(2) and list(kept) == [0, 1, 2, 3]
 
     def test_invalid_bipartition_rejected(self):
         c = pentagon_colouring()
@@ -600,6 +614,40 @@ class TestProposition:
         assert got.trace.last().params["delta"] == float(delta)
         assert verify_mono_odd_cycle(c, got.certificate) is None
 
+    @pytest.mark.parametrize("q", [True, np.bool_(True), 2.5, "2", 1.0])
+    def test_q_not_an_integer_rejected(self, q):
+        # True ran as 1; 2.5 and "2" raised TypeError
+        with pytest.raises(InputError, match="q must be an integer"):
+            proposition_pipeline(random_colouring(16, 1, 0), 1, q=q)
+
+    @pytest.mark.parametrize("q, message", [
+        (5, "need n >= 64 for q=5, delta=1; got 16"),
+        (64, "need n > 2^64 for q=64, delta=1; got 16"),
+        (10**6, "need n > 2^1000000 for q=1000000, delta=1; got 16"),
+        pytest.param(10**5000, "need n > 2^(16610-bit number) for q=(16610-bit number), delta=1; got 16",
+                     id="10^5000"),
+    ])
+    def test_q_with_2_to_the_q_past_n_refused_at_once(self, q, message):
+        # q = 10**6 built 2**q and then failed formatting the n it needed
+        # (ValueError: Exceeds the limit (4300 digits)); from q = 64 on, the
+        # refusal builds no 2**q
+        start = time.perf_counter()
+        with pytest.raises(InputError) as err:
+            proposition_pipeline(random_colouring(16, 3, 0), 1, q=q)
+        assert str(err.value) == message
+        assert time.perf_counter() - start < 0.1
+        assert len(str(err.value)) < 100
+
+    def test_stated_q_below_the_colours_named_by_size(self):
+        # formatting -10**5000 raised ValueError past str()'s 4300-digit limit
+        with pytest.raises(InputError, match=r"more than the stated \(16610-bit number\)$"):
+            proposition_pipeline(random_colouring(16, 3, 0), 1, q=-10**5000)
+
+    def test_stated_q_kinds_accepted(self):
+        c = random_colouring(16, 3, 0)
+        for q in (3, np.int64(3)):
+            assert proposition_pipeline(c, 1, q=q).trace.last().params["k"] == 24
+
 
 class TestSignatures:
     def test_binary3_identity(self):
@@ -865,6 +913,35 @@ class TestTraces:
 
 
 class TestPipelineParams:
+    @pytest.mark.parametrize("rule", ["k_of_q", "small_threshold_of_q"])
+    @pytest.mark.parametrize("value", [5, None, "q"])
+    def test_rule_not_callable_rejected(self, rule, value):
+        # 5 was accepted and failed at run time: 'int' object is not callable
+        with pytest.raises(InputError, match=f"{rule} must be callable"):
+            PipelineParams(**{rule: value})
+
+    @pytest.mark.parametrize("rule", ["k_of_q", "small_threshold_of_q"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None, "5", 2.7, True, 3.0])
+    def test_rule_giving_no_integer_rejected(self, rule, value):
+        # nan, inf and None raised ValueError, OverflowError and TypeError;
+        # "5" ran as 5, 2.7 as 2 and True as 1
+        params = PipelineParams(C=0.1, **{**OVERRIDE, rule: lambda q: value})
+        with pytest.raises(InputError, match=f"{rule} must give an integer"):
+            find_mono_odd_cycle(random_colouring(16, 3, 0), params)
+
+    def test_rule_giving_a_huge_negative_named_by_size(self):
+        # formatting -10**5000 raised ValueError past str()'s 4300-digit limit
+        params = PipelineParams(C=0.1, **{**OVERRIDE, "k_of_q": lambda q: -10**5000})
+        with pytest.raises(InputError, match=r"got k=\(16610-bit number\) threshold=4$"):
+            find_mono_odd_cycle(random_colouring(16, 3, 0), params)
+
+    def test_rule_giving_a_numpy_integer_accepted(self):
+        params = PipelineParams(C=0.1, k_of_q=lambda q: np.int64(3), small_threshold_of_q=lambda q: np.int32(4))
+        got = find_mono_odd_cycle(random_colouring(16, 3, 0), params)
+        assert {key: got.trace.levels[0].params[key] for key in ("k", "small_threshold")} == {
+            "k": 3, "small_threshold": 4}
+        assert type(got.trace.levels[0].params["k"]) is int
+
     @pytest.mark.parametrize("big_c", [math.nan, math.inf, -math.inf, 0, -1, 0.0, -1e-9,
                                        np.float64(math.nan),
                                        pytest.param(10**400, id="int-past-floats")])
