@@ -17,8 +17,8 @@ that colour, and build a colouring table only for the result.
 Both searches also keep each colour's number of triangles and an odd girth
 that is either exact or a *stale* lower bound, updated by the rules below
 instead of by sweeping a class. A pair joins a class by one rule, ``_add``:
-the exhaustive search adds pairs to empty classes, annealing its start's
-pairs, and only annealing recolours, by an *out of* step and ``_add``. An
+the exhaustive search adds every pair by it, and so does annealing's start.
+Only annealing recolours, an *out of* step followed by ``_add``. An
 exact colour of girth 5 or more may also keep the edge set of one shortest
 odd cycle (its witness; None when unknown). A stale colour has odd girth at
 least its bound, which is at least 5, no triangle and no witness. The

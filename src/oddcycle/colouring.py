@@ -296,7 +296,7 @@ def colour_class(c, i):
     bool buffer of a block's size, so no n x n temporary is made."""
     i = _scalar_id(i, "colour index must be an integer")
     if not 0 <= i < c.q:
-        raise InputError(f"colour {i} out of range [0, {c.q})")
+        raise InputError(f"colour {_shown(i)} out of range [0, {c.q})")
     blocks = _row_blocks(c.n, c.n)
     buf = np.empty((blocks[0][1], c.n), dtype=bool)
     rows = []

@@ -458,7 +458,7 @@ def reduce_bipartite_colour(c, i, bipartition):
     """
     i = _scalar_id(i, "colour index must be an integer")
     if not 0 <= i < c.q:
-        raise InputError(f"colour {i} out of range")
+        raise InputError(f"colour {_shown(i)} out of range")
     s0, s1 = _checked_sides(c, i, bipartition, np.arange(c.n))
     kept = s0 if len(s0) >= len(s1) else s1
     return _without_colour(c, i, kept, provenance=f"reduce(drop {i})"), kept

@@ -302,6 +302,16 @@ class TestBipartiteReduction:
         with pytest.raises(InputError, match="colour index must be an integer"):
             reduce_bipartite_colour(c, i, check_bipartite(colour_class(c, 0)))
 
+    @pytest.mark.parametrize("i", [pytest.param(10**5000, id="10^5000"), pytest.param(-10**5000, id="-10^5000")])
+    def test_huge_colour_index_named_by_size(self, i):
+        # formatting the index raised ValueError past str()'s 4300-digit limit
+        c = binary_colouring(3)
+        bip = check_bipartite(colour_class(c, 0))
+        with pytest.raises(InputError, match=r"^colour \(16610-bit number\) out of range$"):
+            reduce_bipartite_colour(c, i, bip)
+        with pytest.raises(InputError, match=r"^colour \(16610-bit number\) out of range \[0, 3\)$"):
+            colour_class(c, i)
+
     def test_numpy_colour_index_accepted(self):
         c = binary_colouring(3)
         bip = check_bipartite(colour_class(c, 2))
