@@ -14,18 +14,18 @@ is total; the public value is None in that case. Both searches keep each
 colour class as one row int per vertex, bit v of row u set iff {u, v} has
 that colour, and build a colouring table only for the result.
 
-Both searches also keep each colour's number of triangles and an odd girth
-that is either exact or a *stale* lower bound, updated by the rules below
-instead of by sweeping a class. A pair joins a class by one rule, ``_add``:
-the exhaustive search adds every pair by it, and so does annealing's start.
-Only annealing recolours, an *out of* step followed by ``_add``. An
-exact colour of girth 5 or more may also keep the edge set of one shortest
-odd cycle (its witness; None when unknown). A stale colour has odd girth at
-least its bound, which is at least 5, no triangle and no witness. The
-triangles through a pair {u, v} are its common neighbours,
-``(rows[u] & rows[v]).bit_count()``, so adding or removing it moves that
-many triangles; and a class has odd girth 3 exactly when its count is
-positive.
+Both searches also keep each colour's number of triangles, an odd girth
+and the edge set of one shortest odd cycle (its witness; ``frozenset()``
+for a bipartite class), updated by the rules below instead of by sweeping
+a class. One rule reads them: a girth is exact when it is 3 or its colour
+keeps a witness, and a girth with witness None is a lower bound, at least
+5, of a class with no triangle. A class known only to have no triangle (an
+empty annealing start class, one that lost its last triangle) is set to
+min(5, n + 1): a bound, or exact with no pairs at n <= 4, where it is
+bipartite. Pairs join a class only by ``_add``; annealing recolours by an
+*out of* step and ``_add``. The triangles through {u, v} are its common
+neighbours, ``(rows[u] & rows[v]).bit_count()``, so adding or removing
+it moves that many; a class has odd girth 3 exactly when its count is > 0.
 
 - *Into* colour c: an odd cycle through the new edge {u, v} is that edge
   plus an even u-v walk of the old class, and a closed odd walk contains an
@@ -34,20 +34,17 @@ positive.
   neighbour is d = 2 and makes the girth exactly 3 at once. Otherwise
   d >= 4, so only a girth or bound above 5 can fall, and d is searched
   below it minus 1: the distance from u to v in the class's double cover (a
-  copy of each vertex per walk parity), found by the package's one BFS
-  kernel. A walk found gives the exact girth 1 + d, with its witness
-  unknown; none found leaves the girth or bound as it was.
+  copy of each vertex per walk parity), by the package's one BFS kernel. A
+  walk found gives the exact girth 1 + d, so that walk closed by {u, v} is
+  a simple cycle, the new witness; none found leaves both as they were.
 - *Out of* colour c: odd girth cannot fall when an edge goes, so no class
-  is swept here. A class of girth 3 stays at 3 while its count is positive,
-  and becomes stale at 5 when its count reaches 0. An exact class of higher
-  girth keeps g_c while its witness avoids {u, v}; a hit or unknown witness
-  makes it stale at g_c. A stale class stays stale at its bound.
+  is swept here. Girth 3 stays while the count is positive, a higher girth
+  stays, and a witness that {u, v} hits is dropped, leaving a bound.
 - *Reading the least girth* (``_least_girth``): while the least kept value
-  is above 3, every stale colour whose bound is not above it gets one full
-  ``odd_girth`` sweep, which makes it exact with a witness. Then every
-  stale bound exceeds the least value, which is the exact least odd girth.
-  A least value of 3 is exact at once, since every stale bound is at least
-  5: a class is swept only when it could set the minimum.
+  is above 3, every bound equal to it gets one ``odd_girth`` sweep, which
+  makes it exact with a witness, so the least value ends exact. A least
+  value of 3 is exact at once, since every bound is at least 5: a class is
+  swept only when it could set the minimum.
 
 The annealing search makes all its draws through numpy's public API on one
 ``Generator``: the random init, if any, then per batch of ``_BATCH`` steps
@@ -77,7 +74,7 @@ from .colouring import (
     random_colouring,
 )
 from .errors import InputError, InternalInconsistency, PipelineAssertError
-from .graph import Graph, _bfs, _scalar_id, odd_girth
+from .graph import Graph, _bfs, _scalar_id, _walk_back, odd_girth
 from .pipeline import (
     LevelTrace,
     MonoOddCycle,
@@ -93,75 +90,78 @@ ENUMERATION_GUARD = 2**24
 _BATCH = 4096  # annealing steps whose draws are made at a time
 
 
+def _cycle_pairs(cycle):
+    """The pairs (a < b) of the cycle through the vertices ``cycle`` in order."""
+    return frozenset((min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def _sweep(rows):
-    """Odd girth of the class on ``rows`` and the pairs (u < v) of a shortest
-    odd cycle, or (n + 1, no pairs) when the class is bipartite."""
+    """Odd girth of the class on ``rows`` and the pairs of a shortest odd
+    cycle, or (n + 1, no pairs) when the class is bipartite."""
     got = odd_girth(Graph._from_rows(rows, (1 << len(rows)) - 1))
-    if got is None:
-        return len(rows) + 1, frozenset()
-    cycle = got[1].vertices
-    return got[0], frozenset((min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    return (len(rows) + 1, frozenset()) if got is None else (got[0], _cycle_pairs(got[1].vertices))
 
 
 def _even_walk(rows, u, v, below):
-    """Least even length below ``below`` of a u-v walk in the class on
-    ``rows``, or None: the distance from u to v in the class's double cover,
-    where vertex x + p*n is x reached by a walk of parity p."""
+    """Pairs of the odd cycle {u, v} closes with a least even u-v walk shorter
+    than ``below`` in the class on ``rows``, or None. The walk is the u-v path
+    in the double cover (x + p*n is x at walk parity p), projected mod n."""
     n = len(rows)
     cover = [row << n for row in rows] + rows
-    for d, (layer, _) in enumerate(itertools.islice(_bfs(cover, u), below)):
+    layers = []
+    for layer, _ in itertools.islice(_bfs(cover, u), below):
+        layers.append(layer)
         if layer >> v & 1:
-            return d
+            return _cycle_pairs([x % n for x in _walk_back(cover, layers, v)])
     return None
 
 
-def _add(rows, girths, witnesses, triangles, stale, u, v, c):
+def _add(rows, girths, witnesses, triangles, u, v, c):
     """Add the pair {u, v} (u < v), of no colour yet, to colour c, keeping its
-    odd girth (exact or stale), witness and triangle count by the module's
+    odd girth (exact or a bound), witness and triangle count by the module's
     *into* rule. The one place a pair joins a class."""
     into = rows[c]
     common = (into[u] & into[v]).bit_count()
     if common:
         triangles[c] += common
         if girths[c] > 3:
-            girths[c], witnesses[c], stale[c] = 3, None, False
+            girths[c], witnesses[c] = 3, None
     elif girths[c] > 5:
-        d = _even_walk(into, u, v, girths[c] - 1)
-        if d is not None:
-            girths[c], witnesses[c], stale[c] = d + 1, None, False
+        cycle = _even_walk(into, u, v, girths[c] - 1)
+        if cycle is not None:
+            girths[c], witnesses[c] = len(cycle), cycle
     into[u] ^= 1 << v
     into[v] ^= 1 << u
 
 
-def _recolour(rows, girths, witnesses, triangles, stale, u, v, old, new):
+def _recolour(rows, girths, witnesses, triangles, u, v, old, new):
     """Move the pair {u, v} (u < v) from colour ``old`` to colour ``new``,
-    keeping both colours' odd girths (exact or stale), witnesses and triangle
-    counts by the module's rules. It sweeps no class."""
+    keeping both colours' odd girths (exact or a bound), witnesses and
+    triangle counts by the module's rules. It sweeps no class."""
     out_of = rows[old]
     out_of[u] ^= 1 << v
     out_of[v] ^= 1 << u
     if girths[old] == 3:
         triangles[old] -= (out_of[u] & out_of[v]).bit_count()
         if not triangles[old]:
-            girths[old], stale[old] = 5, True
-    elif witnesses[old] is None or (u, v) in witnesses[old]:
-        witnesses[old], stale[old] = None, True
-    _add(rows, girths, witnesses, triangles, stale, u, v, new)
+            n = len(out_of)
+            girths[old], witnesses[old] = min(5, n + 1), (None if n > 4 else frozenset())
+    elif (u, v) in (witnesses[old] or ()):
+        witnesses[old] = None
+    _add(rows, girths, witnesses, triangles, u, v, new)
 
 
-def _least_girth(rows, girths, witnesses, stale):
+def _least_girth(rows, girths, witnesses):
     """The exact least odd girth over the colours (n + 1 when every class is
-    bipartite). Sweeps, and so makes exact, only the stale colours whose
-    bound is the least kept value, until none is left; a least value of 3
-    returns at once, since every stale bound is at least 5."""
+    bipartite). Sweeps, and so makes exact, only the bounds (witness None)
+    equal to the least kept value, until none is left; 3 returns at once."""
     least = min(girths)
     while least > 3:
-        due = [c for c, s in enumerate(stale) if s and girths[c] == least]
+        due = [c for c, w in enumerate(witnesses) if w is None and girths[c] == least]
         if not due:
             break
         for c in due:
             girths[c], witnesses[c] = _sweep(rows[c])
-            stale[c] = False
         least = min(girths)
     return least
 
@@ -189,9 +189,10 @@ def exhaustive_L(q, n):
     by fixing the colour of the edge {0,1}; no further isomorphism pruning.
 
     A depth-first search adds the pairs by ``_add``, in ``itertools.product``
-    order, to classes that start empty, so every girth stays exact; it skips
-    each prefix whose least odd girth is not above the best value found. The
-    witness is thus the first colouring in that order to reach the maximum.
+    order, to classes that start empty and exact at the sentinel (witness
+    ``frozenset()``), so every girth stays exact; it skips each prefix whose
+    least odd girth is not above the best value found. The witness is thus
+    the first colouring in that order to reach the maximum.
     The guard still bounds the q^(pairs - 1) colourings it could reach.
     """
     q = _scalar_id(q, "q must be an integer")
@@ -218,7 +219,7 @@ def exhaustive_L(q, n):
     edges = list(itertools.combinations(range(n), 2))
     sentinel = n + 1
     rows = [[0] * n for _ in range(q)]
-    girths, witnesses, triangles, stale = [sentinel] * q, [None] * q, [0] * q, [False] * q
+    girths, witnesses, triangles = [sentinel] * q, [frozenset()] * q, [0] * q
     colours = [0] * n_edges
     best_val, best = -1, None
 
@@ -229,14 +230,14 @@ def exhaustive_L(q, n):
             return
         u, v = edges[k]
         for c in range(q if k else 1):  # pair 0 keeps colour 0
-            kept = girths[c], witnesses[c], triangles[c], stale[c]
-            _add(rows, girths, witnesses, triangles, stale, u, v, c)
+            kept = girths[c], witnesses[c], triangles[c]
+            _add(rows, girths, witnesses, triangles, u, v, c)
             if min(girths) > best_val:  # a pair added never raises a girth
                 colours[k] = c
                 search(k + 1)
             rows[c][u] ^= 1 << v
             rows[c][v] ^= 1 << u
-            girths[c], witnesses[c], triangles[c], stale[c] = kept
+            girths[c], witnesses[c], triangles[c] = kept
             if best_val == sentinel:
                 return  # sentinel is the maximum possible
 
@@ -276,12 +277,11 @@ def anneal_search(q, n, iterations, seed, init=None):
         raise InputError("init colouring leaves pairs uncoloured")
     edges = list(itertools.combinations(range(n), 2))
     colours = _pair_colours(start).tolist()
-    # empty classes begin stale at 5: one with a triangle ends exactly at 3
     rows = [[0] * n for _ in range(q)]
-    girths, witnesses, triangles, stale = [5] * q, [None] * q, [0] * q, [True] * q
+    girths, witnesses, triangles = [min(5, n + 1)] * q, [None if n > 4 else frozenset()] * q, [0] * q
     for (u, v), c in zip(edges, colours):
-        _add(rows, girths, witnesses, triangles, stale, u, v, c)
-    objective = best_value = _least_girth(rows, girths, witnesses, stale)
+        _add(rows, girths, witnesses, triangles, u, v, c)
+    objective = best_value = _least_girth(rows, girths, witnesses)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
     moves = _draws(rng, len(edges), q, iterations if q > 1 else 0)  # one colour: no move exists
@@ -291,9 +291,9 @@ def anneal_search(q, n, iterations, seed, init=None):
         old = colours[k]
         new = (old + shift) % q
         before = (girths[old], girths[new], witnesses[old], witnesses[new],
-                  triangles[old], triangles[new], stale[old], stale[new])
-        _recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
-        proposed = _least_girth(rows, girths, witnesses, stale)
+                  triangles[old], triangles[new])
+        _recolour(rows, girths, witnesses, triangles, u, v, old, new)
+        proposed = _least_girth(rows, girths, witnesses)
         delta = proposed - objective
         if delta >= 0 or coin < math.exp(delta / temperature):
             colours[k] = new
@@ -306,7 +306,7 @@ def anneal_search(q, n, iterations, seed, init=None):
                 rows[c][u] ^= 1 << v
                 rows[c][v] ^= 1 << u
             (girths[old], girths[new], witnesses[old], witnesses[new],
-             triangles[old], triangles[new], stale[old], stale[new]) = before
+             triangles[old], triangles[new]) = before
     return best_value, _from_pairs(n, q, best, f"anneal q={q} n={n} seed={shown}")
 
 

@@ -486,7 +486,7 @@ def signatures(c, removed, bipartitions):
     return sig
 
 
-def proposition_pipeline(c, delta, q=None):
+def proposition_pipeline(c, delta):
     """Short monochromatic odd cycle in K_n for n >= ceil((1+delta) * 2^q).
 
     Peels each colour with k = ceil(2q(q+1)/delta) and returns the first parity
@@ -495,9 +495,7 @@ def proposition_pipeline(c, delta, q=None):
     signature collision exposes an uncoloured pair and raises
     InternalInconsistency (unreachable for genuine complete colourings).
     """
-    q = c.q if q is None else _scalar_id(q, "q must be an integer")
-    if c.q > q:
-        raise InputError(f"colouring uses {c.q} colours, more than the stated {_shown(q)}")
+    q = c.q
     _real(delta, "delta")
     try:  # int and Fraction exactly, other reals (numpy's too) as their float
         d = Fraction(delta) if isinstance(delta, (int, Fraction)) else Fraction(float(delta))
@@ -506,7 +504,7 @@ def proposition_pipeline(c, delta, q=None):
     if not 0 < d <= 1:
         raise InputError(f"delta must lie in (0, 1], got {delta}")
     if q >= max(c.n.bit_length(), 64):  # 2^q > n, refused without building 2^q
-        raise InputError(f"need n > 2^{_shown(q)} for q={_shown(q)}, delta={delta}; got {c.n}")
+        raise InputError(f"need n > 2^{q} for q={q}, delta={delta}; got {c.n}")
     needed = math.ceil((1 + d) * 2**q)
     if c.n < needed:
         raise InputError(f"need n >= {needed} for q={q}, delta={delta}; got {c.n}")

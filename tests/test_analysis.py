@@ -69,18 +69,20 @@ def product_init(q):
 class RecolourCheck:
     """Stands in for ``analysis._recolour`` and ``analysis._least_girth``.
     Before and after every recolour, each colour's kept triangle count must
-    equal a from-scratch trace(A^3)/6; before and after every recolour and
-    every read of the least girth, an exact colour's kept odd girth must
-    equal a from-scratch ``odd_girth`` of its class, a known witness must be
-    a cycle of the class of that length, and a stale colour's bound must be
-    at least 5 and at most its true odd girth, with no triangle and no
-    witness. Every least girth a search reads must equal the fresh minimum.
-    An add leaves the new colour stale only at its old bound. Counts the
-    moves the next recolour finds undone (rejected) or kept, the
-    removals that make a colour stale at 5 (its last triangle gone) or at
-    its girth (its witness hit or unknown), the adds whose walk search found
-    an even walk longer than 2, the removals from a girth-3 colour that
-    keeps a triangle, and the colours the reads sweep."""
+    equal a from-scratch trace(A^3)/6. Before and after every recolour and
+    every read of the least girth, each colour's kept state must obey the
+    module's one rule against a from-scratch ``odd_girth`` of its class: a
+    girth of 3 is exact, with a positive count; a colour with a witness is
+    exact, and the witness is a cycle of the class of that length (no pairs
+    at the sentinel); any other girth is a bound, at least 5 and at most the
+    fresh odd girth, of a class with no triangle. Every least girth a search
+    reads must equal the fresh minimum, and every add that lowers a girth to
+    5 or more must know its witness. Counts the moves the next recolour
+    finds undone (rejected) or kept, the removals that leave a colour a
+    bound at 5 (its last triangle gone) or at its girth (its witness hit),
+    the adds whose walk search found an even walk longer than 2, the
+    removals from a girth-3 colour that keeps a triangle, and the colours
+    the reads sweep."""
 
     def __init__(self):
         self.recolour, self.least_girth = analysis._recolour, analysis._least_girth
@@ -88,45 +90,45 @@ class RecolourCheck:
         self.last = None  # the rows before the last recolour of this search
 
     @staticmethod
-    def verify(rows, girths, witnesses, stale, triangles=None):
+    def verify(rows, girths, witnesses, triangles=None):
         n = len(rows[0])
         for c, (pairs, want) in enumerate(fresh_classes(rows)):
             if triangles is not None:
                 assert triangles[c] == triangle_count(n, pairs), (c, triangles[c])
-            if stale[c]:
-                assert 5 <= girths[c] <= want, (c, girths[c], want)
-                assert witnesses[c] is None, c
-                assert triangles is None or triangles[c] == 0, c
-                continue
-            assert girths[c] == want, (c, girths[c], want)
-            if witnesses[c] is not None:
+            if girths[c] == 3:
+                assert want == 3 and (triangles is None or triangles[c] > 0), c
+            elif witnesses[c] is not None:
+                assert girths[c] == want, (c, girths[c], want)
                 assert len(witnesses[c]) == (0 if want == n + 1 else want)
                 assert witnesses[c] <= set(pairs)
                 assert set(Counter(x for pair in witnesses[c] for x in pair).values()) <= {2}
+            else:
+                assert 5 <= girths[c] <= want, (c, girths[c], want)
+                assert triangles is None or triangles[c] == 0, c
 
-    def __call__(self, rows, girths, witnesses, triangles, stale, u, v, old, new):
+    def __call__(self, rows, girths, witnesses, triangles, u, v, old, new):
         state = [list(r) for r in rows]
         if self.last is not None:
             self.counts["rejected" if state == self.last else "kept"] += 1
         self.last = state
-        self.verify(rows, girths, witnesses, stale, triangles)
-        old_girth, old_stale, new_girth, new_stale = girths[old], stale[old], girths[new], stale[new]
-        self.recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
-        if stale[old] and not old_stale:
-            self.counts["stale at 5" if old_girth == 3 else "stale at girth"] += 1
-        # an add leaves a stale bound stale only where it did not lower it
-        assert not stale[new] or (new_stale and girths[new] == new_girth)
-        self.counts["walk"] += 5 <= girths[new] < new_girth
+        self.verify(rows, girths, witnesses, triangles)
+        old_girth, old_witness, new_girth = girths[old], witnesses[old], girths[new]
+        self.recolour(rows, girths, witnesses, triangles, u, v, old, new)
+        if girths[old] > 3 and witnesses[old] is None and (old_girth == 3 or old_witness is not None):
+            self.counts["bound at 5" if old_girth == 3 else "bound at girth"] += 1
+        if 5 <= girths[new] < new_girth:  # the walk search lowered it
+            assert witnesses[new] is not None, new
+            self.counts["walk"] += 1
         self.counts["triangle kept"] += triangles[old] > 0
-        self.verify(rows, girths, witnesses, stale, triangles)
+        self.verify(rows, girths, witnesses, triangles)
 
-    def read(self, rows, girths, witnesses, stale):
-        self.verify(rows, girths, witnesses, stale)
-        was_stale = list(stale)
-        least = self.least_girth(rows, girths, witnesses, stale)
-        self.counts["swept"] += sum(a and not b for a, b in zip(was_stale, stale))
+    def read(self, rows, girths, witnesses):
+        self.verify(rows, girths, witnesses)
+        bounds = [g > 3 and w is None for g, w in zip(girths, witnesses)]
+        least = self.least_girth(rows, girths, witnesses)
+        self.counts["swept"] += sum(b and w is not None for b, w in zip(bounds, witnesses))
         assert least == min(g for _, g in fresh_classes(rows))
-        self.verify(rows, girths, witnesses, stale)
+        self.verify(rows, girths, witnesses)
         return least
 
 
@@ -138,8 +140,21 @@ def check(monkeypatch):
     return checker
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The vertex count of each class ``analysis._sweep`` sweeps, in order."""
+    sweep, made = analysis._sweep, []
+
+    def counted_sweep(rows):
+        made.append(len(rows))
+        return sweep(rows)
+
+    monkeypatch.setattr(analysis, "_sweep", counted_sweep)
+    return made
+
+
 class TestRecolourRules:
-    @pytest.mark.parametrize("q, n", [(2, 5), (3, 8), (3, 9), (4, 17)])
+    @pytest.mark.parametrize("q, n", [(2, 3), (2, 5), (3, 8), (3, 9), (4, 17)])
     def test_random_inits(self, check, q, n):
         for seed in (0, 1, 2):
             check.last = None
@@ -151,7 +166,7 @@ class TestRecolourRules:
             assert check.counts["triangle kept"] > 0
 
     def test_binary_init(self, check):
-        # every class starts stale at 5 and the first read sweeps it to the
+        # every class starts a bound at 5 and the first read sweeps it to the
         # sentinel girth and empty witness
         for seed in (0, 3):
             check.last = None
@@ -161,54 +176,58 @@ class TestRecolourRules:
 
     def test_hamilton_init(self, check):
         # girth 9 in every class: adds search walks beyond length 2, and a
-        # lowered girth's unknown witness makes it stale on the next removal
+        # removal that hits a lowered girth's witness leaves a bound
         for seed in (0, 1, 2):
             check.last = None
             anneal_search(4, 9, 300, seed, init=hamilton_colouring(4))
         counts = check.counts
-        assert min(counts["kept"], counts["rejected"], counts["stale at girth"],
+        assert min(counts["kept"], counts["rejected"], counts["bound at girth"],
                    counts["walk"], counts["swept"]) > 0
 
     def test_removal_keeping_a_triangle_makes_no_sweep(self, monkeypatch):
         # a girth-3 colour that still holds a triangle after a removal is
         # known to stay at 3: that recolour sweeps neither class. No read
-        # sweeps while an exact colour has girth 3, and a colour is swept at
-        # most once each time it becomes stale (at the start, by a removal,
-        # or when a rejected move restores it)
+        # sweeps while a colour has girth 3, and a colour is swept at most
+        # once each time it becomes a bound, a girth of 5 or more with no
+        # witness (at the start, by a removal, or when a rejected move
+        # restores it)
         sweep, recolour, least_girth = analysis._sweep, analysis._recolour, analysis._least_girth
         outcomes, seen = Counter(), {}
-        search = {}  # the rows, girths and staleness of the search being run
+        search = {}  # the rows, girths and witnesses of the search being run
+
+        def bound(c):
+            return search["girths"][c] >= 5 and search["witnesses"][c] is None
 
         def observe():
-            # a colour stale now but exact when last seen starts an episode
-            for c, now in enumerate(search["stale"]):
-                if now and not seen.get(c, False):
+            # a colour that is a bound now but was not when last seen starts an episode
+            for c in range(len(search["girths"])):
+                if bound(c) and not seen.get(c, False):
                     search["episodes"][c] += 1
-                seen[c] = now
+                seen[c] = bound(c)
 
         def counted_sweep(rows):
             (c,) = [c for c, r in enumerate(search["rows"]) if r is rows]
             assert 3 not in search["girths"]
-            assert search["stale"][c] and search["sweeps"][c] < search["episodes"][c]
+            assert bound(c) and search["sweeps"][c] < search["episodes"][c]
             search["sweeps"][c] += 1
             return sweep(rows)
 
-        def watched(rows, girths, witnesses, triangles, stale, u, v, old, new):
+        def watched(rows, girths, witnesses, triangles, u, v, old, new):
             observe()
             n, done = len(rows[0]), sum(search["sweeps"].values())
-            recolour(rows, girths, witnesses, triangles, stale, u, v, old, new)
+            recolour(rows, girths, witnesses, triangles, u, v, old, new)
             observe()
             pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rows[old][a] >> b & 1]
             if triangle_count(n, pairs):
                 outcomes[sum(search["sweeps"].values()) - done] += 1
 
-        def read(rows, girths, witnesses, stale):
+        def read(rows, girths, witnesses):
             if search.get("rows") is not rows:  # a new search
                 seen.clear()
-                search.update(rows=rows, girths=girths, stale=stale,
+                search.update(rows=rows, girths=girths, witnesses=witnesses,
                               episodes=Counter(), sweeps=Counter())
             observe()
-            least = least_girth(rows, girths, witnesses, stale)
+            least = least_girth(rows, girths, witnesses)
             observe()
             return least
 
@@ -225,20 +244,27 @@ class TestRecolourRules:
         assert outcomes[0] > 100 and set(outcomes) == {0}
         assert swept > 0
 
-    def test_product_init_sweeps_few_classes(self, monkeypatch):
+    def test_product_init_sweeps_few_classes(self, sweeps):
         # from binary(1) ⊗ hamilton(2) cut to K_9 the objective stays at 5;
         # a sweep per removal from a hit witness or an emptied count made
-        # 1 619 sweeps over these five runs, stale bounds make 15
-        sweep, sweeps = analysis._sweep, []
-
-        def counted_sweep(rows):
-            sweeps.append(len(rows))
-            return sweep(rows)
-
-        monkeypatch.setattr(analysis, "_sweep", counted_sweep)
+        # 1 619 sweeps over these five runs, bounds kept per colour make 15
         for seed in range(5):
             assert anneal_search(3, 9, 4000, seed, init=product_init(3))[0] == 5
         assert len(sweeps) <= 50
+
+    @pytest.mark.parametrize("q, n, init, most", [
+        (4, 9, hamilton_colouring(4), 38), (3, 8, binary_colouring(3), 15),
+        (2, 3, None, 0), (3, 3, None, 0), (2, 4, None, 0), (3, 4, None, 0),
+    ], ids=["hamilton4", "binary3", "q2n3", "q3n3", "q2n4", "q3n4"])
+    def test_inits_sweep_few_classes(self, sweeps, q, n, init, most):
+        # five runs of 300 steps. A walk search that keeps no witness leaves
+        # a bound at the next removal from the girth it lowered: 462 and 153
+        # sweeps from the Hamilton and binary inits, and 41 and 15 when each
+        # colour also kept a staleness flag. Up to K_4 a class with no
+        # triangle is bipartite, so every kept girth is exact and none is swept
+        for seed in range(5):
+            anneal_search(q, n, 300, seed, init=init)
+        assert len(sweeps) <= most
 
 
 class TestExhaustive:
@@ -305,7 +331,7 @@ class TestExhaustive:
 
     def test_answers_by_adding_pairs_alone(self, monkeypatch):
         # the search only adds pairs to classes that start empty, so every
-        # girth stays exact: it recolours, reads stale bounds and sweeps none
+        # girth stays exact: it recolours, reads bounds and sweeps none
         def refuse(*args):
             raise AssertionError("the exhaustive search recoloured or swept")
 
@@ -490,7 +516,7 @@ class TestAnneal:
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_matches_table_search_from_product_init(self, q):
-        # the objective-5 regime: reads sweep stale colours to set it
+        # the objective-5 regime: reads sweep bounds to set it
         for seed in (0, 1):
             assert_matches_table_search(q, 2**q + 1, 2000, seed, init=product_init(q))
 

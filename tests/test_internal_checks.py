@@ -7,8 +7,9 @@ and ``colour_class`` pack a bool matrix into rows; only ``colouring.py``
 knows the colour table's layout, and only it and ``certify.py`` read the
 table; the pipeline checks a handed-on bipartition against the table in one
 place; it peels in one place and reads the residual two-colourings off the
-peels; the peel itself builds no vertex array; and a level's endgame keeps
-its vertex sets as int masks."""
+peels; the peel itself builds no vertex array; a level's endgame keeps
+its vertex sets as int masks; and the small-case searches keep no flag
+beside a colour's odd girth and witness."""
 
 import ast
 from pathlib import Path
@@ -152,12 +153,18 @@ def test_pairs_join_a_class_by_one_rule():
     # The small-case searches put a pair into a colour class only through
     # analysis._add, the one caller of the even-walk search: the exhaustive
     # search adds every pair by it, annealing builds its start by it and
-    # recolours through it. No second builder of class states is left.
+    # recolours through it. No second builder of class states is left. A
+    # kept odd girth is exact when it is 3 or its colour keeps a witness, and
+    # a lower bound otherwise, so analysis.py keeps no flag beside it; that
+    # holds because _add keeps the witness the even-walk search returns.
     assert _package_uses("_even_walk") == {"analysis._add"}
     defined = {node.name for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert not defined & {"_class_rows", "_triangles", "_class_state"}
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    names = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "arg", "attr", "name")}
+    assert "stale" not in names
 
 
 def _modules_where(hit):

@@ -606,8 +606,6 @@ class TestProposition:
             proposition_pipeline(random_colouring(7, 2, 0), 1)  # needs n >= 8
         with pytest.raises(InputError):
             proposition_pipeline(random_colouring(8, 2, 0), 0)
-        with pytest.raises(InputError):
-            proposition_pipeline(random_colouring(8, 2, 0), 1, q=1)
 
     @pytest.mark.parametrize("delta", [True, "1/2", None, 0.5j, math.nan, math.inf, -math.inf,
                                        np.float64(math.nan), np.bool_(True), [0.5]])
@@ -624,39 +622,20 @@ class TestProposition:
         assert got.trace.last().params["delta"] == float(delta)
         assert verify_mono_odd_cycle(c, got.certificate) is None
 
-    @pytest.mark.parametrize("q", [True, np.bool_(True), 2.5, "2", 1.0])
-    def test_q_not_an_integer_rejected(self, q):
-        # True ran as 1; 2.5 and "2" raised TypeError
-        with pytest.raises(InputError, match="q must be an integer"):
-            proposition_pipeline(random_colouring(16, 1, 0), 1, q=q)
-
     @pytest.mark.parametrize("q, message", [
         (5, "need n >= 64 for q=5, delta=1; got 16"),
         (64, "need n > 2^64 for q=64, delta=1; got 16"),
-        (10**6, "need n > 2^1000000 for q=1000000, delta=1; got 16"),
-        pytest.param(10**5000, "need n > 2^(16610-bit number) for q=(16610-bit number), delta=1; got 16",
-                     id="10^5000"),
+        (2**15, "need n > 2^32768 for q=32768, delta=1; got 16"),
     ])
     def test_q_with_2_to_the_q_past_n_refused_at_once(self, q, message):
-        # q = 10**6 built 2**q and then failed formatting the n it needed
-        # (ValueError: Exceeds the limit (4300 digits)); from q = 64 on, the
-        # refusal builds no 2**q
+        # a palette of q colours on K_16, only 3 of them used; from q = 64 on,
+        # the refusal builds no 2**q
+        c = EdgeColouring(16, q, random_colouring(16, 3, 0).table)
         start = time.perf_counter()
         with pytest.raises(InputError) as err:
-            proposition_pipeline(random_colouring(16, 3, 0), 1, q=q)
+            proposition_pipeline(c, 1)
         assert str(err.value) == message
         assert time.perf_counter() - start < 0.1
-        assert len(str(err.value)) < 100
-
-    def test_stated_q_below_the_colours_named_by_size(self):
-        # formatting -10**5000 raised ValueError past str()'s 4300-digit limit
-        with pytest.raises(InputError, match=r"more than the stated \(16610-bit number\)$"):
-            proposition_pipeline(random_colouring(16, 3, 0), 1, q=-10**5000)
-
-    def test_stated_q_kinds_accepted(self):
-        c = random_colouring(16, 3, 0)
-        for q in (3, np.int64(3)):
-            assert proposition_pipeline(c, 1, q=q).trace.last().params["k"] == 24
 
 
 class TestSignatures:

@@ -198,6 +198,15 @@ def test_output_corpus_front_end_lines_are_byte_reproducible():
     assert corpus.front_end_lines() == lines  # the temporary directory shows as <dir>
 
 
+def test_output_corpus_hashes_pinned():
+    # Byte identity of every output (ROADMAP criterion 9): a change that
+    # alters an output on purpose updates these pins and says so in CHANGES.md
+    corpus = _corpus()
+    lines, front, _ = corpus.corpus()
+    assert corpus.sha256(lines) == "8be0c31f24210e77c25118911e5afccac749286e6faa3d7a0c091fd309a6e9ec"
+    assert corpus.sha256(front) == "421478b932deefff217adb558f0ade934eb1fe2249517c0d10c36164acdd202d"
+
+
 def test_output_corpus_grid_configs_copy_their_sources():
     from test_analysis import CONFIG
 

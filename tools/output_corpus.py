@@ -272,22 +272,30 @@ def front_end_lines():
     return lines
 
 
+def corpus():
+    """The searches' lines (``run(inputs())`` and ``search_lines()``), the
+    front ends' lines and the tally of the searches' branches and exceptions."""
+    lines, tally = run(inputs())
+    return lines + search_lines(), front_end_lines(), tally
+
+
+def sha256(lines):
+    """The sha256 of ``lines``, each ended by a newline."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="also write the corpus lines here")
     args = parser.parse_args(argv)
-    lines, tally = run(inputs())
-    lines += search_lines()
-    front = front_end_lines()
-    text = "".join(line + "\n" for line in lines)
-    front_text = "".join(line + "\n" for line in front)
+    lines, front, tally = corpus()
     if args.out is not None:
-        args.out.write_text(text + front_text)
+        args.out.write_text("".join(line + "\n" for line in lines + front))
     print(f"cases {len(lines)}")
     for key, count in sorted(tally.items()):
         print(f"  {key}: {count}")
-    print(f"sha256 {hashlib.sha256(text.encode()).hexdigest()}")
-    print(f"front ends {len(front)} sha256 {hashlib.sha256(front_text.encode()).hexdigest()}")
+    print(f"sha256 {sha256(lines)}")
+    print(f"front ends {len(front)} sha256 {sha256(front)}")
 
 
 if __name__ == "__main__":
