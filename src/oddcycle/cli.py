@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 1 violation/invalid certificate, 2 input error,
-3 internal inconsistency.
+Exit codes: 0 ok, 1 violation/invalid certificate, 2 input error (a
+malformed input, or a path that cannot be read, decoded as UTF-8 or
+written), 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .analysis import (
     rows_to_csv,
 )
 from .certify import verify_mono_odd_cycle, verify_peel
-from .colouring import colour_class, read_colouring, write_colouring
+from .colouring import _decoded, colour_class, read_colouring, write_colouring
 from .errors import InputError, InternalInconsistency, ParseError, PipelineAssertError
 from .graph import OddCycleCertificate
 from .peeling import ShortCycle, peel
@@ -41,7 +42,7 @@ def _guarded(fn):
         except PipelineAssertError as exc:
             click.echo(f"assert failed: {exc}", err=True)
             sys.exit(2)
-        except (ParseError, InputError) as exc:
+        except (ParseError, InputError, OSError) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(2)
 
@@ -82,8 +83,8 @@ def _write_certificate(result, path):
 
 
 def _read_certificate(path):
-    with open(path) as fh:
-        line = fh.readline().strip()
+    with open(path, encoding="utf-8") as fh:
+        line = _decoded(fh.readline).strip()
     parts = line.split()
     if len(parts) < 2 or parts[0] != "cycle":
         raise ParseError("certificate must start with 'cycle <colour> <v0> ...'", line=1)

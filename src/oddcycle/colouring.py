@@ -31,14 +31,22 @@ Both directions work with numpy on one block of rows (about ``_BLOCK``
 entries) at a time, so their scratch memory stays bounded whatever n is, and
 neither makes an index array of a block's size. The writer makes as many
 passes as the block's widest entry needs, so a block of one-digit colours
-costs a digit pass and a separator pass. The reader decodes a block that is
-canonical: decimal colours of at most ``_MAX_DIGITS`` digits, one space
-apart, n-1-u of them on row u. One-digit blocks (every file with q <= 10)
-are read through strided byte views, others entry by entry. From the first
-block that is not canonical, it parses row by row with Python's ``int``, so
-what it accepts (``+1``, ``01``, tabs, runs of spaces, a trailing ``\r``)
-and the line number and message of every ``ParseError`` are the same as if
-every row were parsed that way.
+costs a digit pass and a separator pass. The reader parses the header once.
+A body of one-digit colours (every file with q <= 10) is exactly n(n-1)
+characters; such a body is decoded a row block at a time from slices of the
+text itself, each digit and its separator one uint16, in one pass that
+checks digits, spaces and newlines together. Any other body, and one that
+fails that pass, is split into lines: a block that is canonical (decimal
+colours of at most ``_MAX_DIGITS`` digits, one space apart, n-1-u of them on
+row u) is decoded entry by entry, and from the first block that is not, the
+rows are parsed one by one with Python's ``int``. So what the reader accepts
+(``+1``, ``01``, tabs, runs of spaces, a trailing ``\r``) and the line
+number and message of every ``ParseError`` are the same as if every row were
+parsed that way. A path is read as UTF-8; a byte that is not UTF-8 is a
+``ParseError`` on its line.
+
+Every table written from its upper half, by a reader or a builder, gets its
+lower half from one mirror, ``_mirror``, in tiles of ``_TILE`` rows.
 """
 
 from __future__ import annotations
@@ -57,6 +65,11 @@ _MAX_N = (1 << 14) + 1  # largest n given a dense table, K_{2^14+1}: 512 MiB of 
 _MAX_Q = 1 << 15  # largest q whose colours [0, q) all fit the int16 table
 _MAX_DIGITS = len(str(_MAX_Q - 1))
 _BLOCK = 1 << 16  # table entries parsed or formatted per numpy step
+_STEPS = np.repeat(np.array([False, True]), _MAX_N)  # every row of _upper's masks
+_STEPS.setflags(write=False)
+_TILE = 64  # rows per transposed copy of the mirror
+_TILE_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)  # pairs u < v of a tile
+_TILE_UPPER.setflags(write=False)
 
 
 def _check_size(n):
@@ -250,9 +263,9 @@ def _shown(x):
 def _write_pairs(table, colours):
     """Write ``colours`` to both halves of ``table``, the pairs u < v listed
     row by row: the order of ``itertools.combinations(range(n), 2)``."""
-    upper = _upper(len(table), 0, len(table))
-    table[upper] = colours
-    table.T[upper] = colours
+    n = len(table)
+    table[_upper(n, 0, n)] = colours
+    _mirror(table, 0, n)
 
 
 def _from_pairs(n, q, colours, provenance=None):
@@ -366,11 +379,26 @@ def _row_blocks(n, rows=None):
 
 def _upper(n, u0, u1):
     """Mask of rows u0..u1-1 of an n x n table selecting the pairs {u, v},
-    u < v; row-major, it lists them in file order. A read-only view of 2n
-    bytes, n False then n True: row u is the n-byte window at offset n-1-u."""
-    steps = np.repeat(np.array([False, True]), n)
-    steps.setflags(write=False)
-    return np.ndarray((u1 - u0, n), bool, steps, offset=n - 1 - u0, strides=(-1, 1))
+    u < v; row-major, it lists them in file order. A read-only view of
+    ``_STEPS``, m False then m True: row u is the n-byte window at offset
+    m-1-u."""
+    m = len(_STEPS) // 2
+    return np.ndarray((u1 - u0, n), bool, _STEPS, offset=m - 1 - u0, strides=(-1, 1))
+
+
+def _mirror(table, u0, u1):
+    """Copy the pairs u < v of rows u0..u1-1 of ``table`` to their entries
+    (v, u), ``_TILE`` rows at a time: the columns of a tile's rows below it
+    in one transposed copy, the tile's own triangle through a fixed mask.
+    A tile's copy reads ``_TILE`` rows side by side, so it stays in cache
+    whatever the table's row stride."""
+    n = len(table)
+    for t0 in range(u0, u1, _TILE):
+        t1 = min(t0 + _TILE, u1)
+        if t1 < n:  # an empty copy costs as much as a small table's mirror
+            table[t1:, t0:t1] = table[t0:t1, t1:].T
+        square = table[t0:t1, t0:t1]
+        np.copyto(square.T, square, where=_TILE_UPPER[: t1 - t0, : t1 - t0])
 
 
 def _format_block(table, u0, u1):
@@ -410,44 +438,18 @@ def _parse_block(table, lines, u0, q):
     """Decode body rows u0.. (``lines``) into ``table`` when every one is
     canonical: only digits and single spaces, n-1-u colours on row u, each
     below q in at most _MAX_DIGITS digits. Returns False, writing nothing,
-    otherwise.
-
-    A canonical block of e one-digit colours is exactly 2e bytes, digit and
-    separator alternating, so a block of that length is first read through
-    two strided byte views: every digit below min(q, 10), e minus the row
-    count spaces, and a newline at each row's end. A block of another length,
-    or one that fails those checks, is decoded entry by entry from the
-    separators' positions."""
+    otherwise."""
     text = "\n".join(lines) + "\n"
     if not text.isascii():
         return False
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     n = table.shape[0]
     u1 = u0 + len(lines)
-    counts = n - 1 - np.arange(u0, u1)  # entries on each row
-    row_ends = np.cumsum(counts) - 1  # entry index of each row's last colour
-    e = int(row_ends[-1]) + 1
-    values = None
-    if buf.size == 2 * e:
-        digit, sep = buf[0::2] - np.uint8(ord("0")), buf[1::2]
-        if (
-            digit.max() < min(q, 10)  # a separator or sign wraps to above 9
-            and np.count_nonzero(sep == ord(" ")) == e - len(lines)
-            and (sep[row_ends] == ord("\n")).all()
-        ):
-            values = digit
+    values = _decode_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8),
+                             n - 1 - np.arange(u0, u1), q)
     if values is None:
-        values = _decode_entries(buf, counts, q)
-        if values is None:
-            return False
-    mask = _upper(n, u0, u1)
-    rows = table[u0:u1]
-    rows[mask] = values
-    # the mirror, columns u0..u1-1 below the diagonal: one transposed copy
-    # below the block's rows, the block's own triangle through its mask
-    table[u1:, u0:u1] = rows[:, u1:].T
-    square, inner = rows[:, u0:u1], mask[:, u0:u1]
-    square.T[inner] = square[inner]
+        return False
+    table[u0:u1][_upper(n, u0, u1)] = values
+    _mirror(table, u0, u1)
     return True
 
 
@@ -482,16 +484,47 @@ def colouring_to_text(c):
 
 
 def read_colouring(stream):
-    """Parse the text format; raises ParseError with a line number on damage."""
+    """Parse the text format; raises ParseError with a line number on damage.
+
+    A path is read as UTF-8. A one-digit body is decoded from the text in
+    place; any other goes through its lines."""
     if isinstance(stream, (str, Path)):
-        with open(stream, "r") as fh:
+        with open(stream, encoding="utf-8") as fh:
             return read_colouring(fh)
-    lines = stream.read().split("\n")
-    if not lines or lines[0] != FORMAT_MAGIC:
+    text = _decoded(stream.read)
+    n, q, start = _header(text)
+    table = _one_digit_body(text, start, n, q)
+    if table is None:
+        lines = text.split("\n")
+        del text  # the lines hold it now: freed before the table is allocated
+        table = _body_by_lines(lines, n, q)
+    # every row held n-1-u colours in [0, q), written to both halves
+    return EdgeColouring._from_table(n, q, table)
+
+
+def _decoded(read):
+    """``read()`` of a text stream, a byte its codec refuses raised as a
+    ParseError on that byte's line, counted from where the read began."""
+    try:
+        return read()
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start].decode(exc.encoding, "replace")
+        line = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not {exc.encoding} text",
+                         line=line) from None
+
+
+def _header(text):
+    """n, q and the offset of line 3 (the body), from the first two lines
+    of ``text``, which is not split."""
+    first = text.find("\n")
+    if (text if first < 0 else text[:first]) != FORMAT_MAGIC:
         raise ParseError(f"expected header {FORMAT_MAGIC!r}", line=1)
-    if len(lines) < 2:
+    if first < 0:
         raise ParseError("missing dimension line", line=2)
-    parts = lines[1].split()
+    second = text.find("\n", first + 1)
+    start = len(text) if second < 0 else second + 1
+    parts = text[first + 1 : start].split()
     if len(parts) != 2:
         raise ParseError("dimension line must be '<n> <q>'", line=2)
     n = _dimension(parts[0], "n", f"the dense-table limit of {_MAX_N} vertices")
@@ -502,6 +535,40 @@ def read_colouring(stream):
         raise ParseError(f"n={n} exceeds the dense-table limit of {_MAX_N} vertices", line=2)
     if q > _MAX_Q:
         raise ParseError(f"q={q} exceeds the colour limit of {_MAX_Q}", line=2)
+    return n, q, start
+
+
+def _one_digit_body(text, start, n, q):
+    """The table of a canonical one-digit body at ``text[start:]`` (its n-1
+    rows exactly n(n-1) characters, then only whitespace), else None.
+
+    Each entry, digit and separator, is one little-endian uint16: 0x2030 + d
+    before a space, 0x0A30 + d before a row's newline. A row block is read
+    from its own slice of the text. Less 0x2030, and 0x1600 added back at
+    the row ends, each entry is its digit; any other pair of bytes wraps to
+    above 9, so one maximum below min(q, 10) checks the digits, the spaces
+    and the newlines together."""
+    end = start + n * (n - 1)
+    if n < 2 or len(text) < end or text[end - 1] != "\n" or text[end:].strip():
+        return None
+    table = np.full((n, n), -1, dtype=np.int16)
+    for u0, u1 in _row_blocks(n):
+        # row u starts u(2n-1-u) characters into the body
+        block = text[start + u0 * (2 * n - 1 - u0) : start + u1 * (2 * n - 1 - u1)]
+        if not block.isascii():
+            return None
+        entries = np.frombuffer(block.encode("ascii"), dtype="<u2") - np.uint16(0x2030)
+        entries[np.cumsum(n - 1 - np.arange(u0, u1)) - 1] += np.uint16(0x1600)
+        if entries.max() >= min(q, 10):
+            return None
+        table[u0:u1][_upper(n, u0, u1)] = entries
+        _mirror(table, u0, u1)
+    return table
+
+
+def _body_by_lines(lines, n, q):
+    """The table of the body ``lines[2:n+1]``, parsed line by line: row
+    blocks while they are canonical, then row by row with Python's ``int``."""
     # Every row must be present, and long enough for its entries (e entries
     # take >= 2e-1 characters), before the n x n table is allocated: a short
     # or hollow file cannot make a small header ask for n^2 memory.
@@ -541,8 +608,7 @@ def read_colouring(stream):
     for idx, extra in enumerate(lines[n + 1 :]):
         if extra.strip():
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
-    # every row held n-1-u colours in [0, q), written to both halves
-    return EdgeColouring._from_table(n, q, table)
+    return table
 
 
 def _dimension(token, name, limit):

@@ -218,6 +218,60 @@ class TestFindVerify:
         assert result.exit_code == 2
 
 
+class TestPathErrors:
+    """A path that cannot be read, decoded or written is an input error:
+    one line naming it, and exit 2."""
+
+    NOT_UTF8 = b"oddcycle-colouring v1\n3 2\n0 \xff\n1\n"
+
+    @staticmethod
+    def _input_error(result, *words):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("input error:"), result.output
+        assert "Traceback" not in result.output
+        assert all(word in result.output for word in words), result.output
+
+    @pytest.mark.parametrize("command", ["find", "verify", "peel", "gen"])
+    def test_colouring_not_utf8_exits_2(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.NOT_UTF8)
+        cert = tmp_path / "c.cert"
+        cert.write_text("cycle 0 0 1 2\n")
+        args = {
+            "find": ["find", "--in", str(bad), "--method", "oracle",
+                     "--out-cert", str(tmp_path / "x.cert"), "--trace", str(tmp_path / "x.trace")],
+            "verify": ["verify", "--in", str(bad), "--cert", str(cert)],
+            "peel": ["peel", "--in", str(bad), "--colour", "0", "--k", "3"],
+            "gen": ["gen", "--kind", "product", "--q", "1", "--in2", str(bad),
+                    "--out", str(tmp_path / "p.txt")],
+        }[command]
+        self._input_error(runner.invoke(main, args), "line 3", "0xff")
+
+    def test_certificate_not_utf8_exits_2(self, runner, tmp_path):
+        col = gen_random(runner, tmp_path / "c.txt")
+        bad = tmp_path / "bad.cert"
+        bad.write_bytes(b"cycle 0 \xfe 1 2\n")
+        result = runner.invoke(main, ["verify", "--in", str(col), "--cert", str(bad)])
+        self._input_error(result, "line 1", "0xfe")
+
+    def test_gen_out_in_missing_directory_exits_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        result = runner.invoke(main, ["gen", "--kind", "binary", "--q", "2", "--out", str(out)])
+        self._input_error(result, str(out))
+
+    @pytest.mark.parametrize("option", ["--out-cert", "--trace"])
+    def test_find_output_in_missing_directory_exits_2(self, runner, tmp_path, option):
+        col = gen_random(runner, tmp_path / "c.txt")
+        paths = {"--out-cert": tmp_path / "x.cert", "--trace": tmp_path / "x.trace"}
+        paths[option] = tmp_path / "missing" / "out"
+        result = runner.invoke(
+            main,
+            ["find", "--in", str(col), "--method", "oracle",
+             "--out-cert", str(paths["--out-cert"]), "--trace", str(paths["--trace"])],
+        )
+        self._input_error(result, str(paths[option]))
+
+
 class TestPeelCommand:
     def test_decomposition_summary(self, runner, tmp_path):
         b3 = tmp_path / "b3.txt"

@@ -510,6 +510,35 @@ class TestIO:
             read_colouring(io.StringIO(f"oddcycle-colouring v1\n2 {q}\n70000\n"))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b"oddcycle-colouring v1\n3 2\n0 \xff\n1\n", 3),
+            (b"\xfeoddcycle-colouring v1\n2 1\n0\n", 1),
+            (b"oddcycle-colouring v1\r\n3 2\r\n0 1\r\n\xc3\r\n", 4),  # a cut-off character
+            (b"oddcycle-colouring v1\r3 2\r0 1\r0\r\n\x80\n", 5),
+        ],
+        ids=["body", "header", "crlf", "cr"],
+    )
+    def test_path_not_utf8_is_parse_error(self, data, line, tmp_path):
+        # a path is read as UTF-8 whatever the locale, a byte that is not
+        # UTF-8 reported on its line, line ends counted as the reader counts
+        # them (\r\n and \r are \n)
+        path = tmp_path / "c.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="is not utf-8 text") as err:
+            read_colouring(path)
+        assert err.value.line == line
+        with pytest.raises(ParseError) as err:
+            read_colouring(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert err.value.line == line
+
+    def test_path_read_as_utf8(self, tmp_path):
+        # "٣" (Arabic-Indic three) is non-ASCII: int() reads it as 3
+        path = tmp_path / "c.txt"
+        path.write_bytes("oddcycle-colouring v1\r\n3 4\r\n0 \u0663\r\n1\r\n".encode())
+        assert read_colouring(path) == colouring_from_classes(3, [[(0, 1)], [(1, 2)], [], [(0, 2)]])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 20), st.integers(1, 8), st.integers(0, 10_000))
     def test_round_trip_property(self, n, q, seed):
@@ -528,6 +557,7 @@ def _outcome(reader, text):
 
 ODD_TOKENS = ["x", "+1", "01", "-0", "\u0663", "1_0"]
 EXTRA_LINES = ["", " ", "\t", "0", "1 2", "x"]
+EDIT_CHARACTERS = ["0", "9", " ", "\n", "\r", "\t", "+", "-", "x", "\u0663"]
 
 
 def _mutate(lines, draw):
@@ -666,7 +696,9 @@ class TestReaderAgainstRowParser:
     )
     def test_one_digit_damage_in_second_block(self, kind, decoded, monkeypatch):
         # n = 400 at q = 9: one digit per colour; rows 200 and 201 lie in the
-        # second block, which stays two bytes per entry. A moved newline
+        # second block, which stays two bytes per entry, so the body keeps
+        # its length and is first tried in place. The lines then decode the
+        # first block and go row by row from the second. A moved newline
         # leaves row 200 too short for its entries, which the reader finds
         # before it decodes any block
         n, row = 400, 200
@@ -677,15 +709,38 @@ class TestReaderAgainstRowParser:
         assert sum(map(len, damaged[2 + blocks[1][0] : 2 + blocks[1][1]])) == sum(
             map(len, lines[2 + blocks[1][0] : 2 + blocks[1][1]]))
         text = "\n".join(damaged)
-        calls, general = [], []
-        parse_block, decode_entries = colouring._parse_block, colouring._decode_entries
+        calls = []
+        parse_block = colouring._parse_block
         monkeypatch.setattr(colouring, "_parse_block",
                             lambda *args: calls.append(parse_block(*args)) or calls[-1])
-        monkeypatch.setattr(colouring, "_decode_entries",
-                            lambda *args: general.append(decode_entries(*args)) or general[-1])
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
         assert calls == decoded  # rows from the damaged block on go row by row
-        assert general == [None] * (len(decoded) - 1)  # the first block was read strided
+
+    @pytest.mark.parametrize("q,blocks", [(1, 0), (9, 0), (10, 0), (11, 3)])
+    def test_one_digit_body_read_in_place(self, q, blocks, monkeypatch):
+        # n = 400 spans three blocks. A canonical one-digit body, trailing
+        # whitespace allowed, is read from the text itself: no line is
+        # parsed. At q = 11 some colour has two digits
+        c = random_colouring(400, q, 11)
+        text = colouring_to_text(c) + " \n\t\n"
+        calls = []
+        parse_block = colouring._parse_block
+        monkeypatch.setattr(colouring, "_parse_block",
+                            lambda *args: calls.append(parse_block(*args)) or calls[-1])
+        assert read_colouring(io.StringIO(text)) == c
+        assert calls == [True] * blocks
+
+    @pytest.mark.parametrize("q", [1, 3, 10])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_every_one_character_edit(self, n, q):
+        # each character of a canonical text replaced by each of a fixed
+        # set, deleted, or with a space put before it (or at the end)
+        text = colouring_to_text(random_colouring(n, q, n + q))
+        edits = [text[:i] + ch + text[i + 1 :] for i in range(len(text)) for ch in EDIT_CHARACTERS]
+        edits += [text[:i] + text[i + 1 :] for i in range(len(text))]
+        edits += [text[:i] + " " + text[i:] for i in range(len(text) + 1)]
+        for edited in edits:
+            assert _outcome(read_colouring, edited) == _outcome(read_colouring_by_rows, edited), edited
 
     def test_one_digit_block_with_a_misplaced_newline(self):
         # rows of 4, 1 and 1 colours where 3, 2 and 1 are due: the block is
@@ -745,13 +800,13 @@ def _peak_bytes(fn):
 @pytest.mark.parametrize("block,bounded", [(colouring._BLOCK, True), (1 << 30, False)],
                          ids=["blocked", "whole-body"])
 def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monkeypatch):
-    # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, the strided
-    # decode), 1.1 MB at q = 11 (the general decode); 2.1 MB of table. Over
-    # 2^16-entry blocks reading peaks near 7.8 MB at q = 10 and 10.0 MB at
-    # q = 11 (the row-by-row reader, whose table is copied and checked
-    # again: 12.7 MB), writing near 1.1 and 1.3 MB. Decoding or formatting
-    # the whole body at once peaks near 11.1 and 4.2 MB at q = 10, 27 and
-    # 6.9 MB at q = 11
+    # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, decoded
+    # from the text in place), 1.1 MB at q = 11 (split into lines, the
+    # general decode); 2.1 MB of table. Over 2^16-entry blocks reading peaks
+    # near 7.8 MB at q = 10 and 10.0 MB at q = 11 (the row-by-row reader,
+    # whose table is copied and checked again: 12.7 MB), writing near 1.1
+    # and 1.3 MB. Decoding or formatting the whole body at once peaks near
+    # 10.5 and 4.2 MB at q = 10, 27 and 6.9 MB at q = 11
     monkeypatch.setattr(colouring, "_BLOCK", block)
     c = random_colouring(1025, q, 3)
     text = colouring_to_text(c)
@@ -764,7 +819,10 @@ def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monke
 # byte to the index-array builders, and check that the validating
 # constructor accepts every one.
 
-RANDOM_CORPUS = [(n, q) for n in (2, 3, 4, 5, 7, 16, 17, 33, 64, 65, 129, 257, 400)
+# n at the mirror's tile edges (multiples of 64, one either side) and at row
+# block edges (512 is one block of 128 rows, 513 two)
+RANDOM_CORPUS = [(n, q) for n in (2, 3, 4, 5, 7, 16, 17, 33, 63, 64, 65, 127, 128, 129, 257,
+                                  400, 512, 513)
                  for q in (1, 2, 11, 2**15)]
 
 
