@@ -819,8 +819,8 @@ def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monke
 # byte to the index-array builders, and check that the validating
 # constructor accepts every one.
 
-# n at the mirror's tile edges (multiples of 64, one either side) and at row
-# block edges (512 is one block of 128 rows, 513 two)
+# n at the mirror's 64-row tile edges (63 to 65, 127 to 129), and at a
+# power-of-two row stride (512) and one past it
 RANDOM_CORPUS = [(n, q) for n in (2, 3, 4, 5, 7, 16, 17, 33, 63, 64, 65, 127, 128, 129, 257,
                                   400, 512, 513)
                  for q in (1, 2, 11, 2**15)]
