@@ -83,8 +83,11 @@ def _write_certificate(result, path):
 
 
 def _read_certificate(path):
-    with open(path, encoding="utf-8") as fh:
-        line = _decoded(fh.readline).strip()
+    """The certificate on line 1 of ``path``. Only that line is decoded, so
+    a byte that is not UTF-8 further on is ignored with the rest."""
+    with open(path, "rb") as fh:
+        first = fh.readline().split(b"\r", 1)[0]  # a line ends at \n, \r or \r\n
+    line = _decoded(lambda: first.decode("utf-8")).strip()
     parts = line.split()
     if len(parts) < 2 or parts[0] != "cycle":
         raise ParseError("certificate must start with 'cycle <colour> <v0> ...'", line=1)
@@ -118,9 +121,10 @@ def find(infile, method, eps, big_c, delta, k_rule, small_rule, fallback, out_ce
     if small_rule:
         params["small_threshold_of_q"] = _rule(small_rule)
     result = _run_method(colouring, method, params, delta)
-    _write_certificate(result, out_cert)
+    # the trace first: a trace path that cannot be written leaves no certificate
     with open(trace, "w") as fh:
         fh.write(result.trace.to_json_lines())
+    _write_certificate(result, out_cert)
     cert = result.certificate
     click.echo(
         f"found colour-{cert.colour} odd cycle of length {cert.length} "

@@ -324,16 +324,32 @@ def colour_class(c, i):
 def _edge_near_0(c, i):
     """(v, u), v the lowest vertex of vertex 0's colour-i neighbourhood N
     with a colour-i neighbour in N and u the lowest such neighbour, or None.
-    Reads the rows of N a block at a time and packs none of them."""
+
+    Reads the rows of N in blocks of 1, 2, 4, ... rows, capped at a
+    ``_BLOCK``-sized block, and packs none of them. On a dense class N's
+    lowest vertex nearly always closes the triangle, so its row is read
+    first, on its own and without gathering N's ids; a failed probe pays
+    only a few small reads before its blocks reach full size. A block's
+    first hit in row-major order is its lowest v and that v's lowest u."""
     near = c.table[0] == i
+    v = int(near.argmax())
+    if not near[v]:
+        return None
+    inside = (c.table[v] == i) & near
+    u = int(inside.argmax())
+    if inside[u]:
+        return v, u
     ids = np.flatnonzero(near)
-    step = max(1, _BLOCK // c.n)
-    for start in range(0, len(ids), step):
+    cap = max(1, _BLOCK // c.n)
+    start, step = 1, min(2, cap)
+    while start < len(ids):
         inside = (c.table[ids[start : start + step]] == i) & near
-        hit = np.flatnonzero(inside.any(axis=1))
-        if hit.size:
-            r = hit[0]
-            return int(ids[start + r]), int(inside[r].argmax())
+        hit = int(inside.argmax())
+        if inside.flat[hit]:
+            r, u = divmod(hit, c.n)
+            return int(ids[start + r]), u
+        start += step
+        step = min(2 * step, cap)
     return None
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -91,11 +91,19 @@ def _array_to_bits(vertices, n):
 
 
 def _pack_rows(matrix):
-    """One int per row of a bool matrix, bit j set iff column j is."""
+    """One int per row of a bool matrix, bit j set iff column j is.
+
+    The packed rows are converted at C speed: viewed as one fixed-width
+    bytes item per row, listed, and mapped through ``int.from_bytes``.
+    numpy strips an item's trailing NUL bytes, which in little-endian
+    order are its high zero bytes, so no value changes. A zero-width
+    matrix has no bytes to view: every row is 0."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     width = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+    if width == 0:
+        return [0] * len(packed)
+    items = packed.view(f"S{width}").ravel().tolist()
+    return list(map(int.from_bytes, items, repeat("little")))
 
 
 def _unpack_rows(masks, n):

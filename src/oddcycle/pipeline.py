@@ -113,6 +113,10 @@ class PipelineParams:
                 raise InputError(f"{name} must be callable, not {type(getattr(self, name)).__name__}")
 
 
+# the defaults, built once: nothing in the package assigns to a params field
+_DEFAULT_PARAMS = PipelineParams()
+
+
 @dataclass
 class LevelTrace:
     """Observed values at one recursion level."""
@@ -254,7 +258,7 @@ def _impossible_pair(c, x, y, claim, lvl, **witness):
 def find_mono_odd_cycle(c, params=None):
     """Find a monochromatic odd cycle in a complete q-edge-coloured K_n."""
     if params is None:
-        params = PipelineParams()
+        params = _DEFAULT_PARAMS
     if c.n < 3:
         raise InputError(f"need n >= 3 vertices, got {c.n}")
     trace = PipelineTrace()

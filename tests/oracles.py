@@ -24,6 +24,15 @@ def adjacency_sets(g):
     return [set(int(w) for w in np.flatnonzero(matrix[v])) for v in range(g.n)]
 
 
+def pack_rows_by_slices(matrix):
+    """One int per row of a bool matrix, bit j set iff column j is: each
+    packed row cut out of the packed bytes and converted on its own."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
 def odd_girth_by_enumeration(adj):
     """Minimum odd cycle length by anchored DFS over simple paths, or None.
 

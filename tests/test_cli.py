@@ -271,6 +271,42 @@ class TestPathErrors:
         )
         self._input_error(result, str(paths[option]))
 
+    def test_find_trace_in_missing_directory_leaves_no_certificate(self, runner, tmp_path):
+        col = gen_random(runner, tmp_path / "c.txt")
+        cert, trace = tmp_path / "x.cert", tmp_path / "missing" / "t"
+        result = runner.invoke(
+            main,
+            ["find", "--in", str(col), "--method", "oracle",
+             "--out-cert", str(cert), "--trace", str(trace)],
+        )
+        self._input_error(result, str(trace))
+        assert not cert.exists()
+
+    @staticmethod
+    def _verify_with_tail(runner, tmp_path, first, tail):
+        """``verify`` of a valid 9-vertex colouring against a certificate
+        file holding ``first`` (the found certificate's line 1 when None)
+        and then the bytes ``tail``."""
+        col = gen_random(runner, tmp_path / "c.txt")
+        cert = tmp_path / "x.cert"
+        found = runner.invoke(main, ["find", "--in", str(col), "--method", "oracle",
+                                     "--out-cert", str(cert), "--trace", str(tmp_path / "t")])
+        assert found.exit_code == 0, found.output
+        line = cert.read_bytes().rstrip(b"\n") if first is None else first
+        cert.write_bytes(line + tail)
+        return runner.invoke(main, ["verify", "--in", str(col), "--cert", str(cert)])
+
+    @pytest.mark.parametrize("tail", [b"\n2 \xff\n", b"\r\n\xff", b"\r\xff\n", b"\n" + b"\xfe" * 20000],
+                             ids=["lf", "crlf", "cr", "past-first-chunk"])
+    def test_certificate_later_line_not_utf8_is_ignored(self, runner, tmp_path, tail):
+        result = self._verify_with_tail(runner, tmp_path, None, tail)
+        assert result.exit_code == 0, result.output
+        assert result.output == "ok\n"
+
+    def test_certificate_first_line_not_utf8_with_more_lines_exits_2(self, runner, tmp_path):
+        result = self._verify_with_tail(runner, tmp_path, b"cycle 0 0 \xff 2", b"\n\xfe\n")
+        self._input_error(result, "line 1", "0xff")
+
 
 class TestPeelCommand:
     def test_decomposition_summary(self, runner, tmp_path):

@@ -32,7 +32,7 @@ from oddcycle import (
     shortest_path_within,
     verify_mono_odd_cycle,
 )
-from oddcycle.graph import _bfs, _conflict_cycle, _twin_free
+from oddcycle.graph import _bfs, _conflict_cycle, _pack_rows, _twin_free
 from oracles import (
     adjacency_sets,
     blown_up_odd_cycle,
@@ -41,6 +41,7 @@ from oracles import (
     naive_distance_matrix,
     odd_girth_by_double_cover,
     odd_girth_by_enumeration,
+    pack_rows_by_slices,
     pentagon_colouring,
 )
 
@@ -843,6 +844,27 @@ class TestRowsAgainstDense:
         adj = np.zeros((n, n), dtype=bool)
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
         assert_matches_dense(Graph.from_edges(n, pairs.tolist()), adj, np.ones(n, dtype=bool))
+
+
+class TestPackRows:
+    """``_pack_rows`` converts all rows at once through a bytes view, which
+    drops each row's high zero bytes; the slice-by-slice oracle does not."""
+
+    @pytest.mark.parametrize("width", [*range(1, 18), 63, 64, 65, 2560])
+    @pytest.mark.parametrize("density", [0, 0.01, 0.5, 1])
+    def test_matches_slices(self, width, density):
+        rng = np.random.default_rng(width)
+        matrix = rng.random((7, width)) < density
+        assert _pack_rows(matrix) == pack_rows_by_slices(matrix)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (0, 5), (0, 64)])
+    def test_empty_matrices(self, shape):
+        matrix = np.zeros(shape, dtype=bool)
+        assert _pack_rows(matrix) == pack_rows_by_slices(matrix) == [0] * shape[0]
+
+    def test_zero_vertex_graph(self):
+        g = Graph(np.zeros((0, 0)))
+        assert g.n == 0 and g.edge_count() == 0
 
 
 def test_from_edges_memory_follows_the_rows():

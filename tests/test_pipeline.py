@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oddcycle.colouring as colouring
 import oddcycle.pipeline as pipeline
 from oddcycle import (
     Bipartition,
@@ -198,6 +200,24 @@ def _late_triangle_at_0():
     return EdgeColouring(1024, 10, table)
 
 
+def _first_triangle_at_0_from(k):
+    """binary(10), where vertex 0's colour-0 neighbourhood N is the 512 odd
+    vertices and holds no colour-0 pair, with N's k-th vertex joined in
+    colour 0 to the last vertex of N and to one midway between them (its
+    lowest partner), and the next vertex of N to the one after it: N's k-th
+    vertex is the first with a colour-0 neighbour in N."""
+    table = binary_colouring(10).table.copy()
+    ids = np.flatnonzero(table[0] == 0)
+    last = len(ids) - 1
+    pairs = [(k, last), (k, k + 1 + (last - k - 1) // 2)] + ([(k + 1, k + 2)] if k + 2 <= last else [])
+    for a, b in pairs:
+        table[ids[a], ids[b]] = table[ids[b], ids[a]] = 0
+    return EdgeColouring(1024, 10, table)
+
+
+_CAP_AT_1024 = colouring._BLOCK // 1024  # rows of a full-size probe block at n = 1024
+
+
 ORACLE_CORPUS = _oracle_corpus()
 
 
@@ -237,6 +257,34 @@ class TestOracleProbe:
         # sweep: the probe must find one exactly when vertex 0 has one, and
         # give the full sweep's certificate
         for c in ORACLE_CORPUS + [_relabelled(binary_colouring(9), 5), _late_triangle_at_0()]:
+            for i in range(c.q):
+                near = np.flatnonzero(c.table[0] == i)
+                at_0 = bool((c.table[np.ix_(near, near)] == i).any())
+                got = pipeline._triangle_at_0(c, i)
+                assert got == (odd_girth(colour_class(c, i)) if at_0 else None), c.provenance
+
+    # every edge of the probe's doubling blocks (rows 0, 1-2, 3-6, 7-14, ...,
+    # then full blocks from the cap on) and the last vertex that can start one
+    @pytest.mark.parametrize("k", sorted({0, 1, 2, 3, 6, 7, 14, 15, _CAP_AT_1024 - 1, _CAP_AT_1024,
+                                          _CAP_AT_1024 + 1, 2 * _CAP_AT_1024 - 2,
+                                          2 * _CAP_AT_1024 - 1, 510}))
+    def test_doubling_blocks_give_the_full_sweeps_triangle(self, k):
+        c = _first_triangle_at_0_from(k)
+        got = pipeline._triangle_at_0(c, 0)
+        assert got == odd_girth(colour_class(c, 0))
+        assert got[1].vertices == (2 * k + 1, 0, 2 * (k + 1 + (510 - k) // 2) + 1)
+
+    def test_doubling_blocks_find_nothing_in_an_independent_neighbourhood(self):
+        c = binary_colouring(10)
+        assert pipeline._triangle_at_0(c, 0) is None
+        assert odd_girth(colour_class(c, 0)) is None
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_small_block_caps(self, monkeypatch, cap):
+        # with the cap this low the blocks reach full size after a few rows
+        cases = [c for c in ORACLE_CORPUS if c.n >= 3][::3] + [_late_triangle_at_0()]
+        for c in cases:
+            monkeypatch.setattr(colouring, "_BLOCK", cap * c.n)
             for i in range(c.q):
                 near = np.flatnonzero(c.table[0] == i)
                 at_0 = bool((c.table[np.ix_(near, near)] == i).any())
@@ -902,6 +950,29 @@ class TestTraces:
 
 
 class TestPipelineParams:
+    def test_shared_default_runs_as_fresh_params(self):
+        # find_mono_odd_cycle(c) runs one default built at import; it must
+        # answer as a fresh PipelineParams() does, and no run may change it
+        def outcome(c, *params):
+            try:
+                got = find_mono_odd_cycle(c, *params)
+            except NoMonochromaticOddCycle as exc:
+                return str(exc)
+            return got.certificate, got.bound_claimed, got.trace.to_json_lines()
+
+        before = dataclasses.asdict(pipeline._DEFAULT_PARAMS)
+        assert before == dataclasses.asdict(PipelineParams())
+        cases = [c for c in ORACLE_CORPUS if c.n >= 3 and c.q >= 1][::4]
+        cases += [random_colouring(2**q + 1, q, 30) for q in (3, 4, 9)] + [binary_colouring(4)]
+        branches = set()
+        for c in cases:
+            got = outcome(c)
+            assert got == outcome(c, PipelineParams()), c.provenance
+            if not isinstance(got, str):
+                branches.update(json.loads(line)["branch"] for line in got[2].splitlines())
+        assert {"base", "short-cycle"} <= branches
+        assert dataclasses.asdict(pipeline._DEFAULT_PARAMS) == before
+
     @pytest.mark.parametrize("rule", ["k_of_q", "small_threshold_of_q"])
     @pytest.mark.parametrize("value", [5, None, "q"])
     def test_rule_not_callable_rejected(self, rule, value):
