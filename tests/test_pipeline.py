@@ -221,6 +221,18 @@ _CAP_AT_1024 = colouring._BLOCK // 1024  # rows of a full-size probe block at n 
 ORACLE_CORPUS = _oracle_corpus()
 
 
+def _assert_probe_matches_sweep(cases):
+    """The probe finds a triangle at vertex 0 exactly when its colour-i
+    neighbourhood holds a colour-i edge, and gives the full sweep's
+    certificate."""
+    for c in cases:
+        for i in range(c.q):
+            near = np.flatnonzero(c.table[0] == i)
+            at_0 = bool((c.table[np.ix_(near, near)] == i).any())
+            got = pipeline._triangle_at_0(c, i)
+            assert got == (odd_girth(colour_class(c, i)) if at_0 else None), c.provenance
+
+
 class TestOracleProbe:
     """The oracle tries each colour on vertex 0 and its colour neighbours
     before sweeping the whole class; it must give what the whole sweeps give."""
@@ -256,12 +268,8 @@ class TestOracleProbe:
         # a missed triangle would not change the answer, only cost a full
         # sweep: the probe must find one exactly when vertex 0 has one, and
         # give the full sweep's certificate
-        for c in ORACLE_CORPUS + [_relabelled(binary_colouring(9), 5), _late_triangle_at_0()]:
-            for i in range(c.q):
-                near = np.flatnonzero(c.table[0] == i)
-                at_0 = bool((c.table[np.ix_(near, near)] == i).any())
-                got = pipeline._triangle_at_0(c, i)
-                assert got == (odd_girth(colour_class(c, i)) if at_0 else None), c.provenance
+        _assert_probe_matches_sweep(
+            ORACLE_CORPUS + [_relabelled(binary_colouring(9), 5), _late_triangle_at_0()])
 
     # every edge of the probe's doubling blocks (rows 0, 1-2, 3-6, 7-14, ...,
     # then full blocks from the cap on) and the last vertex that can start one
@@ -282,14 +290,9 @@ class TestOracleProbe:
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
     def test_small_block_caps(self, monkeypatch, cap):
         # with the cap this low the blocks reach full size after a few rows
-        cases = [c for c in ORACLE_CORPUS if c.n >= 3][::3] + [_late_triangle_at_0()]
-        for c in cases:
+        for c in [c for c in ORACLE_CORPUS if c.n >= 3][::3] + [_late_triangle_at_0()]:
             monkeypatch.setattr(colouring, "_BLOCK", cap * c.n)
-            for i in range(c.q):
-                near = np.flatnonzero(c.table[0] == i)
-                at_0 = bool((c.table[np.ix_(near, near)] == i).any())
-                got = pipeline._triangle_at_0(c, i)
-                assert got == (odd_girth(colour_class(c, i)) if at_0 else None), c.provenance
+            _assert_probe_matches_sweep([c])
 
     def test_find_traces_match_full_class_sweep(self, monkeypatch):
         def outcome(c, params):
