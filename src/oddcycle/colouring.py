@@ -28,21 +28,21 @@ File format (text, bit-exact):
                    space-separated decimal integers.
 
 Both directions work with numpy on one block of rows (about ``_BLOCK``
-entries) at a time, so their scratch memory stays bounded whatever n is, and
-neither makes an index array of a block's size. The writer makes as many
-passes as the block's widest entry needs, so a block of one-digit colours
-costs a digit pass and a separator pass. The reader parses the header once.
-A body of one-digit colours (every file with q <= 10) is exactly n(n-1)
-characters; such a body is decoded a row block at a time from slices of the
-text itself, each digit and its separator one uint16, in one pass that
-checks digits, spaces and newlines together. Any other body, and one that
-fails that pass, is split into lines: a block that is canonical (decimal
-colours of at most ``_MAX_DIGITS`` digits, one space apart, n-1-u of them on
-row u) is decoded entry by entry, and from the first block that is not, the
-rows are parsed one by one with Python's ``int``. So what the reader accepts
-(``+1``, ``01``, tabs, runs of spaces, a trailing ``\r``) and the line
-number and message of every ``ParseError`` are the same as if every row were
-parsed that way. A path is read as UTF-8; a byte that is not UTF-8 is a
+entries) at a time, so their scratch memory stays bounded whatever n is; a
+block's pairs are picked by a view of one constant mask, not an index array.
+The writer makes as many passes as the block's widest entry needs, so a
+block of one-digit colours costs a digit pass and a separator pass. The
+reader parses the header once, then reads the body in one loop over the row
+blocks, each decoded from its own slice of the text, which is not split: a
+block of one-digit colours (every block of a file with q <= 10) is found by
+its length and checked in one pass, any other ends at its last row's newline
+and is decoded entry by entry. The first block that is not canonical
+(decimal colours of at most ``_MAX_DIGITS`` digits, one space apart, n-1-u
+of them on row u) ends the loop: from its first row on, the text is split
+into lines and parsed row by row with Python's ``int``. So what the reader
+accepts (``+1``, ``01``, tabs, runs of spaces, a trailing ``\r``) and the
+line number and message of every ``ParseError`` are the same as if every row
+were parsed that way. A path is read as UTF-8; a byte that is not UTF-8 is a
 ``ParseError`` on its line.
 
 Every table written from its upper half, by a reader or a builder, gets its
@@ -450,32 +450,12 @@ def _format_block(table, u0, u1):
     return cells.tobytes().decode("ascii")
 
 
-def _parse_block(table, lines, u0, q):
-    """Decode body rows u0.. (``lines``) into ``table`` when every one is
-    canonical: only digits and single spaces, n-1-u colours on row u, each
-    below q in at most _MAX_DIGITS digits. Returns False, writing nothing,
-    otherwise."""
-    text = "\n".join(lines) + "\n"
-    if not text.isascii():
-        return False
-    n = table.shape[0]
-    u1 = u0 + len(lines)
-    values = _decode_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8),
-                             n - 1 - np.arange(u0, u1), q)
-    if values is None:
-        return False
-    table[u0:u1][_upper(n, u0, u1)] = values
-    _mirror(table, u0, u1)
-    return True
-
-
 def _decode_entries(buf, counts, q):
     """The colours of a canonical block of any widths, ``counts[i]`` on its
     i-th row, as an int32 array; None if the block is not canonical."""
     digit = buf - np.uint8(ord("0"))  # separators wrap to values above 9
     ends = np.flatnonzero(digit > 9)  # the separator after each entry
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    width = ends - starts
+    width = np.diff(ends, prepend=-1) - 1
     sep = buf[ends]
     if (
         width.min() < 1  # a leading, trailing or doubled separator
@@ -484,10 +464,11 @@ def _decode_entries(buf, counts, q):
         or not np.array_equal(np.diff(np.flatnonzero(sep == ord("\n")), prepend=-1), counts)
     ):
         return None
-    values = digit[starts].astype(np.int32)
+    ends -= 1  # each entry's last digit, then the k-th from the right where it has one
+    values = digit[ends].astype(np.int32)
     for k in range(1, int(width.max())):
-        more = width > k
-        values[more] = values[more] * 10 + digit[starts[more] + k]
+        ends -= 1
+        values += np.where(width > k, digit[ends], 0) * np.int32(10**k)
     if values.max() >= q:
         return None
     return values
@@ -502,18 +483,29 @@ def colouring_to_text(c):
 def read_colouring(stream):
     """Parse the text format; raises ParseError with a line number on damage.
 
-    A path is read as UTF-8. A one-digit body is decoded from the text in
-    place; any other goes through its lines."""
+    A path is read as UTF-8. The body is read a row block at a time, each
+    from its own slice of the text (``_read_block``), up to the first block
+    that is not canonical; from there the text is split into lines and
+    parsed row by row (``_body_by_rows``)."""
     if isinstance(stream, (str, Path)):
         with open(stream, encoding="utf-8") as fh:
             return read_colouring(fh)
     text = _decoded(stream.read)
-    n, q, start = _header(text)
-    table = _one_digit_body(text, start, n, q)
-    if table is None:
-        lines = text.split("\n")
-        del text  # the lines hold it now: freed before the table is allocated
-        table = _body_by_lines(lines, n, q)
+    n, q, at = _header(text)
+    table, done = None, 0
+    # e entries take >= 2e-1 characters, so a shorter body has a short or
+    # missing row, which the row parser reports before any table is made: a
+    # short or hollow file cannot make a small header ask for n^2 memory
+    if len(text) - at >= (n - 1) ** 2:
+        table = np.full((n, n), -1, dtype=np.int16)
+        for u0, u1 in _row_blocks(n):
+            end = _read_block(text, at, table, u0, u1, q)
+            if end is None:
+                break
+            at, done = end, u1
+    # no newline after the dimension line: the text holds no row at all
+    lines = text[at:].split("\n") if text[at - 1] == "\n" else []
+    _body_by_rows(lines, table, done, n, q)
     # every row held n-1-u colours in [0, q), written to both halves
     return EdgeColouring._from_table(n, q, table)
 
@@ -554,62 +546,64 @@ def _header(text):
     return n, q, start
 
 
-def _one_digit_body(text, start, n, q):
-    """The table of a canonical one-digit body at ``text[start:]`` (its n-1
-    rows exactly n(n-1) characters, then only whitespace), else None.
+def _read_block(text, at, table, u0, u1, q):
+    """Decode body rows u0..u1-1, which start at ``text[at]``, into
+    ``table`` and return the offset past them, if they are canonical and
+    each ends in a newline; else None, with nothing written.
 
-    Each entry, digit and separator, is one little-endian uint16: 0x2030 + d
-    before a space, 0x0A30 + d before a row's newline. A row block is read
-    from its own slice of the text. Less 0x2030, and 0x1600 added back at
-    the row ends, each entry is its digit; any other pair of bytes wraps to
-    above 9, so one maximum below min(q, 10) checks the digits, the spaces
-    and the newlines together."""
-    end = start + n * (n - 1)
-    if n < 2 or len(text) < end or text[end - 1] != "\n" or text[end:].strip():
-        return None
-    table = np.full((n, n), -1, dtype=np.int16)
-    for u0, u1 in _row_blocks(n):
-        # row u starts u(2n-1-u) characters into the body
-        block = text[start + u0 * (2 * n - 1 - u0) : start + u1 * (2 * n - 1 - u1)]
-        if not block.isascii():
+    A one-digit block's rows take exactly 2(n-1-u) characters. Each entry,
+    digit and separator, is one little-endian uint16: 0x2030 + d before a
+    space, 0x0A30 + d before a row's newline. Less 0x2030, and 0x1600 added
+    back at the row ends, each entry is its digit; any other pair of bytes
+    wraps to above 9, so one maximum below min(q, 10) checks the digits,
+    the spaces and the newlines together. Any other block ends at the
+    newline of its last row, each row scanned from its least length
+    2(n-1-u)-1, and ``_decode_entries`` decodes it. A character that is not
+    ASCII is encoded as "?", which no canonical block holds."""
+    n = len(table)
+    counts = n - 1 - np.arange(u0, u1)
+    end = at + (u1 - u0) * (2 * n - 1 - u0 - u1)
+    values = None
+    if text[end - 1 : end] == "\n":
+        block = np.frombuffer(text[at:end].encode("ascii", "replace"), dtype="<u2")
+        entries = block - np.uint16(0x2030)
+        entries[np.cumsum(counts) - 1] += np.uint16(0x1600)
+        if entries.max() < min(q, 10):
+            values = entries
+    if values is None:
+        end = at
+        for count in counts:
+            end = text.find("\n", end + 2 * count - 1) + 1
+            if not end:
+                return None
+        block = np.frombuffer(text[at:end].encode("ascii", "replace"), dtype=np.uint8)
+        values = _decode_entries(block, counts, q)
+        if values is None:
             return None
-        entries = np.frombuffer(block.encode("ascii"), dtype="<u2") - np.uint16(0x2030)
-        entries[np.cumsum(n - 1 - np.arange(u0, u1)) - 1] += np.uint16(0x1600)
-        if entries.max() >= min(q, 10):
-            return None
-        table[u0:u1][_upper(n, u0, u1)] = entries
-        _mirror(table, u0, u1)
-    return table
+    table[u0:u1][_upper(n, u0, u1)] = values
+    _mirror(table, u0, u1)
+    return end
 
 
-def _body_by_lines(lines, n, q):
-    """The table of the body ``lines[2:n+1]``, parsed line by line: row
-    blocks while they are canonical, then row by row with Python's ``int``."""
-    # Every row must be present, and long enough for its entries (e entries
-    # take >= 2e-1 characters), before the n x n table is allocated: a short
-    # or hollow file cannot make a small header ask for n^2 memory.
-    for u in range(n - 1):
-        if 2 + u >= len(lines):
+def _body_by_rows(lines, table, u0, n, q):
+    """Parse body rows u0..n-2, ``lines[0]`` being row u0, into ``table``
+    one by one with Python's ``int``, and check that the lines after them
+    are blank. Every row is first checked present and long enough for its
+    entries, so a short or missing row is reported before a bad token in an
+    earlier one; ``table`` is None only when one of them is neither."""
+    for u in range(u0, n - 1):
+        if u - u0 >= len(lines):
             raise ParseError(f"truncated table: missing row for vertex {u}", line=3 + u)
-        if len(lines[2 + u]) < 2 * (n - 1 - u) - 1:
-            raise ParseError(f"row for vertex {u} has {len(lines[2 + u].split())} entries, "
+        if len(lines[u - u0]) < 2 * (n - 1 - u) - 1:
+            raise ParseError(f"row for vertex {u} has {len(lines[u - u0].split())} entries, "
                              f"expected {n - 1 - u}", line=3 + u)
-    table = np.full((n, n), -1, dtype=np.int16)
-    done = 0
-    for u0, u1 in _row_blocks(n):
-        if not _parse_block(table, lines[2 + u0 : 2 + u1], u0, q):
-            break
-        done = u1
-    for u in range(done, n - 1):  # from the first block that is not canonical
+    for u in range(u0, n - 1):
         lineno = 3 + u
-        row = lines[lineno - 1].split()
-        expected = n - 1 - u
-        if len(row) != expected:
-            raise ParseError(
-                f"row for vertex {u} has {len(row)} entries, expected {expected}",
-                line=lineno,
-            )
-        for off, tok in enumerate(row):
+        row = lines[u - u0].split()
+        if len(row) != n - 1 - u:
+            raise ParseError(f"row for vertex {u} has {len(row)} entries, expected {n - 1 - u}",
+                             line=lineno)
+        for v, tok in enumerate(row, u + 1):
             try:
                 val = int(tok)
             except ValueError:
@@ -619,12 +613,10 @@ def _body_by_lines(lines, n, q):
                 raise ParseError(f"non-integer colour {_clip(tok)!r}", line=lineno) from None
             if not 0 <= val < q:
                 raise ParseError(f"colour {_clip(str(val))} out of range [0, {q})", line=lineno)
-            v = u + 1 + off
             table[u, v] = table[v, u] = val
-    for idx, extra in enumerate(lines[n + 1 :]):
+    for idx, extra in enumerate(lines[n - 1 - u0 :]):
         if extra.strip():
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
-    return table
 
 
 def _dimension(token, name, limit):

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     product_table_by_index,
     random_table_by_triu_indices,
     read_colouring_by_rows,
+    table_girth_by_bfs,
     write_colouring_by_entries,
 )
 
@@ -639,6 +641,29 @@ def one_digit_damaged_texts(draw):
     return "\n".join(_one_digit_damage(lines, u, j, kind))
 
 
+def _spy_blocks(monkeypatch):
+    """A list that gets, for each row block the reader tries, how it took
+    it: "in place" (the one-digit case), "decoded" (``_decode_entries``) or
+    "by rows" (not canonical: the row parser takes over there)."""
+    taken = []
+    read_block, decode_entries = colouring._read_block, colouring._decode_entries
+
+    def spied_read(*args):
+        taken.append("in place")
+        end = read_block(*args)
+        if end is None:
+            taken[-1] = "by rows"
+        return end
+
+    def spied_decode(*args):
+        taken[-1] = "decoded"
+        return decode_entries(*args)
+
+    monkeypatch.setattr(colouring, "_read_block", spied_read)
+    monkeypatch.setattr(colouring, "_decode_entries", spied_decode)
+    return taken
+
+
 class TestReaderAgainstRowParser:
     """The blocked reader against the row-by-row parser it replaced: the same
     colouring, or the same error with the same line and message."""
@@ -663,24 +688,25 @@ class TestReaderAgainstRowParser:
             lambda row: str(2**32 + 1) + row[row.index(" "):],
             lambda row: row[row.index(" ") + 1 :],
             lambda row: row + " 0",
+            # row 200 keeps its length with a bad token; the next row, cut
+            # to one entry, is short, and that is the error reported
+            lambda row: "x" + row[row.index(" "):] + "\n0",
         ],
         ids=["double-space", "tab", "leading-space", "cr", "plus", "zero-padded",
-             "arabic-digit", "not-a-number", "out-of-range", "past-int32", "entry-missing", "entry-extra"],
+             "arabic-digit", "not-a-number", "out-of-range", "past-int32", "entry-missing", "entry-extra",
+             "bad-token-then-short-row"],
     )
     def test_damage_in_second_block(self, damage, monkeypatch):
-        # n = 400 spans three blocks; row 200 lies in the second
+        # n = 400 spans three blocks; rows 200 and 201 lie in the second
         n, row = 400, 200
         blocks = colouring._row_blocks(n)
-        assert len(blocks) >= 3 and blocks[1][0] <= row < blocks[1][1]
+        assert len(blocks) >= 3 and blocks[1][0] <= row < row + 1 < blocks[1][1]
         lines = colouring_to_text(random_colouring(n, 1000, 5)).split("\n")
         lines[2 + row] = damage(lines[2 + row])
         text = "\n".join(lines)
-        decoded = []
-        parse_block = colouring._parse_block
-        monkeypatch.setattr(colouring, "_parse_block",
-                            lambda *args: decoded.append(parse_block(*args)) or decoded[-1])
+        taken = _spy_blocks(monkeypatch)
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
-        assert decoded == [True, False]  # rows from the damaged block on go row by row
+        assert taken == ["decoded", "by rows"]  # rows from the damaged block on go row by row
 
     @settings(max_examples=300, deadline=None)
     @given(one_digit_damaged_texts())
@@ -688,19 +714,18 @@ class TestReaderAgainstRowParser:
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
 
     @pytest.mark.parametrize(
-        "kind,decoded",
-        [("swap", [True, False]), ("join", [True, False]), ("+", [True, False]),
-         ("-", [True, False]), ("9", [True, False]), ("newline", [])],
+        "kind",
+        ["swap", "join", "+", "-", "9", "newline"],
         ids=["digit-space-swap", "space-to-digit", "plus", "minus", "digit-past-q",
              "newline-space-swap"],
     )
-    def test_one_digit_damage_in_second_block(self, kind, decoded, monkeypatch):
+    def test_one_digit_damage_in_second_block(self, kind, monkeypatch):
         # n = 400 at q = 9: one digit per colour; rows 200 and 201 lie in the
-        # second block, which stays two bytes per entry, so the body keeps
-        # its length and is first tried in place. The lines then decode the
-        # first block and go row by row from the second. A moved newline
-        # leaves row 200 too short for its entries, which the reader finds
-        # before it decodes any block
+        # second block, which stays two bytes per entry, so its end is where
+        # a canonical block's would be. The first block is read in place,
+        # and the rows go row by row from the second. A moved newline leaves
+        # row 200 too short for its entries, which the row parser finds
+        # before it parses any token
         n, row = 400, 200
         blocks = colouring._row_blocks(n)
         assert len(blocks) >= 3 and blocks[1][0] <= row < row + 1 < blocks[1][1]
@@ -709,26 +734,39 @@ class TestReaderAgainstRowParser:
         assert sum(map(len, damaged[2 + blocks[1][0] : 2 + blocks[1][1]])) == sum(
             map(len, lines[2 + blocks[1][0] : 2 + blocks[1][1]]))
         text = "\n".join(damaged)
-        calls = []
-        parse_block = colouring._parse_block
-        monkeypatch.setattr(colouring, "_parse_block",
-                            lambda *args: calls.append(parse_block(*args)) or calls[-1])
+        taken = _spy_blocks(monkeypatch)
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
-        assert calls == decoded  # rows from the damaged block on go row by row
+        assert taken == ["in place", "by rows"]  # rows from the damaged block on go row by row
 
-    @pytest.mark.parametrize("q,blocks", [(1, 0), (9, 0), (10, 0), (11, 3)])
-    def test_one_digit_body_read_in_place(self, q, blocks, monkeypatch):
-        # n = 400 spans three blocks. A canonical one-digit body, trailing
-        # whitespace allowed, is read from the text itself: no line is
-        # parsed. At q = 11 some colour has two digits
-        c = random_colouring(400, q, 11)
-        text = colouring_to_text(c) + " \n\t\n"
-        calls = []
-        parse_block = colouring._parse_block
-        monkeypatch.setattr(colouring, "_parse_block",
-                            lambda *args: calls.append(parse_block(*args)) or calls[-1])
-        assert read_colouring(io.StringIO(text)) == c
-        assert calls == [True] * blocks
+    @pytest.mark.parametrize(
+        "q,one_digit_rows,damaged_row,taken",
+        [(1, 0, None, ["in place"] * 3), (9, 0, None, ["in place"] * 3),
+         (10, 0, None, ["in place"] * 3), (11, 0, None, ["decoded"] * 3),
+         (11, 163, 350, ["in place", "decoded", "by rows"])],
+        ids=["1-0", "9-0", "10-0", "11-3", "one-digit-then-two-digit-then-damaged"],
+    )
+    def test_one_digit_body_read_in_place(self, q, one_digit_rows, damaged_row, taken,
+                                          monkeypatch):
+        # n = 400 spans three blocks of 163, 163 and 73 rows. A canonical
+        # one-digit body, trailing whitespace allowed, is read from the text
+        # in place; at q = 11 some colour of every block has two digits, and
+        # those blocks go through the general decode. Each block is taken on
+        # its own: clipped below 10, the first block is read in place again,
+        # and a bad token in the third hands its rows to the row parser
+        assert [u1 - u0 for u0, u1 in colouring._row_blocks(400)] == [163, 163, 73]
+        table = np.array(random_colouring(400, q, 11).table)
+        table[:one_digit_rows] = np.minimum(table[:one_digit_rows], 9)
+        table[:, :one_digit_rows] = np.minimum(table[:, :one_digit_rows], 9)
+        c = EdgeColouring(400, q, table)
+        lines = (colouring_to_text(c) + " \n\t\n").split("\n")
+        if damaged_row is not None:
+            lines[2 + damaged_row] = "x" + lines[2 + damaged_row][1:]
+        text = "\n".join(lines)
+        spied = _spy_blocks(monkeypatch)
+        assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
+        assert spied == taken
+        if damaged_row is None:
+            assert read_colouring(io.StringIO(text)) == c
 
     @pytest.mark.parametrize("q", [1, 3, 10])
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
@@ -742,11 +780,19 @@ class TestReaderAgainstRowParser:
         for edited in edits:
             assert _outcome(read_colouring, edited) == _outcome(read_colouring_by_rows, edited), edited
 
+    @pytest.mark.parametrize("text", ["oddcycle-colouring v1\n3 2", "oddcycle-colouring v1\n2 1 ",
+                                      "oddcycle-colouring v1\n3 2\n", "oddcycle-colouring v1\n1 3",
+                                      "oddcycle-colouring v1\n1 3\n"])
+    def test_no_row_after_the_header(self, text):
+        # with no newline after the dimension line the text has no row line
+        # at all (a missing row), with one it has an empty one (a short row)
+        assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
+
     def test_one_digit_block_with_a_misplaced_newline(self):
         # rows of 4, 1 and 1 colours where 3, 2 and 1 are due: the block is
         # still two bytes per entry, with the right number of spaces
         table = np.full((4, 4), -1, dtype=np.int16)
-        assert not colouring._parse_block(table, ["0 0 0 0", "0", "0"], 0, 1)
+        assert colouring._read_block("0 0 0 0\n0\n0\n", 0, table, 0, 3, 1) is None
         assert (table == -1).all()
 
 
@@ -795,24 +841,50 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("q,read_cap,write_cap", [(10, 9.5e6, 2.5e6), (11, 16e6, 4e6)],
+@pytest.mark.parametrize("q,read_cap,write_cap", [(10, 8.5e6, 2.5e6), (11, 12e6, 4e6)],
                          ids=["q10", "q11"])
 @pytest.mark.parametrize("block,bounded", [(colouring._BLOCK, True), (1 << 30, False)],
                          ids=["blocked", "whole-body"])
 def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monkeypatch):
-    # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, decoded
-    # from the text in place), 1.1 MB at q = 11 (split into lines, the
-    # general decode); 2.1 MB of table. Over 2^16-entry blocks reading peaks
-    # near 7.8 MB at q = 10 and 10.0 MB at q = 11 (the row-by-row reader,
-    # whose table is copied and checked again: 12.7 MB), writing near 1.1
-    # and 1.3 MB. Decoding or formatting the whole body at once peaks near
-    # 10.5 and 4.2 MB at q = 10, 27 and 6.9 MB at q = 11
+    # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, every block
+    # read in place), 1.1 MB at q = 11 (every block found by a newline scan
+    # and decoded entry by entry); 2.1 MB of table. Over 2^16-entry blocks
+    # reading peaks near 7.6 MB at q = 10 and 9.5 MB at q = 11 (the
+    # row-by-row reader, whose table is copied and checked again: 10.8 MB),
+    # writing near 1.1 and 1.3 MB. Decoding or formatting the whole body at
+    # once peaks near 9.5 and 4.2 MB at q = 10, 23 and 6.9 MB at q = 11
     monkeypatch.setattr(colouring, "_BLOCK", block)
     c = random_colouring(1025, q, 3)
     text = colouring_to_text(c)
     read_peak = _peak_bytes(lambda: read_colouring(io.StringIO(text)))
     write_peak = _peak_bytes(lambda: write_colouring(c, io.StringIO()))
     assert (read_peak < read_cap, write_peak < write_cap) == (bounded, bounded)
+
+
+# Circulant colourings of K_p, p = 2^q + 1 prime: a pair's colour depends
+# only on its distance min(|u - v|, p - |u - v|). Every class of these two
+# has odd girth 7, so K_17 has a 4-colouring with no monochromatic odd
+# cycle shorter than 7 (L(4) >= 7), and K_257 an 8-colouring. At K_257
+# colour i takes the distances +-2^i s mod 257 for s in CIRCULANT_257_S.
+CIRCULANT_257_S = [6, 18, 35, 40, 57, 64, 69, 74, 79, 81, 86, 98, 103, 115, 120, 125]
+
+
+@pytest.mark.parametrize(
+    "name,p,distances",
+    [("circulant_17_q4.txt", 17, [{1, 3}, {2, 6}, {4, 5}, {7, 8}]),
+     ("circulant_257_q8.txt", 257,
+      [{min(d, 257 - d) for d in (2**i * s % 257 for s in CIRCULANT_257_S)} for i in range(8)])],
+    ids=["K17", "K257"],
+)
+def test_circulant_witness_files(name, p, distances):
+    path = Path(__file__).parent / "data" / name
+    c = read_colouring(path)
+    assert colouring_to_text(c).encode() == path.read_bytes()
+    assert c == colouring_from_classes(
+        p, [[(u, v) for u in range(p) for v in range(u + 1, p) if min(v - u, p - v + u) in ds]
+            for ds in distances])
+    table = c.table.tolist()
+    assert [table_girth_by_bfs(table, i) for i in range(c.q)] == [7] * c.q
 
 
 # Builders hand their tables over unchecked; these pin the tables byte for
