@@ -503,8 +503,10 @@ def read_colouring(stream):
             if end is None:
                 break
             at, done = end, u1
-    # no newline after the dimension line: the text holds no row at all
-    lines = text[at:].split("\n") if text[at - 1] == "\n" else []
+    # the lines from row `done` on; with no row decoded, split from the text
+    # itself, not a copy (and none at all if line 2 ends without a newline)
+    lines = text.split("\n")[2:] if done == 0 else text[at:].split("\n")
+    del text  # the lines hold the rows now
     _body_by_rows(lines, table, done, n, q)
     # every row held n-1-u colours in [0, q), written to both halves
     return EdgeColouring._from_table(n, q, table)
@@ -590,7 +592,7 @@ def _body_by_rows(lines, table, u0, n, q):
     one by one with Python's ``int``, and check that the lines after them
     are blank. Every row is first checked present and long enough for its
     entries, so a short or missing row is reported before a bad token in an
-    earlier one; ``table`` is None only when one of them is neither."""
+    earlier one. ``table`` is None only when that check fails."""
     for u in range(u0, n - 1):
         if u - u0 >= len(lines):
             raise ParseError(f"truncated table: missing row for vertex {u}", line=3 + u)
@@ -600,10 +602,13 @@ def _body_by_rows(lines, table, u0, n, q):
     for u in range(u0, n - 1):
         lineno = 3 + u
         row = lines[u - u0].split()
-        if len(row) != n - 1 - u:
-            raise ParseError(f"row for vertex {u} has {len(row)} entries, expected {n - 1 - u}",
-                             line=lineno)
-        for v, tok in enumerate(row, u + 1):
+        expected = n - 1 - u
+        if len(row) != expected:
+            raise ParseError(
+                f"row for vertex {u} has {len(row)} entries, expected {expected}",
+                line=lineno,
+            )
+        for off, tok in enumerate(row):
             try:
                 val = int(tok)
             except ValueError:
@@ -613,6 +618,7 @@ def _body_by_rows(lines, table, u0, n, q):
                 raise ParseError(f"non-integer colour {_clip(tok)!r}", line=lineno) from None
             if not 0 <= val < q:
                 raise ParseError(f"colour {_clip(str(val))} out of range [0, {q})", line=lineno)
+            v = u + 1 + off
             table[u, v] = table[v, u] = val
     for idx, extra in enumerate(lines[n - 1 - u0 :]):
         if extra.strip():
