@@ -1,6 +1,8 @@
 """q-edge-colourings of complete graphs: construction, storage and I/O.
 
-The table is kept as a full symmetric int16 matrix with -1 on the diagonal;
+The table is kept as a full symmetric matrix with -1 on the diagonal, of
+int8 while every colour fits one signed byte (q <= 128) and of int16 past
+that (``_table_dtype``);
 -1 off the diagonal marks an uncoloured pair and is only legal when the
 colouring is built with ``validate=False`` (used to craft deliberately
 corrupted inputs for the pipeline's self-check tests).
@@ -61,8 +63,8 @@ from .graph import Graph, _pack_rows, _scalar_id
 
 FORMAT_MAGIC = "oddcycle-colouring v1"
 
-_MAX_N = (1 << 14) + 1  # largest n given a dense table, K_{2^14+1}: 512 MiB of int16
-_MAX_Q = 1 << 15  # largest q whose colours [0, q) all fit the int16 table
+_MAX_N = (1 << 14) + 1  # largest n given a dense table, K_{2^14+1}: 256 MiB of int8
+_MAX_Q = 1 << 15  # largest q whose colours [0, q) all fit an int16 table
 _MAX_DIGITS = len(str(_MAX_Q - 1))
 _BLOCK = 1 << 16  # table entries parsed or formatted per numpy step
 _STEPS = np.repeat(np.array([False, True]), _MAX_N)  # every row of _upper's masks
@@ -70,6 +72,12 @@ _STEPS.setflags(write=False)
 _TILE = 64  # rows per transposed copy of the mirror
 _TILE_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)  # pairs u < v of a tile
 _TILE_UPPER.setflags(write=False)
+
+
+def _table_dtype(q):
+    """The dtype of a table of colours [0, q) and -1: int8, one byte per
+    pair, while every colour fits (q <= 128), else int16."""
+    return np.int8 if q <= 128 else np.int16
 
 
 def _check_size(n):
@@ -101,10 +109,10 @@ class EdgeColouring:
             raise InputError(f"colour table must hold integers, not {raw.dtype}")
         if raw.shape != (n, n):
             raise InputError(f"table shape {raw.shape} does not match n={n}")
-        # checked before the int16 cast, which would wrap an out-of-range value
+        # checked before the cast, which would wrap an out-of-range value
         if raw.min() < -1 or raw.max() >= q:
             raise InputError(f"colours out of range [-1, {q})")
-        tab = raw.astype(np.int16)
+        tab = raw.astype(_table_dtype(q))
         for u0, u1 in _row_blocks(n):
             if not np.array_equal(tab[u0:u1, u0:], tab[u0:, u0:u1].T):
                 raise InputError("colour table must be symmetric")
@@ -120,9 +128,10 @@ class EdgeColouring:
 
     @classmethod
     def _from_table(cls, n, q, table, provenance=None):
-        """Colouring on an n x n int16 ``table`` taken as symmetric, -1 on
-        the diagonal and every other entry in [0, q) (or -1, carried over
-        from an incomplete source), unchecked; frozen in place."""
+        """Colouring on an n x n ``table`` of ``_table_dtype(q)`` taken as
+        symmetric, -1 on the diagonal and every other entry in [0, q) (or
+        -1, carried over from an incomplete source), unchecked; frozen in
+        place."""
         c = cls.__new__(cls)
         c.n, c.q, c.table, c.provenance = n, q, table, provenance
         table.setflags(write=False)
@@ -163,11 +172,11 @@ def binary_colouring(q):
         raise InputError(f"q must be in [1, {max_q}], got {q}")
     n = 1 << q
     ids = np.arange(n, dtype=np.int64)
-    table = np.full((n, n), -1, dtype=np.int16)
+    table = np.full((n, n), -1, dtype=_table_dtype(q))
     for u0, u1 in _row_blocks(n, n):
         diff = ids[u0:u1, None] ^ ids[None, :]
         off = diff != 0
-        table[u0:u1][off] = np.log2((diff & -diff)[off]).astype(np.int16)
+        table[u0:u1][off] = np.log2((diff & -diff)[off]).astype(table.dtype)
     return EdgeColouring._from_table(n, q, table, provenance=f"binary q={q}")
 
 
@@ -183,7 +192,7 @@ def hamilton_colouring(m):
         raise InputError(f"m must be in [1, {max_m}], got {m}")
     n, rim = 2 * m + 1, 2 * m
     ids = np.arange(rim, dtype=np.int16)  # u + v <= 4m - 2 fits int16 at max_m
-    table = np.empty((n, n), dtype=np.int16)
+    table = np.empty((n, n), dtype=_table_dtype(m))
     for u0, u1 in _row_blocks(n, rim):
         np.floor_divide((ids[u0:u1, None] + ids) % rim, 2, out=table[u0:u1, :rim])
     table[rim, :rim] = table[:rim, rim] = ids % m
@@ -197,10 +206,11 @@ def product_colouring(c1, c2):
     n1, n2 = c1.n, c2.n
     n = n1 * n2
     _check_size(n)
-    _check_colours(c1.q + c2.q)  # so the int16 cast below cannot wrap
-    table = np.repeat(np.repeat(c1.table, n2, axis=0), n2, axis=1)
+    _check_colours(c1.q + c2.q)  # so the casts below cannot wrap
+    dtype = _table_dtype(c1.q + c2.q)
+    table = np.repeat(np.repeat(c1.table.astype(dtype, copy=False), n2, axis=0), n2, axis=1)
     t2 = c2.table.astype(np.int32)  # q1 is 2^15, past int16, when c2 has one vertex
-    lifted = np.where(t2 >= 0, c1.q + t2, -1).astype(np.int16)
+    lifted = np.where(t2 >= 0, c1.q + t2, -1).astype(dtype)
     diag = np.arange(n1)
     table.reshape(n1, n2, n1, n2)[diag, :, diag, :] = lifted  # the n1 blocks a == a'
     provenance = f"product({c1.provenance or 'c1'}, {c2.provenance or 'c2'})"
@@ -219,8 +229,10 @@ def random_colouring(n, q, seed):
     _check_colours(q)
     rng, shown = _seeded(seed)
     # the table before the draw: a draw freed below the table would leave a
-    # hole in the heap too small for the next table, raising peak RSS
-    table = np.full((n, n), -1, dtype=np.int16)
+    # hole in the heap too small for the next table, raising peak RSS. The
+    # draw is int16 whatever the table's width: numpy's stream depends on
+    # the dtype drawn, so each seed keeps its colours
+    table = np.full((n, n), -1, dtype=_table_dtype(q))
     _write_pairs(table, rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16))
     return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={shown}")
 
@@ -271,7 +283,7 @@ def _write_pairs(table, colours):
 def _from_pairs(n, q, colours, provenance=None):
     """Colouring giving the pairs u < v the colours ``colours``, listed in
     ``_write_pairs``' order."""
-    table = np.full((n, n), -1, dtype=np.int16)
+    table = np.full((n, n), -1, dtype=_table_dtype(q))
     _write_pairs(table, colours)
     return EdgeColouring._from_table(n, q, table, provenance=provenance)
 
@@ -290,7 +302,7 @@ def colouring_from_classes(n, classes, validate=True):
     n = _scalar_id(n, "vertex count n must be an integer")
     _check_size(n)
     _check_colours(len(classes))
-    table = np.full((n, n), -1, dtype=np.int16)
+    table = np.full((n, n), -1, dtype=_table_dtype(len(classes)))
     for colour, edges in enumerate(classes):
         for u, v in edges:
             u, v = _scalar_id(u), _scalar_id(v)
@@ -364,12 +376,15 @@ def _joins_one_side(c, i, side):
 
 def _without_colour(c, i, kept, provenance=None):
     """Colouring induced on the ids ``kept``, colour i dropped and the ones
-    above it one lower; gathers the rows of ``kept`` a block at a time."""
-    table = np.empty((len(kept), len(kept)), dtype=np.int16)
+    above it one lower; gathers the rows of ``kept`` a block at a time.
+    Each block is relabelled before it is cut to the columns of ``kept``:
+    ``np.take`` casts into the table unchecked, and a colour may fit the
+    reduced table's dtype only once it is one lower."""
+    table = np.empty((len(kept), len(kept)), dtype=_table_dtype(c.q - 1))
     for r0, r1 in _row_blocks(c.n, len(kept)):
-        rows = table[r0:r1]
-        np.take(c.table[kept[r0:r1]], kept, axis=1, out=rows)
-        np.subtract(rows, 1, out=rows, where=rows > i)
+        rows = c.table[kept[r0:r1]]
+        np.subtract(rows, rows > i, out=rows)
+        np.take(rows, kept, axis=1, out=table[r0:r1])
     return EdgeColouring._from_table(len(kept), c.q - 1, table, provenance=provenance)
 
 
@@ -424,7 +439,9 @@ def _format_block(table, u0, u1):
     The passes follow what the block holds: one per digit of its largest
     magnitude, sign and width passes only where some entry is negative or
     narrower than the widest, so a block of one-digit colours takes a digit
-    pass and a separator pass over its int16 entries."""
+    pass and a separator pass over its entries. Every power of ten a pass
+    meets has at most as many digits as the block's largest magnitude, so
+    it fits the table's dtype."""
     n = table.shape[0]
     values = table[u0:u1][_upper(n, u0, u1)]
     lo, hi = int(values.min()), int(values.max())
@@ -497,17 +514,19 @@ def read_colouring(stream):
     # missing row, which the row parser reports before any table is made: a
     # short or hollow file cannot make a small header ask for n^2 memory
     if len(text) - at >= (n - 1) ** 2:
-        table = np.full((n, n), -1, dtype=np.int16)
+        table = np.full((n, n), -1, dtype=_table_dtype(q))
         for u0, u1 in _row_blocks(n):
             end = _read_block(text, at, table, u0, u1, q)
             if end is None:
                 break
             at, done = end, u1
+    if done == 0:  # made again once the text is split and freed
+        table = None
     # the lines from row `done` on; with no row decoded, split from the text
     # itself, not a copy (and none at all if line 2 ends without a newline)
     lines = text.split("\n")[2:] if done == 0 else text[at:].split("\n")
     del text  # the lines hold the rows now
-    _body_by_rows(lines, table, done, n, q)
+    table = _body_by_rows(lines, table, done, n, q)
     # every row held n-1-u colours in [0, q), written to both halves
     return EdgeColouring._from_table(n, q, table)
 
@@ -589,16 +608,19 @@ def _read_block(text, at, table, u0, u1, q):
 
 def _body_by_rows(lines, table, u0, n, q):
     """Parse body rows u0..n-2, ``lines[0]`` being row u0, into ``table``
-    one by one with Python's ``int``, and check that the lines after them
-    are blank. Every row is first checked present and long enough for its
-    entries, so a short or missing row is reported before a bad token in an
-    earlier one. ``table`` is None only when that check fails."""
+    one by one with Python's ``int``, check that the lines after them are
+    blank, and return ``table``. Every row is first checked present and
+    long enough for its entries, so a short or missing row is reported
+    before a bad token in an earlier one. ``table`` is None when no row was
+    decoded before (``u0`` is 0); it is made after that check."""
     for u in range(u0, n - 1):
         if u - u0 >= len(lines):
             raise ParseError(f"truncated table: missing row for vertex {u}", line=3 + u)
         if len(lines[u - u0]) < 2 * (n - 1 - u) - 1:
             raise ParseError(f"row for vertex {u} has {len(lines[u - u0].split())} entries, "
                              f"expected {n - 1 - u}", line=3 + u)
+    if table is None:
+        table = np.full((n, n), -1, dtype=_table_dtype(q))
     for u in range(u0, n - 1):
         lineno = 3 + u
         row = lines[u - u0].split()
@@ -623,6 +645,7 @@ def _body_by_rows(lines, table, u0, n, q):
     for idx, extra in enumerate(lines[n - 1 - u0 :]):
         if extra.strip():
             raise ParseError("unexpected trailing content", line=n + 2 + idx)
+    return table
 
 
 def _dimension(token, name, limit):

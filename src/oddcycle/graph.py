@@ -114,6 +114,12 @@ def _unpack_rows(masks, n):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
+def _dense_ids(mask, n):
+    """Sorted ids of the bits of ``mask`` below n, by one unpack: on a dense
+    mask this beats a loop over its bits."""
+    return np.flatnonzero(_unpack_rows([mask], n)[0])
+
+
 class Graph:
     """Undirected graph on vertices 0..n-1 with an active-vertex mask.
 
@@ -362,7 +368,8 @@ def check_bipartite(g):
                 return _conflict_cycle(masks, layers, inner)
             sides[(len(layers) - 1) & 1] |= layer
             left &= ~layer
-    return Bipartition(side0=_bits_to_array(sides[0]), side1=_bits_to_array(sides[1]))
+    # the two sides cover every active vertex, so together they are dense
+    return Bipartition(side0=_dense_ids(sides[0], g.n), side1=_dense_ids(sides[1], g.n))
 
 
 def _component_masks(g):

@@ -64,11 +64,11 @@ from .graph import (
     Graph,
     OddCycleCertificate,
     _component_masks,
+    _dense_ids,
     _integer_ids,
     _real,
     _scalar_id,
     _twin_free,
-    _unpack_rows,
     check_bipartite,
     odd_girth,
 )
@@ -213,12 +213,6 @@ def _peel_all(c, classes, k, lvl):
         decompositions.append(outcome)
         removed |= outcome.removed_mask
     return None, decompositions, removed
-
-
-def _dense_ids(mask, n):
-    """Sorted ids of the bits of ``mask`` below n, by one unpack: on a dense
-    mask this beats a loop over its bits."""
-    return np.flatnonzero(_unpack_rows([mask], n)[0])
 
 
 def _residual_sides(g, decomposition, removed, i, lvl):

@@ -338,6 +338,9 @@ def read_colouring_by_rows(stream):
     max_n = colouring_module._MAX_N
     if n > max_n:
         raise ParseError(f"n={n} exceeds the dense-table limit of {max_n} vertices", line=2)
+    max_q = colouring_module._MAX_Q
+    if q > max_q:
+        raise ParseError(f"q={q} exceeds the colour limit of {max_q}", line=2)
     for u in range(n - 1):
         if 2 + u >= len(lines):
             raise ParseError(f"truncated table: missing row for vertex {u}", line=3 + u)

@@ -49,6 +49,15 @@ class TestCycleVerifier:
         got = verify_mono_odd_cycle(c, OddCycleCertificate((0, 1, 2, 3, 4), colour=1))
         assert got.kind is ViolationKind.COLOUR_MISMATCH
 
+    @pytest.mark.parametrize("colour", [128, 1000, -5, 2**70])
+    def test_claimed_colour_past_the_table_width(self, colour):
+        # the pentagon's table is int8: a claimed colour that int8 cannot
+        # hold is a mismatch, not numpy's OverflowError
+        c = pentagon_colouring()
+        assert c.table.dtype == np.int8
+        got = verify_mono_odd_cycle(c, OddCycleCertificate((0, 1, 2, 3, 4), colour=colour))
+        assert got.kind is ViolationKind.COLOUR_MISMATCH
+
     def test_out_of_range(self):
         c = pentagon_colouring()
         got = verify_mono_odd_cycle(c, OddCycleCertificate((0, 1, 9)))

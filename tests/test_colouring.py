@@ -36,6 +36,12 @@ from oddcycle import colouring, exhaustive_L, find_mono_odd_cycle, reduce_bipart
 from oddcycle.colouring import colouring_to_text, write_colouring
 
 
+def _width(q):
+    """The table dtype for q colours: one byte while colours 0..127 and -1
+    fit, two past that."""
+    return np.int8 if q <= 128 else np.int16
+
+
 class TestBinaryColouring:
     def test_q1(self):
         c = binary_colouring(1)
@@ -89,11 +95,13 @@ class TestHamiltonColouring:
             hamilton_colouring(m)
 
     def test_closed_form_matches_walecki_edge_lists(self):
-        for m in range(1, 41):
+        # m = 128 and 129 are the last int8 and the first int16 table, of
+        # both builders
+        for m in [*range(1, 41), 128, 129]:
             c, want = hamilton_colouring(m), hamilton_colouring_by_edges(m)
             assert (c.n, c.q, c.provenance) == (want.n, want.q, want.provenance)
-            assert c.table.dtype == np.int16
-            assert c.table.tobytes() == want.table.tobytes(), m
+            assert c.table.dtype == want.table.dtype == _width(m), m
+            assert np.array_equal(c.table, want.table), m
 
 
 class TestNonIntegerPairIds:
@@ -554,7 +562,7 @@ def _outcome(reader, text):
         c = reader(io.StringIO(text))
     except Exception as exc:  # compared by type, line and message
         return type(exc), getattr(exc, "line", None), str(exc)
-    return c.n, c.q, c.table.tobytes()
+    return c.n, c.q, c.table.dtype, c.table.tobytes()
 
 
 ODD_TOKENS = ["x", "+1", "01", "-0", "\u0663", "1_0"]
@@ -742,8 +750,11 @@ class TestReaderAgainstRowParser:
         "q,one_digit_rows,damaged_row,taken",
         [(1, 0, None, ["in place"] * 3), (9, 0, None, ["in place"] * 3),
          (10, 0, None, ["in place"] * 3), (11, 0, None, ["decoded"] * 3),
-         (11, 163, 350, ["in place", "decoded", "by rows"])],
-        ids=["1-0", "9-0", "10-0", "11-3", "one-digit-then-two-digit-then-damaged"],
+         (11, 163, 350, ["in place", "decoded", "by rows"]),
+         (128, 400, None, ["in place"] * 3), (129, 400, None, ["in place"] * 3),
+         (128, 0, None, ["decoded"] * 3), (129, 0, None, ["decoded"] * 3)],
+        ids=["1-0", "9-0", "10-0", "11-3", "one-digit-then-two-digit-then-damaged",
+             "128-one-digit", "129-one-digit", "128-three-digit", "129-three-digit"],
     )
     def test_one_digit_body_read_in_place(self, q, one_digit_rows, damaged_row, taken,
                                           monkeypatch):
@@ -752,7 +763,9 @@ class TestReaderAgainstRowParser:
         # in place; at q = 11 some colour of every block has two digits, and
         # those blocks go through the general decode. Each block is taken on
         # its own: clipped below 10, the first block is read in place again,
-        # and a bad token in the third hands its rows to the row parser
+        # and a bad token in the third hands its rows to the row parser. At
+        # q = 128 and 129, the last int8 and the first int16 table, the body
+        # is read in place clipped below 10 and decoded with three digits
         assert [u1 - u0 for u0, u1 in colouring._row_blocks(400)] == [163, 163, 73]
         table = np.array(random_colouring(400, q, 11).table)
         table[:one_digit_rows] = np.minimum(table[:one_digit_rows], 9)
@@ -766,7 +779,8 @@ class TestReaderAgainstRowParser:
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
         assert spied == taken
         if damaged_row is None:
-            assert read_colouring(io.StringIO(text)) == c
+            got = read_colouring(io.StringIO(text))
+            assert got == c and got.table.dtype == _width(q)
 
     @pytest.mark.parametrize("q", [1, 3, 10])
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
@@ -782,10 +796,12 @@ class TestReaderAgainstRowParser:
 
     @pytest.mark.parametrize("text", ["oddcycle-colouring v1\n3 2", "oddcycle-colouring v1\n2 1 ",
                                       "oddcycle-colouring v1\n3 2\n", "oddcycle-colouring v1\n1 3",
-                                      "oddcycle-colouring v1\n1 3\n"])
+                                      "oddcycle-colouring v1\n1 3\n",
+                                      "oddcycle-colouring v1\n3 72102\n9 9\n610310\n"])
     def test_no_row_after_the_header(self, text):
         # with no newline after the dimension line the text has no row line
-        # at all (a missing row), with one it has an empty one (a short row)
+        # at all (a missing row), with one it has an empty one (a short row);
+        # a q past the colour limit is refused on line 2, before any row
         assert _outcome(read_colouring, text) == _outcome(read_colouring_by_rows, text)
 
     def test_one_digit_block_with_a_misplaced_newline(self):
@@ -841,24 +857,42 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("q,read_cap,write_cap", [(10, 8.5e6, 2.5e6), (11, 12e6, 4e6)],
+@pytest.mark.parametrize("q,read_cap,write_cap", [(10, 7.5e6, 2.5e6), (11, 10e6, 3e6)],
                          ids=["q10", "q11"])
 @pytest.mark.parametrize("block,bounded", [(colouring._BLOCK, True), (1 << 30, False)],
                          ids=["blocked", "whole-body"])
 def test_io_scratch_memory_bounded(block, bounded, q, read_cap, write_cap, monkeypatch):
     # n = 1025: 1.05 MB of text at q = 10 (one digit per colour, every block
     # read in place), 1.1 MB at q = 11 (every block found by a newline scan
-    # and decoded entry by entry); 2.1 MB of table. Over 2^16-entry blocks
-    # reading peaks near 7.6 MB at q = 10 and 9.5 MB at q = 11 (the
-    # row-by-row reader, whose table is copied and checked again: 10.8 MB),
+    # and decoded entry by entry); 1.05 MB of int8 table. Over 2^16-entry
+    # blocks reading peaks near 6.6 MB at q = 10 and 8.5 MB at q = 11,
     # writing near 1.1 and 1.3 MB. Decoding or formatting the whole body at
-    # once peaks near 9.5 and 4.2 MB at q = 10, 23 and 6.9 MB at q = 11
+    # once peaks near 8.4 and 3.7 MB at q = 10, 22.4 and 5.8 MB at q = 11
     monkeypatch.setattr(colouring, "_BLOCK", block)
     c = random_colouring(1025, q, 3)
     text = colouring_to_text(c)
     read_peak = _peak_bytes(lambda: read_colouring(io.StringIO(text)))
     write_peak = _peak_bytes(lambda: write_colouring(c, io.StringIO()))
     assert (read_peak < read_cap, write_peak < write_cap) == (bounded, bounded)
+
+
+def test_rows_split_before_the_table_is_made(monkeypatch):
+    # a body with \r\n line ends, read through a StringIO (which does not
+    # translate them), is not canonical from its first row on, so the text
+    # is split into lines and parsed row by row. n = 513 at q = 10: the
+    # text, its lines and the int8 table take about 0.26 MB each. The table
+    # made for the blocks is dropped before the split and made again once
+    # the text is freed: the peak is near 0.58 MB. Kept through the split
+    # it was near 0.82 MB, and with an int16 table 1.09 MB. Small blocks
+    # keep the blocked attempt's scratch below the split's
+    monkeypatch.setattr(colouring, "_BLOCK", 2048)
+    c = random_colouring(513, 10, 3)
+    head, dims, body = colouring_to_text(c).split("\n", 2)
+    stream = io.StringIO(f"{head}\n{dims}\n" + body.replace("\n", "\r\n"))
+    out = []
+    peak = _peak_bytes(lambda: out.append(read_colouring(stream)))
+    assert out[0] == c and out[0].table.dtype == np.int8
+    assert peak < 0.7e6
 
 
 # Circulant colourings of K_p, p = 2^q + 1 prime: a pair's colour depends
@@ -895,7 +929,7 @@ def test_circulant_witness_files(name, p, distances):
 # power-of-two row stride (512) and one past it
 RANDOM_CORPUS = [(n, q) for n in (2, 3, 4, 5, 7, 16, 17, 33, 63, 64, 65, 127, 128, 129, 257,
                                   400, 512, 513)
-                 for q in (1, 2, 11, 2**15)]
+                 for q in (1, 2, 11, 128, 129, 2**15)]
 
 
 def _product_factors():
@@ -911,6 +945,9 @@ def _product_factors():
         EdgeColouring(1, 5, [[-1]]),
         random_colouring(4, 2**15, 2),
         random_colouring(3, 2**15 - 1, 3),
+        random_colouring(3, 100, 4),  # with the next two, q1 + q2 = 128 and 129
+        random_colouring(4, 28, 5),
+        random_colouring(2, 29, 6),
     ]
 
 
@@ -922,26 +959,31 @@ def _product_pairs():
 @pytest.mark.parametrize("n,q", RANDOM_CORPUS)
 def test_random_table_matches_triu_index_builder(n, q):
     seed = 7 * n + q
-    table = random_colouring(n, q, seed).table
-    assert table.dtype == np.int16
-    assert table.tobytes() == random_table_by_triu_indices(n, q, seed).tobytes()
+    want = random_table_by_triu_indices(n, q, seed)
+    for c in (random_colouring(n, q, seed), EdgeColouring(n, q, want)):
+        assert c.table.dtype == _width(q)
+        assert np.array_equal(c.table, want)
 
 
 def test_product_table_matches_index_builder():
     pairs = _product_pairs()
-    # c1.q = 2^15 with a one-vertex c2: q1 does not fit int16
+    # c1.q = 2^15 with a one-vertex c2: q1 does not fit int16; int8 factors
+    # whose q1 + q2 is 128 (an int8 product) and 129 (an int16 one)
     assert any(a.q == 2**15 and b.n == 1 for a, b in pairs)
+    assert {128, 129} <= {a.q + b.q for a, b in pairs if a.q < 128 and b.q < 128}
     assert any(not a.is_complete() for a, _ in pairs)
     assert any(not b.is_complete() for _, b in pairs)
     for a, b in pairs:
         c = product_colouring(a, b)
-        assert (c.n, c.q, c.table.dtype) == (a.n * b.n, a.q + b.q, np.int16)
-        assert c.table.tobytes() == product_table_by_index(a, b).tobytes()
+        assert (c.n, c.q, c.table.dtype) == (a.n * b.n, a.q + b.q, _width(a.q + b.q))
+        assert np.array_equal(c.table, product_table_by_index(a, b))
 
 
 @pytest.mark.parametrize("q", range(1, 13))
 def test_binary_table_matches_lowest_differing_bit(q):
-    assert binary_colouring(q).table.tobytes() == binary_table_by_bits(q).tobytes()
+    table = binary_colouring(q).table
+    assert table.dtype == np.int8
+    assert np.array_equal(table, binary_table_by_bits(q))
 
 
 def _every_builder():
@@ -962,6 +1004,7 @@ def test_every_builders_table_passes_the_checks():
         off = c.table[~np.eye(c.n, dtype=bool)]
         assert c.is_complete() == bool((off >= 0).all())
         assert not c.table.flags.writeable
+        assert c.table.dtype == _width(c.q)
         assert EdgeColouring(c.n, c.q, c.table, validate=c.is_complete()) == c
 
 
@@ -1023,7 +1066,8 @@ def test_completeness_counts_the_off_diagonal():
 
 # tracemalloc caps, in bytes, on the table plus O(block) scratch; each entry
 # makes its inputs outside the traced build. The n x n index arrays, masks
-# and whole-table copies these replaced peaked near 125, 61, 188 and 20 MiB.
+# and whole-table copies these replaced peaked near 125, 61, 188 and 20 MiB;
+# with int16 tables the builds peaked near 15.0, 12.0, 33.7 and 12.0 MiB.
 def _product_build():
     b9, c5 = binary_colouring(9), hamilton_colouring(2)
     return lambda: product_colouring(b9, c5)
@@ -1035,10 +1079,11 @@ def _check_build():
 
 
 BUILD_CAPS = {
-    "product binary9 x C5": (_product_build, 20 * 2**20),  # 12.5 MiB table
-    "random n=2049": (lambda: lambda: random_colouring(2049, 11, 5), 24 * 2**20),  # 8 MiB table
-    "binary q=12": (lambda: lambda: binary_colouring(12), 48 * 2**20),  # 32 MiB table
-    "check n=2049": (_check_build, 16 * 2**20),  # 8 MiB int16 copy
+    "product binary9 x C5": (_product_build, 12 * 2**20),  # 6.25 MiB table
+    # a 4 MiB table and its 4 MiB int16 draw
+    "random n=2049": (lambda: lambda: random_colouring(2049, 11, 5), 11 * 2**20),
+    "binary q=12": (lambda: lambda: binary_colouring(12), 24 * 2**20),  # 16 MiB table
+    "check n=2049": (_check_build, 10 * 2**20),  # 4 MiB int8 copy
 }
 
 

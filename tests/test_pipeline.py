@@ -327,18 +327,21 @@ class TestBipartiteReduction:
         assert list(kept) == [0, 1]  # tie goes to side0
         assert reduced.q == 1
 
-    @pytest.mark.parametrize("b,m", [(2, 2), (6, 3), (9, 2)])
+    @pytest.mark.parametrize("b,m", [(2, 2), (6, 3), (9, 2), (1, 128)])
     def test_table_matches_principal_submatrix(self, b, m):
         # the kept side's rows are gathered a block at a time (binary(9) x
         # C5: 2560 vertices, 25 rows a block); the table is the principal
-        # submatrix of the kept side with the colours above i one lower
+        # submatrix of the kept side with the colours above i one lower.
+        # binary(1) x ham(128) has q = 129, an int16 table, and its colour 0
+        # dropped leaves colours 0..127, an int8 one
         c = _relabelled(product_colouring(binary_colouring(b), hamilton_colouring(m)), b)
         for i in (0, b - 1):
             reduced, kept = reduce_bipartite_colour(c, i, check_bipartite(colour_class(c, i)))
-            want = c.table[np.ix_(kept, kept)].copy()
+            want = c.table[np.ix_(kept, kept)].astype(np.int16)
             want[want > i] -= 1
             assert (reduced.n, reduced.q) == (len(kept), c.q - 1)
-            assert reduced.table.tobytes() == want.tobytes()
+            assert reduced.table.dtype == (np.int8 if c.q - 1 <= 128 else np.int16)
+            assert np.array_equal(reduced.table, want)
 
     def test_degenerate_k2(self):
         c = random_colouring(2, 1, 0)
