@@ -509,7 +509,7 @@ def read_colouring(stream):
             return read_colouring(fh)
     text = _decoded(stream.read)
     n, q, at = _header(text)
-    table, done = None, 0
+    done = 0
     # e entries take >= 2e-1 characters, so a shorter body has a short or
     # missing row, which the row parser reports before any table is made: a
     # short or hollow file cannot make a small header ask for n^2 memory
