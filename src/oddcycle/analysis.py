@@ -15,17 +15,18 @@ colour class as one row int per vertex, bit v of row u set iff {u, v} has
 that colour, and build a colouring table only for the result.
 
 Both searches also keep each colour's number of triangles, an odd girth
-and the edge set of one shortest odd cycle (its witness; ``frozenset()``
-for a bipartite class), updated by the rules below instead of by sweeping
-a class. One rule reads them: a girth is exact when it is 3 or its colour
-keeps a witness, and a girth with witness None is a lower bound, at least
-5, of a class with no triangle. A class known only to have no triangle (an
-empty annealing start class, one that lost its last triangle) is set to
-min(5, n + 1): a bound, or exact with no pairs at n <= 4, where it is
-bipartite. Pairs join a class only by ``_add``; annealing recolours by an
-*out of* step and ``_add``. The triangles through {u, v} are its common
-neighbours, ``(rows[u] & rows[v]).bit_count()``, so adding or removing
-it moves that many; a class has odd girth 3 exactly when its count is > 0.
+and the vertices of one shortest odd cycle in cycle order (its witness;
+``()`` for a bipartite class), updated by the rules below instead of by
+sweeping a class. One rule reads them: a girth is exact when it is 3 or its
+colour keeps a witness, and a girth with witness None is a lower bound, at
+least 5, of a class with no triangle. A class known only to have no
+triangle (an empty annealing start class, one that lost its last triangle)
+is set to min(5, n + 1): a bound, or exact with witness ``()`` at n <= 4,
+where it is bipartite. Pairs join a class only by ``_add``; annealing
+recolours by an *out of* step and ``_add``. The triangles through {u, v}
+are its common neighbours, ``(rows[u] & rows[v]).bit_count()``, so adding
+or removing it moves that many; a class has odd girth 3 exactly when its
+count is > 0.
 
 - *Into* colour c: an odd cycle through the new edge {u, v} is that edge
   plus an even u-v walk of the old class, and a closed odd walk contains an
@@ -36,10 +37,13 @@ it moves that many; a class has odd girth 3 exactly when its count is > 0.
   below it minus 1: the distance from u to v in the class's double cover (a
   copy of each vertex per walk parity), by the package's one BFS kernel. A
   walk found gives the exact girth 1 + d, so that walk closed by {u, v} is
-  a simple cycle, the new witness; none found leaves both as they were.
+  a simple cycle, the new witness (the walk's vertices mod n); none found
+  leaves both as they were.
 - *Out of* colour c: odd girth cannot fall when an edge goes, so no class
   is swept here. Girth 3 stays while the count is positive, a higher girth
-  stays, and a witness that {u, v} hits is dropped, leaving a bound.
+  stays, and a witness holding both ends of {u, v} is dropped, leaving a
+  bound. Those are the witnesses through the edge {u, v}: a chord of a
+  witness would close a shorter odd cycle, which the *into* rule finds.
 - *Reading the least girth* (``_least_girth``): while the least kept value
   is above 3, every bound equal to it gets one ``odd_girth`` sweep, which
   makes it exact with a witness, so the least value ends exact. A least
@@ -90,29 +94,24 @@ ENUMERATION_GUARD = 2**24
 _BATCH = 4096  # annealing steps whose draws are made at a time
 
 
-def _cycle_pairs(cycle):
-    """The pairs (a < b) of the cycle through the vertices ``cycle`` in order."""
-    return frozenset((min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-
-
 def _sweep(rows):
-    """Odd girth of the class on ``rows`` and the pairs of a shortest odd
-    cycle, or (n + 1, no pairs) when the class is bipartite."""
+    """Odd girth of the class on ``rows`` and the vertices of a shortest odd
+    cycle, or (n + 1, ()) when the class is bipartite."""
     got = odd_girth(Graph._from_rows(rows, (1 << len(rows)) - 1))
-    return (len(rows) + 1, frozenset()) if got is None else (got[0], _cycle_pairs(got[1].vertices))
+    return (len(rows) + 1, ()) if got is None else (got[0], got[1].vertices)
 
 
 def _even_walk(rows, u, v, below):
-    """Pairs of the odd cycle {u, v} closes with a least even u-v walk shorter
-    than ``below`` in the class on ``rows``, or None. The walk is the u-v path
-    in the double cover (x + p*n is x at walk parity p), projected mod n."""
+    """Vertices of the odd cycle {u, v} closes with a least even u-v walk
+    shorter than ``below`` in the class on ``rows``, or None. The walk is the
+    u-v path in the double cover (x + p*n is x at walk parity p), projected mod n."""
     n = len(rows)
     cover = [row << n for row in rows] + rows
     layers = []
     for layer, _ in itertools.islice(_bfs(cover, u), below):
         layers.append(layer)
         if layer >> v & 1:
-            return _cycle_pairs([x % n for x in _walk_back(cover, layers, v)])
+            return tuple(x % n for x in _walk_back(cover, layers, v))
     return None
 
 
@@ -145,9 +144,9 @@ def _recolour(rows, girths, witnesses, triangles, u, v, old, new):
         triangles[old] -= (out_of[u] & out_of[v]).bit_count()
         if not triangles[old]:
             n = len(out_of)
-            girths[old], witnesses[old] = min(5, n + 1), (None if n > 4 else frozenset())
-    elif (u, v) in (witnesses[old] or ()):
-        witnesses[old] = None
+            girths[old], witnesses[old] = min(5, n + 1), (None if n > 4 else ())
+    elif witnesses[old] and u in witnesses[old] and v in witnesses[old]:
+        witnesses[old] = None  # a witness has no chord: {u, v} was a cycle edge
     _add(rows, girths, witnesses, triangles, u, v, new)
 
 
@@ -190,7 +189,7 @@ def exhaustive_L(q, n):
 
     A depth-first search adds the pairs by ``_add``, in ``itertools.product``
     order, to classes that start empty and exact at the sentinel (witness
-    ``frozenset()``), so every girth stays exact; it skips each prefix whose
+    ``()``), so every girth stays exact; it skips each prefix whose
     least odd girth is not above the best value found. The witness is thus
     the first colouring in that order to reach the maximum.
     The guard still bounds the q^(pairs - 1) colourings it could reach.
@@ -219,7 +218,7 @@ def exhaustive_L(q, n):
     edges = list(itertools.combinations(range(n), 2))
     sentinel = n + 1
     rows = [[0] * n for _ in range(q)]
-    girths, witnesses, triangles = [sentinel] * q, [frozenset()] * q, [0] * q
+    girths, witnesses, triangles = [sentinel] * q, [()] * q, [0] * q
     colours = [0] * n_edges
     best_val, best = -1, None
 
@@ -278,7 +277,7 @@ def anneal_search(q, n, iterations, seed, init=None):
     edges = list(itertools.combinations(range(n), 2))
     colours = _pair_colours(start).tolist()
     rows = [[0] * n for _ in range(q)]
-    girths, witnesses, triangles = [min(5, n + 1)] * q, [None if n > 4 else frozenset()] * q, [0] * q
+    girths, witnesses, triangles = [min(5, n + 1)] * q, [None if n > 4 else ()] * q, [0] * q
     for (u, v), c in zip(edges, colours):
         _add(rows, girths, witnesses, triangles, u, v, c)
     objective = best_value = _least_girth(rows, girths, witnesses)

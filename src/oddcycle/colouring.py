@@ -118,7 +118,7 @@ class EdgeColouring:
                 raise InputError("colour table must be symmetric")
         if (tab.diagonal() != -1).any():
             raise InputError("table diagonal must be -1")
-        if validate and np.count_nonzero(tab < 0) > n:  # n of them on the diagonal
+        if validate and _uncoloured(tab) > n:  # n of them on the diagonal
             raise InputError("every pair must carry a colour in [0, q)")
         self.n = n
         self.q = q
@@ -144,7 +144,7 @@ class EdgeColouring:
         return int(self.table[u, v])
 
     def is_complete(self):
-        return np.count_nonzero(self.table < 0) == self.n
+        return _uncoloured(self.table) == self.n
 
     def __eq__(self, other):
         return (
@@ -156,6 +156,13 @@ class EdgeColouring:
 
     def __repr__(self):
         return f"EdgeColouring(n={self.n}, q={self.q})"
+
+
+def _uncoloured(table):
+    """The entries -1 of ``table``, its diagonal's too, counted a row block
+    at a time, so no n x n mask is made."""
+    n = len(table)
+    return sum(np.count_nonzero(table[u0:u1] < 0) for u0, u1 in _row_blocks(n, n))
 
 
 def binary_colouring(q):
@@ -336,13 +343,15 @@ def colour_class(c, i):
 def _edge_near_0(c, i):
     """(v, u), v the lowest vertex of vertex 0's colour-i neighbourhood N
     with a colour-i neighbour in N and u the lowest such neighbour, or None.
+    The triangle (v, 0, u) is the one the odd-girth sweep of colour class i
+    closes in layer 1 of its BFS from vertex 0.
 
-    Reads the rows of N in blocks of 1, 2, 4, ... rows, capped at a
-    ``_BLOCK``-sized block, and packs none of them. On a dense class N's
-    lowest vertex nearly always closes the triangle, so its row is read
-    first, on its own and without gathering N's ids; a failed probe pays
-    only a few small reads before its blocks reach full size. A block's
-    first hit in row-major order is its lowest v and that v's lowest u."""
+    Reads N's lowest vertex's row first, on its own and without gathering
+    N's ids: on a dense class it nearly always closes the triangle. The
+    other rows of N follow in blocks of ``max(1, _BLOCK // n)`` rows, and
+    none is packed. A block's first hit in row-major order is its lowest v
+    and that v's lowest u, so where the blocks start and end does not
+    change the pair."""
     near = c.table[0] == i
     v = int(near.argmax())
     if not near[v]:
@@ -352,16 +361,13 @@ def _edge_near_0(c, i):
     if inside[u]:
         return v, u
     ids = np.flatnonzero(near)
-    cap = max(1, _BLOCK // c.n)
-    start, step = 1, min(2, cap)
-    while start < len(ids):
+    step = max(1, _BLOCK // c.n)
+    for start in range(1, len(ids), step):
         inside = (c.table[ids[start : start + step]] == i) & near
         hit = int(inside.argmax())
         if inside.flat[hit]:
             r, u = divmod(hit, c.n)
             return int(ids[start + r]), u
-        start += step
-        step = min(2 * step, cap)
     return None
 
 
@@ -509,19 +515,21 @@ def read_colouring(stream):
             return read_colouring(fh)
     text = _decoded(stream.read)
     n, q, at = _header(text)
-    done = 0
+    table, done = None, 0
     # e entries take >= 2e-1 characters, so a shorter body has a short or
     # missing row, which the row parser reports before any table is made: a
     # short or hollow file cannot make a small header ask for n^2 memory
     if len(text) - at >= (n - 1) ** 2:
-        table = np.full((n, n), -1, dtype=_table_dtype(q))
         for u0, u1 in _row_blocks(n):
-            end = _read_block(text, at, table, u0, u1, q)
-            if end is None:
+            got = _read_block(text, at, n, u0, u1, q)
+            if got is None:
                 break
-            at, done = end, u1
-    if done == 0:  # made again once the text is split and freed
-        table = None
+            if table is None:  # made once a block decodes, else after the split
+                table = np.full((n, n), -1, dtype=_table_dtype(q))
+            table[u0:u1][_upper(n, u0, u1)], at = got
+            _mirror(table, u0, u1)
+            done = u1
+            del got  # so no block's values live through the next one's scratch
     # the lines from row `done` on; with no row decoded, split from the text
     # itself, not a copy (and none at all if line 2 ends without a newline)
     lines = text.split("\n")[2:] if done == 0 else text[at:].split("\n")
@@ -567,10 +575,10 @@ def _header(text):
     return n, q, start
 
 
-def _read_block(text, at, table, u0, u1, q):
-    """Decode body rows u0..u1-1, which start at ``text[at]``, into
-    ``table`` and return the offset past them, if they are canonical and
-    each ends in a newline; else None, with nothing written.
+def _read_block(text, at, n, u0, u1, q):
+    """The colours of body rows u0..u1-1 of an n-vertex file, which start at
+    ``text[at]``, in file order, and the offset past them, if they are
+    canonical and each ends in a newline; else None.
 
     A one-digit block's rows take exactly 2(n-1-u) characters. Each entry,
     digit and separator, is one little-endian uint16: 0x2030 + d before a
@@ -581,7 +589,6 @@ def _read_block(text, at, table, u0, u1, q):
     newline of its last row, each row scanned from its least length
     2(n-1-u)-1, and ``_decode_entries`` decodes it. A character that is not
     ASCII is encoded as "?", which no canonical block holds."""
-    n = len(table)
     counts = n - 1 - np.arange(u0, u1)
     end = at + (u1 - u0) * (2 * n - 1 - u0 - u1)
     values = None
@@ -601,9 +608,7 @@ def _read_block(text, at, table, u0, u1, q):
         values = _decode_entries(block, counts, q)
         if values is None:
             return None
-    table[u0:u1][_upper(n, u0, u1)] = values
-    _mirror(table, u0, u1)
-    return end
+    return values, end
 
 
 def _body_by_rows(lines, table, u0, n, q):

@@ -6,14 +6,14 @@ vertices. Subgraphs of the form "G minus a deleted set" are new row lists
 cut down by one AND per row, so the peeling pipeline never touches a dense
 matrix. Every BFS in the package runs through one kernel on these rows,
 which keeps the inner loops at word speed for every size this package
-targets (n <= 2^13). ``_bfs`` ORs each layer's rows once; that union gives
-the next layer and the layer's *inner* mask, its vertices with a neighbour
-in the layer (BFS parity conflicts), so no layer is scanned twice, and a
-conflict cycle is built only for a nonzero inner mask. ``_union_rows``
-takes the frontier apart by its lowest set bit in an inline loop, with no
-per-bit generator. The kernel stores no parent: ``_walk_back`` recovers a
-witness path on demand, the parent of a layer-d vertex being its lowest
-neighbour in layer d-1.
+targets (n <= 2^14 + 1, the dense-table limit). ``_bfs`` ORs each layer's
+rows once; that union gives the next layer and the layer's *inner* mask,
+its vertices with a neighbour in the layer (BFS parity conflicts), so no
+layer is scanned twice, and a conflict cycle is built only for a nonzero
+inner mask. ``_union_rows`` takes the frontier apart by its lowest set bit
+in an inline loop, with no per-bit generator. The kernel stores no parent:
+``_walk_back`` recovers a witness path on demand, the parent of a layer-d
+vertex being its lowest neighbour in layer d-1.
 """
 
 from __future__ import annotations

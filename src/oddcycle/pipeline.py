@@ -165,16 +165,18 @@ def min_colour_odd_cycle(c):
     overall shortest monochromatic odd cycle, or None when every colour
     class is bipartite.
 
-    Colour i is first tried by ``_triangle_at_0``, which reads only the
-    table rows of vertex 0's colour-i neighbours. Vertex 0 is the first
+    Colour i is first tried by ``colouring._edge_near_0``, which reads only
+    the table rows of vertex 0's colour-i neighbours. Vertex 0 is the first
     root of the full class's sweep, and a conflict in its layer 1 ends that
-    sweep (no odd cycle is shorter than 3), so a triangle found there is the
-    full sweep's own certificate. When there is none, colour i gets the full
-    sweep before colour i+1 is tried.
+    sweep (no odd cycle is shorter than 3), so the triangle (v, 0, u) on the
+    pair (v, u) it returns is the full sweep's own certificate. When there
+    is none, colour i gets the full sweep before colour i+1 is tried.
     """
     best = None
     for i in range(c.q):
-        got = _triangle_at_0(c, i) or odd_girth(colour_class(c, i))
+        edge = _edge_near_0(c, i)
+        got = (odd_girth(colour_class(c, i)) if edge is None
+               else (3, OddCycleCertificate(vertices=(edge[0], 0, edge[1]))))
         if got is None:
             continue
         length, cert = got
@@ -183,15 +185,6 @@ def min_colour_odd_cycle(c):
             if length == 3:  # no odd cycle is shorter
                 break
     return best
-
-
-def _triangle_at_0(c, i):
-    """``(3, certificate)`` for the triangle (v, 0, u) that ``odd_girth`` of
-    colour class i closes in layer 1 of its BFS from vertex 0, (v, u) the
-    pair ``colouring._edge_near_0`` reads off the table; None when layer 1
-    (0's colour-i neighbourhood) holds no colour-i edge."""
-    edge = _edge_near_0(c, i)
-    return None if edge is None else (3, OddCycleCertificate(vertices=(edge[0], 0, edge[1])))
 
 
 def _peel_all(c, classes, k, lvl):

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .colouring import _seeded, _shown
 from .errors import InputError, InternalInconsistency, RetryExhausted
-from .graph import _integer_ids
+from .graph import _integer_ids, _scalar_id
 
 
 class SelectorInstance:
     """Ground set [n] plus q pairs of disjoint subsets."""
 
     def __init__(self, n, pairs):
+        n = _scalar_id(n, "ground-set size must be an integer")
         if n < 0:
             raise InputError("ground-set size must be >= 0")
         self.n = n
@@ -64,6 +66,8 @@ class SelectorInstance:
 def ceil_expected_survivors(n, degree_sum):
     """Smallest integer m with m >= n * 2^(-degree_sum/n), in exact integer
     arithmetic (m^n * 2^p >= n^n)."""
+    n = _scalar_id(n, "ground-set size must be an integer")
+    degree_sum = _scalar_id(degree_sum, "degree sum must be an integer")
     if n <= 0:
         return 0
     if degree_sum <= 0:
@@ -108,32 +112,34 @@ def select_complement(inst, mode="derandomized", *, seed=None, max_tries=50, tar
     if mode == "randomized":
         if seed is None:
             raise InputError("randomized mode needs a seed")
+        max_tries = _scalar_id(max_tries, "max_tries must be an integer")
+        if max_tries < 1:
+            raise InputError(f"max_tries must be >= 1, got {_shown(max_tries)}")
         if target is None:
             target = inst.survivor_target()
-        return _randomized(inst, seed, max_tries, target)
+        return _randomized(inst, seed, max_tries, _scalar_id(target, "target must be an integer"))
     raise InputError(f"unknown mode {mode!r}")
 
 
 def _derandomized(inst):
     q = inst.q
-    # Integer weights scaled by 2^q: an alive x with r pairs still ahead
-    # carries 2^(q-r), the exact conditional survival probability times 2^q.
-    remaining = list(inst.degrees())
-    weight = [1 << (q - r) for r in remaining]
-    alive = [True] * inst.n
-    total = sum(w for w, a in zip(weight, alive) if a)
+    # Python int weights scaled by 2^q: x with r pairs still ahead carries
+    # 2^(q-r), the exact conditional survival probability times 2^q, and a
+    # dead x carries 0.
+    weight = [1 << (q - r) for r in inst.degrees().tolist()]
+    total = sum(weight)
     choices = []
     for a_side, b_side in inst.pairs:
-        loss_a = sum(weight[x] for x in a_side if alive[x])
-        loss_b = sum(weight[x] for x in b_side if alive[x])
+        a_side, b_side = a_side.tolist(), b_side.tolist()
+        loss_a = sum(weight[x] for x in a_side)
+        loss_b = sum(weight[x] for x in b_side)
         # E(after choosing side s) = total - loss_a - loss_b + 2 * loss_other
         choice = 0 if loss_b >= loss_a else 1
         kill, keep = (a_side, b_side) if choice == 0 else (b_side, a_side)
         for x in kill:
-            alive[x] = False
+            weight[x] = 0
         for x in keep:
-            if alive[x]:
-                weight[x] *= 2
+            weight[x] *= 2
         total = total - loss_a - loss_b + 2 * (loss_b if choice == 0 else loss_a)
         choices.append(choice)
     result = _assemble(inst, choices)
@@ -147,7 +153,7 @@ def _derandomized(inst):
 
 
 def _randomized(inst, seed, max_tries, target):
-    rng = np.random.default_rng(seed)
+    rng, _ = _seeded(seed)
     best = -1
     for _ in range(max_tries):
         choices = rng.integers(0, 2, size=inst.q)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 import tracemalloc
@@ -73,8 +74,9 @@ class RecolourCheck:
     every read of the least girth, each colour's kept state must obey the
     module's one rule against a from-scratch ``odd_girth`` of its class: a
     girth of 3 is exact, with a positive count; a colour with a witness is
-    exact, and the witness is a cycle of the class of that length (no pairs
-    at the sentinel); any other girth is a bound, at least 5 and at most the
+    exact, and the witness is an induced cycle of the class of that length
+    (distinct vertices, consecutive ones joined and no other two; empty at
+    the sentinel), which the *out of* rule relies on; any other girth is a bound, at least 5 and at most the
     fresh odd girth, of a class with no triangle. Every least girth a search
     reads must equal the fresh minimum, and every add that lowers a girth to
     5 or more must know its witness. Counts the moves the next recolour
@@ -98,10 +100,13 @@ class RecolourCheck:
             if girths[c] == 3:
                 assert want == 3 and (triangles is None or triangles[c] > 0), c
             elif witnesses[c] is not None:
+                cycle = witnesses[c]
                 assert girths[c] == want, (c, girths[c], want)
-                assert len(witnesses[c]) == (0 if want == n + 1 else want)
-                assert witnesses[c] <= set(pairs)
-                assert set(Counter(x for pair in witnesses[c] for x in pair).values()) <= {2}
+                assert len(cycle) == (0 if want == n + 1 else want)
+                assert len(set(cycle)) == len(cycle), cycle
+                for a, b in itertools.combinations(range(len(cycle)), 2):
+                    joined = bool(rows[c][cycle[a]] >> cycle[b] & 1)
+                    assert joined == (b - a in (1, len(cycle) - 1)), (c, cycle)
             else:
                 assert 5 <= girths[c] <= want, (c, girths[c], want)
                 assert triangles is None or triangles[c] == 0, c

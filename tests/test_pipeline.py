@@ -221,16 +221,26 @@ _CAP_AT_1024 = colouring._BLOCK // 1024  # rows of a full-size probe block at n 
 ORACLE_CORPUS = _oracle_corpus()
 
 
+def _sweeps_edge_near_0(c, i):
+    """(v, u) of the full sweep's triangle (v, 0, u) of colour i, which it
+    closes from vertex 0, or None when its certificate is no such triangle."""
+    got = odd_girth(colour_class(c, i))
+    if got is None or got[0] != 3 or got[1].vertices[1] != 0:
+        return None
+    v, _, u = got[1].vertices
+    return v, u
+
+
 def _assert_probe_matches_sweep(cases):
-    """The probe finds a triangle at vertex 0 exactly when its colour-i
-    neighbourhood holds a colour-i edge, and gives the full sweep's
-    certificate."""
+    """The probe finds an edge in vertex 0's colour-i neighbourhood exactly
+    when that holds one, and it is the pair (v, u) of the full sweep's
+    certificate (v, 0, u)."""
     for c in cases:
         for i in range(c.q):
             near = np.flatnonzero(c.table[0] == i)
             at_0 = bool((c.table[np.ix_(near, near)] == i).any())
-            got = pipeline._triangle_at_0(c, i)
-            assert got == (odd_girth(colour_class(c, i)) if at_0 else None), c.provenance
+            got = colouring._edge_near_0(c, i)
+            assert got == (_sweeps_edge_near_0(c, i) if at_0 else None), c.provenance
 
 
 class TestOracleProbe:
@@ -271,20 +281,23 @@ class TestOracleProbe:
         _assert_probe_matches_sweep(
             ORACLE_CORPUS + [_relabelled(binary_colouring(9), 5), _late_triangle_at_0()])
 
-    # every edge of the probe's doubling blocks (rows 0, 1-2, 3-6, 7-14, ...,
-    # then full blocks from the cap on) and the last vertex that can start one
+    # every edge of the probe's blocks (row 0, then _CAP_AT_1024 rows each:
+    # 1..cap, cap+1..2cap, ...), the last vertex that can start one, and
+    # offsets inside the first block: the pair may not depend on where a
+    # block ends
     @pytest.mark.parametrize("k", sorted({0, 1, 2, 3, 6, 7, 14, 15, _CAP_AT_1024 - 1, _CAP_AT_1024,
                                           _CAP_AT_1024 + 1, 2 * _CAP_AT_1024 - 2,
-                                          2 * _CAP_AT_1024 - 1, 510}))
+                                          2 * _CAP_AT_1024 - 1, 2 * _CAP_AT_1024,
+                                          2 * _CAP_AT_1024 + 1, 510}))
     def test_doubling_blocks_give_the_full_sweeps_triangle(self, k):
         c = _first_triangle_at_0_from(k)
-        got = pipeline._triangle_at_0(c, 0)
-        assert got == odd_girth(colour_class(c, 0))
-        assert got[1].vertices == (2 * k + 1, 0, 2 * (k + 1 + (510 - k) // 2) + 1)
+        got = colouring._edge_near_0(c, 0)
+        assert got == _sweeps_edge_near_0(c, 0)
+        assert got == (2 * k + 1, 2 * (k + 1 + (510 - k) // 2) + 1)
 
     def test_doubling_blocks_find_nothing_in_an_independent_neighbourhood(self):
         c = binary_colouring(10)
-        assert pipeline._triangle_at_0(c, 0) is None
+        assert colouring._edge_near_0(c, 0) is None
         assert odd_girth(colour_class(c, 0)) is None
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])

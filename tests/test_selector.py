@@ -69,6 +69,14 @@ class TestDerandomizedGuarantee:
             best, _ = brute_force_selector(inst)
             assert len(res.survivors) <= best
 
+    @pytest.mark.parametrize("q", [62, 63, 64, 70])
+    def test_weights_past_64_bits(self, q):
+        # pair i = ({i mod 8}, {i+1 mod 8}): the weights pass 2^63, so an
+        # int64 weight would wrap (with a RuntimeWarning, an error here)
+        inst = SelectorInstance(8, [({i % 8}, {(i + 1) % 8}) for i in range(q)])
+        res = select_complement(inst)
+        assert verify_selector(inst, res, inst.survivor_target()) is None
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 100_000))
     def test_larger_instances(self, seed):
@@ -108,6 +116,9 @@ class TestRandomizedMode:
         b = select_complement(inst, "randomized", seed=9)
         assert a.choices == b.choices
         assert list(a.survivors) == list(b.survivors)
+        # an int seed's first try draws from np.random.default_rng(seed)
+        first = select_complement(inst, "randomized", seed=9, target=0)
+        assert first.choices == tuple(np.random.default_rng(9).integers(0, 2, size=inst.q).tolist())
 
     def test_needs_seed(self):
         with pytest.raises(InputError):
@@ -160,6 +171,26 @@ class TestValidation:
         inst = SelectorInstance(3, [([], np.array([], dtype=float)), ({0}, np.array([2]))])
         assert [[side.tolist() for side in pair] for pair in inst.pairs] == [[[], []], [[0], [2]]]
         assert all(side.dtype == np.int64 for pair in inst.pairs for side in pair)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SelectorInstance(5.5, []),
+        lambda: SelectorInstance("5", []),
+        lambda: SelectorInstance(True, []),
+        lambda: select_complement(SelectorInstance(3, []), "randomized", seed=0, max_tries=-1),
+        lambda: select_complement(SelectorInstance(3, []), "randomized", seed=0, max_tries=0),
+        lambda: select_complement(SelectorInstance(3, []), "randomized", seed=0, max_tries=2.0),
+        lambda: select_complement(SelectorInstance(3, []), "randomized", seed=0, target=1.5),
+        lambda: select_complement(SelectorInstance(3, []), "randomized", seed=0, target="2"),
+        lambda: select_complement(SelectorInstance(3, []), "randomized", seed=-1),
+        lambda: ceil_expected_survivors(5.5, 2),
+        lambda: ceil_expected_survivors(5, 2.0),
+        lambda: ceil_expected_survivors(True, 1),
+    ], ids=["n-float", "n-str", "n-bool", "tries-negative", "tries-0", "tries-float",
+            "target-float", "target-str", "seed-negative", "ceil-n-float", "ceil-sum-float",
+            "ceil-n-bool"])
+    def test_malformed_arguments_rejected(self, call):
+        with pytest.raises(InputError):
+            call()
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
