@@ -71,6 +71,7 @@ from .colouring import (
     EdgeColouring,
     _from_pairs,
     _pair_colours,
+    _random_pairs,
     _seeded,
     _shown,
     binary_colouring,
@@ -252,8 +253,9 @@ def anneal_search(q, n, iterations, seed, init=None):
     Deterministic under a fixed seed. Returns (best objective, colouring).
     ``seed`` is anything ``np.random.default_rng`` takes (else an
     ``InputError``), and every draw comes from that one ``Generator``:
-    first the random init, ``random_colouring(n, q, rng)``, unless ``init``
-    (a complete ``EdgeColouring`` of K_n in q colours) replaces it; then, a
+    first the random init, drawn as ``random_colouring(n, q, rng)`` would
+    draw it, with its checks, without building it, unless ``init`` (a
+    complete ``EdgeColouring`` of K_n in q colours) replaces it; then, a
     batch of ``_BATCH`` steps at a time, the steps' pairs, colour shifts and
     acceptance coins (``_draws``). An int seed thus gives the same result as
     ``np.random.default_rng`` of it, and a ``Generator`` passed as seed ends
@@ -269,13 +271,15 @@ def anneal_search(q, n, iterations, seed, init=None):
     if init is not None and not isinstance(init, EdgeColouring):
         raise InputError(f"init must be an EdgeColouring, not {type(init).__name__}")
     rng, shown = _seeded(seed)
-    start = init if init is not None else random_colouring(n, q, rng)
-    if start.n != n or start.q != q:
+    if init is None:
+        colours = _random_pairs(n, q, rng, into_table=False)[3].tolist()
+    elif init.n != n or init.q != q:
         raise InputError("init colouring does not match (n, q)")
-    if not start.is_complete():
+    elif not init.is_complete():
         raise InputError("init colouring leaves pairs uncoloured")
+    else:
+        colours = _pair_colours(init).tolist()
     edges = list(itertools.combinations(range(n), 2))
-    colours = _pair_colours(start).tolist()
     rows = [[0] * n for _ in range(q)]
     girths, witnesses, triangles = [min(5, n + 1)] * q, [None if n > 4 else ()] * q, [0] * q
     for (u, v), c in zip(edges, colours):
@@ -283,9 +287,9 @@ def anneal_search(q, n, iterations, seed, init=None):
     objective = best_value = _least_girth(rows, girths, witnesses)
     best = colours.copy()
     t_hot, t_cold = 1.0, 0.05
+    cooling, span = t_cold / t_hot, max(iterations - 1, 1)
     moves = _draws(rng, len(edges), q, iterations if q > 1 else 0)  # one colour: no move exists
     for step, (k, shift, coin) in enumerate(moves):
-        temperature = t_hot * (t_cold / t_hot) ** (step / max(iterations - 1, 1))
         u, v = edges[k]
         old = colours[k]
         new = (old + shift) % q
@@ -294,7 +298,7 @@ def anneal_search(q, n, iterations, seed, init=None):
         _recolour(rows, girths, witnesses, triangles, u, v, old, new)
         proposed = _least_girth(rows, girths, witnesses)
         delta = proposed - objective
-        if delta >= 0 or coin < math.exp(delta / temperature):
+        if delta >= 0 or coin < math.exp(delta / (t_hot * cooling ** (step / span))):
             colours[k] = new
             objective = proposed
             if proposed > best_value:

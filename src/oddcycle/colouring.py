@@ -226,6 +226,16 @@ def product_colouring(c1, c2):
 
 def random_colouring(n, q, seed):
     """Uniform independent colour per pair from a deterministic seeded stream."""
+    n, q, shown, table = _random_pairs(n, q, seed, into_table=True)
+    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={shown}")
+
+
+def _random_pairs(n, q, seed, into_table):
+    """The checks and the draw of ``random_colouring``: n and q as ints, the
+    seed as a provenance names it, and the colours of the pairs u < v in
+    ``_write_pairs``' order, one int16 draw from ``_seeded(seed)``. With
+    ``into_table`` the n x n table of ``_table_dtype(q)`` is made before the
+    draw and returned in its place, holding it."""
     n = _scalar_id(n, "vertex count n must be an integer")
     q = _scalar_id(q, "colour count q must be an integer")
     if n < 2:
@@ -239,9 +249,12 @@ def random_colouring(n, q, seed):
     # hole in the heap too small for the next table, raising peak RSS. The
     # draw is int16 whatever the table's width: numpy's stream depends on
     # the dtype drawn, so each seed keeps its colours
-    table = np.full((n, n), -1, dtype=_table_dtype(q))
-    _write_pairs(table, rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16))
-    return EdgeColouring._from_table(n, q, table, provenance=f"random n={n} q={q} seed={shown}")
+    table = np.full((n, n), -1, dtype=_table_dtype(q)) if into_table else None
+    colours = rng.integers(0, q, size=n * (n - 1) // 2, dtype=np.int16)
+    if table is None:
+        return n, q, shown, colours
+    _write_pairs(table, colours)
+    return n, q, shown, table
 
 
 def _seeded(seed):

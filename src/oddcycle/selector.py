@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colouring import _seeded, _shown
+from .colouring import _MAX_N, _seeded, _shown
 from .errors import InputError, InternalInconsistency, RetryExhausted
 from .graph import _integer_ids, _scalar_id
 
@@ -27,6 +27,8 @@ class SelectorInstance:
         n = _scalar_id(n, "ground-set size must be an integer")
         if n < 0:
             raise InputError("ground-set size must be >= 0")
+        if n > _MAX_N:
+            raise InputError(f"ground-set size {_shown(n)} exceeds the vertex limit of {_MAX_N}")
         self.n = n
         norm = []
         for i, (a, b) in enumerate(pairs):
@@ -105,20 +107,22 @@ def select_complement(inst, mode="derandomized", *, seed=None, max_tries=50, tar
     derandomized: conditional-expectation walk, |survivors| >= ceil(n*2^(-d))
     guaranteed. randomized: seeded uniform choices, retried up to
     ``max_tries`` until |survivors| >= target (default ceil(n*2^(-d)));
-    raises RetryExhausted when no try reaches it.
+    raises RetryExhausted when no try reaches it. Both modes check
+    ``seed``, ``max_tries`` and ``target`` alike; only randomized reads them.
     """
+    if mode not in ("derandomized", "randomized"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "randomized" and seed is None:
+        raise InputError("randomized mode needs a seed")
+    rng = None if seed is None else _seeded(seed)[0]
+    max_tries = _scalar_id(max_tries, "max_tries must be an integer")
+    if max_tries < 1:
+        raise InputError(f"max_tries must be >= 1, got {_shown(max_tries)}")
+    if target is not None:
+        target = _scalar_id(target, "target must be an integer")
     if mode == "derandomized":
         return _derandomized(inst)
-    if mode == "randomized":
-        if seed is None:
-            raise InputError("randomized mode needs a seed")
-        max_tries = _scalar_id(max_tries, "max_tries must be an integer")
-        if max_tries < 1:
-            raise InputError(f"max_tries must be >= 1, got {_shown(max_tries)}")
-        if target is None:
-            target = inst.survivor_target()
-        return _randomized(inst, seed, max_tries, _scalar_id(target, "target must be an integer"))
-    raise InputError(f"unknown mode {mode!r}")
+    return _randomized(inst, rng, max_tries, inst.survivor_target() if target is None else target)
 
 
 def _derandomized(inst):
@@ -152,8 +156,7 @@ def _derandomized(inst):
     return result
 
 
-def _randomized(inst, seed, max_tries, target):
-    rng, _ = _seeded(seed)
+def _randomized(inst, rng, max_tries, target):
     best = -1
     for _ in range(max_tries):
         choices = rng.integers(0, 2, size=inst.q)

@@ -31,7 +31,7 @@ from oddcycle.analysis import (
     experiment_table,
     rows_to_csv,
 )
-from oddcycle.colouring import colouring_to_text
+from oddcycle.colouring import _MAX_N, _MAX_Q, colouring_to_text
 from oracles import anneal_search_by_tables, exhaustive_L_by_tables, table_girth_by_bfs
 
 
@@ -473,6 +473,37 @@ class TestAnneal:
         finally:
             tracemalloc.stop()
         assert peak < 2**19
+
+    @pytest.mark.parametrize("q, n", [(2, _MAX_N + 1), (_MAX_Q + 1, 5)], ids=["n", "q"])
+    def test_size_limits_refused_as_random_colouring_refuses(self, q, n):
+        # the start is drawn as pair colours, so the limits that guard the
+        # colouring it no longer builds are kept, before anything n-sized
+        with pytest.raises(InputError) as want:
+            random_colouring(n, q, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as got:
+                anneal_search(q, n, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == str(want.value)
+        assert "exceeds" in str(got.value)
+        assert peak < 2**16
+        with pytest.raises(InputError, match="invalid seed"):  # the seed is checked first
+            anneal_search(q, n, 10, "abc")
+
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 7)])
+    def test_matches_table_search_through_downhill_moves(self, q, n):
+        # 3000 steps from a random start: on each seed 1100-2500 downhill
+        # moves are refused and 1-13 taken, each reading the temperature
+        for seed in (0, 1):
+            assert_matches_table_search(q, n, 3000, seed)
+
+    def test_matches_table_search_with_an_int16_table(self):
+        # q = 129: the start's colours reach 128, past int8
+        for seed in (0, 1):
+            assert_matches_table_search(129, 17, 300, seed)
 
     @pytest.mark.parametrize("q, n, iterations, what", [
         (2, 5, 2.5, "iterations must be an integer"), (2, 5, True, "iterations must be an integer"),

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from oddcycle import (
     select_complement,
     verify_selector,
 )
+from oddcycle.colouring import _MAX_N
 from oddcycle.selector import ceil_expected_survivors
 from oracles import brute_force_selector
 
@@ -191,6 +194,35 @@ class TestValidation:
     def test_malformed_arguments_rejected(self, call):
         with pytest.raises(InputError):
             call()
+
+    @pytest.mark.parametrize("n", [10**30, _MAX_N + 1], ids=["huge", "limit+1"])
+    def test_ground_set_past_the_vertex_limit_rejected(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"limit of {_MAX_N}"):
+                SelectorInstance(n, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert SelectorInstance(_MAX_N, []).n == _MAX_N
+
+    @pytest.mark.parametrize("kwargs", [{"seed": "x"}, {"seed": -1}, {"max_tries": -5},
+                                        {"max_tries": 2.0}, {"target": 2.5}, {"target": "2"}],
+                             ids=["seed-str", "seed-negative", "tries-negative", "tries-float",
+                                  "target-float", "target-str"])
+    def test_derandomized_checks_the_randomized_arguments(self, kwargs):
+        with pytest.raises(InputError):
+            select_complement(SelectorInstance(3, []), **kwargs)
+
+    def test_derandomized_ignores_valid_randomized_arguments(self):
+        inst = random_instance(np.random.default_rng(5), n_max=30, q_max=6)
+        want = select_complement(inst)
+        for kwargs in ({"seed": 9}, {"max_tries": 1}, {"target": 10**6},
+                       {"seed": np.random.default_rng(2), "max_tries": 3, "target": 0}):
+            got = select_complement(inst, "derandomized", **kwargs)
+            assert got.choices == want.choices
+            assert got.survivors.tolist() == want.survivors.tolist()
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
