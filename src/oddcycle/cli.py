@@ -167,8 +167,9 @@ def _rule(expr):
         if isinstance(node, ast.UnaryOp):
             return -value(node.operand, q)
         left, right = value(node.left, q), value(node.right, q)
-        # bound the result's size up front: q**q**q would not finish
-        if isinstance(node.op, ast.Pow) and not 0 <= right * left.bit_length() <= 4096:
+        # bound the result's size up front: q**q**q would not finish. A
+        # negative exponent gives no integer (and 0**-1 divides by zero)
+        if isinstance(node.op, ast.Pow) and not (right >= 0 and right * left.bit_length() <= 4096):
             raise bad("power out of range")
         if isinstance(node.op, ast.FloorDiv) and right == 0:
             raise bad("division by zero")

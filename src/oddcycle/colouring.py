@@ -11,9 +11,9 @@ This module is the one home of that layout, of the pair order (the pairs
 u < v row by row, which is ``itertools.combinations`` order and the file's)
 and of the ``_BLOCK``-sized row blocks the table is walked in: every other
 module reads a colouring through the functions here. A colour class is
-built in those row blocks too: each block is compared with the colour into
-one reused bool buffer and packed into row ints, so a class needs its rows
-and one block of scratch, not an n x n temporary. ``certify`` alone
+built in row blocks of about ``4 * _BLOCK`` entries: each block is compared
+with the colour into one reused bool buffer and packed into row ints, so a
+class needs its rows and one block of scratch, not an n x n temporary. ``certify`` alone
 reads ``table`` itself, on purpose, so that the verifiers stay independent
 of the producers.
 
@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import Graph, _pack_rows, _scalar_id
+from .graph import Graph, _pack_rows, _pair, _scalar_id
 
 FORMAT_MAGIC = "oddcycle-colouring v1"
 
@@ -81,6 +81,8 @@ def _table_dtype(q):
 
 
 def _check_size(n):
+    if n < 1:
+        raise InputError("colouring needs at least one vertex")
     if n > _MAX_N:
         raise InputError(f"n={n} exceeds the dense-table limit of {_MAX_N} vertices")
 
@@ -324,8 +326,8 @@ def colouring_from_classes(n, classes, validate=True):
     _check_colours(len(classes))
     table = np.full((n, n), -1, dtype=_table_dtype(len(classes)))
     for colour, edges in enumerate(classes):
-        for u, v in edges:
-            u, v = _scalar_id(u), _scalar_id(v)
+        for entry in edges:
+            u, v = _pair(entry)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"bad pair ({u},{v})")
             if table[u, v] != -1:
@@ -337,12 +339,16 @@ def colouring_from_classes(n, classes, validate=True):
 def colour_class(c, i):
     """Graph on all n vertices whose edges are exactly the colour-i pairs.
 
-    The table is compared with i and packed one row block at a time, in one
-    bool buffer of a block's size, so no n x n temporary is made."""
+    The table is compared with i and packed one row block of about
+    ``4 * _BLOCK`` entries at a time, in one bool buffer of a block's size,
+    so no n x n temporary is made. A block four times the reader's has a
+    quarter as many fixed per-block costs (the compare, the pack, the bytes
+    view and the list), which set much of the cost of 2^16-entry blocks at
+    n = 2560; the buffer is then at most 256 KiB."""
     i = _scalar_id(i, "colour index must be an integer")
     if not 0 <= i < c.q:
         raise InputError(f"colour {_shown(i)} out of range [0, {c.q})")
-    blocks = _row_blocks(c.n, c.n)
+    blocks = _row_blocks(c.n, c.n, 4 * _BLOCK)
     buf = np.empty((blocks[0][1], c.n), dtype=bool)
     rows = []
     for u0, u1 in blocks:
@@ -419,11 +425,12 @@ def write_colouring(c, stream):
         stream.write(_format_block(c.table, u0, u1))
 
 
-def _row_blocks(n, rows=None):
+def _row_blocks(n, rows=None, block=None):
     """(u0, u1) ranges covering rows 0..rows-1 of a table n wide (by default
-    the body rows 0..n-2), about _BLOCK entries each."""
+    the body rows 0..n-2), about ``block`` entries each (by default
+    _BLOCK)."""
     rows = n - 1 if rows is None else rows
-    step = max(1, _BLOCK // n)
+    step = max(1, (_BLOCK if block is None else block) // n)
     return [(u0, min(u0 + step, rows)) for u0 in range(0, rows, step)]
 
 

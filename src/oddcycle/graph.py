@@ -10,8 +10,8 @@ targets (n <= 2^14 + 1, the dense-table limit). ``_bfs`` ORs each layer's
 rows once; that union gives the next layer and the layer's *inner* mask,
 its vertices with a neighbour in the layer (BFS parity conflicts), so no
 layer is scanned twice, and a conflict cycle is built only for a nonzero
-inner mask. ``_union_rows`` takes the frontier apart by its lowest set bit
-in an inline loop, with no per-bit generator. The kernel stores no parent:
+inner mask. ``_union_rows`` takes the frontier apart from its top set bit
+in an inline loop, with no per-bit generator, so each step shortens it. The kernel stores no parent:
 ``_walk_back`` recovers a witness path on demand, the parent of a layer-d
 vertex being its lowest neighbour in layer d-1.
 """
@@ -46,6 +46,16 @@ def _scalar_id(v, what="ids must be integers"):
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise InputError(f"{what}, not {type(v).__name__}")
     return int(v)
+
+
+def _pair(entry):
+    """An edge-list entry as two ids; InputError naming the entry unless it
+    is a pair of integers."""
+    try:
+        u, v = entry
+    except (TypeError, ValueError):  # not iterable, or not of length 2
+        raise InputError(f"edge list entry {entry!r} is not a pair") from None
+    return _scalar_id(u), _scalar_id(v)
 
 
 def _real(x, name):
@@ -169,8 +179,8 @@ class Graph:
     def from_edges(cls, n, edges):
         n = _size(n)
         rows = [0] * n
-        for u, v in edges:
-            u, v = _scalar_id(u), _scalar_id(v)
+        for entry in edges:
+            u, v = _pair(entry)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -285,12 +295,14 @@ class OddClosedWalk:
 
 
 def _union_rows(masks, frontier):
-    """OR of the rows of the frontier's vertices, taken lowest bit first."""
+    """OR of the rows of the frontier's vertices, taken top bit first: each
+    step clears the frontier's top bit, so the frontier shrinks as it goes,
+    where clearing the lowest bit keeps every step at its full width."""
     out = 0
     while frontier:
-        low = frontier & -frontier
-        out |= masks[low.bit_length() - 1]
-        frontier ^= low
+        v = frontier.bit_length() - 1
+        out |= masks[v]
+        frontier ^= 1 << v
     return out
 
 

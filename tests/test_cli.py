@@ -147,6 +147,24 @@ class TestFindVerify:
         with pytest.raises(InputError):
             _rule(expr)(3)
 
+    # 0 to a negative power once passed the power-size check, as its size
+    # bound 0 * -1 is 0, and then raised ZeroDivisionError
+    @pytest.mark.parametrize("expr", ["0**-1", "(q-q)**-2", "(q-q)**(-q)"])
+    def test_rule_refuses_negative_powers(self, expr):
+        with pytest.raises(InputError, match="power out of range"):
+            _rule(expr)(5)
+
+    @pytest.mark.parametrize("expr", ["0**-1", "(q-q)**-2"])
+    def test_negative_power_rule_exits_2(self, runner, tmp_path, expr):
+        col = gen_random(runner, tmp_path / "c.txt")
+        result = runner.invoke(
+            main,
+            ["find", "--in", str(col), "--method", "pipeline", "--C", "0.01", "--k-rule", expr,
+             "--out-cert", str(tmp_path / "x.cert"), "--trace", str(tmp_path / "x.trace")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "power out of range" in result.stderr and "Traceback" not in result.output
+
     def test_object_graph_rule_exits_2(self, runner, tmp_path):
         col = gen_random(runner, tmp_path / "c.txt")
         result = runner.invoke(

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -359,6 +360,24 @@ class TestIntegerDimensions:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("n", [0, -1, -(10**9)])
+    def test_no_vertex_rejected_before_allocating(self, n):
+        # n = -1 once reached np.full and raised numpy's negative-dimensions
+        # ValueError
+        peak = _peak_bytes(lambda: pytest.raises(InputError, colouring_from_classes, n, [[]]))
+        with pytest.raises(InputError, match="colouring needs at least one vertex"):
+            colouring_from_classes(n, [[(0, 1)]])
+        assert peak < 16 << 10
+
+    @pytest.mark.parametrize("entry", [(0, 1, 2), 5, (0,), None],
+                             ids=["triple", "int", "single", "none"])
+    def test_entry_that_is_not_a_pair_rejected(self, entry):
+        # a triple once raised ValueError from the unpacking, an int TypeError
+        for validate in (True, False):
+            with pytest.raises(InputError, match=rf"edge list entry {re.escape(repr(entry))} "
+                                                 "is not a pair"):
+                colouring_from_classes(3, [[(0, 1)], [entry, (1, 2)]], validate=validate)
+
     def test_incomplete_rejected_unless_opted_in(self):
         with pytest.raises(InputError):
             colouring_from_classes(4, [[(0, 1)]])

@@ -1,3 +1,6 @@
+import functools
+import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,7 +35,7 @@ from oddcycle import (
     shortest_path_within,
     verify_mono_odd_cycle,
 )
-from oddcycle.graph import _bfs, _conflict_cycle, _pack_rows, _twin_free
+from oddcycle.graph import _bfs, _conflict_cycle, _pack_rows, _twin_free, _union_rows
 from oracles import (
     adjacency_sets,
     blown_up_odd_cycle,
@@ -451,6 +454,24 @@ class TestBfsKernelAgainstDistances:
         assert widest >= 64 and conflicts > 100
 
 
+class TestUnionRowsAgainstReduce:
+    """``_union_rows`` against a plain OR of the frontier's rows, on random
+    graphs whose rows span several of Python's 30-bit int digits."""
+
+    @pytest.mark.parametrize("n,p,seed", [(1, 0.0, 0), (2, 1.0, 1), (61, 0.5, 2),
+                                          (130, 0.08, 3), (300, 0.3, 4)])
+    def test_matches_reduce(self, n, p, seed):
+        masks = random_graph(n, p, seed).row_masks()
+        rng = np.random.default_rng(seed)
+        frontiers = [[], list(range(n))]  # the empty frontier and every vertex
+        frontiers += [[v] for v in (0, n - 1, 29, 30, 59, 60) if v < n]  # digit edges
+        frontiers += [rng.choice(n, size=k, replace=False).tolist()
+                      for k in (2, 3, 10, n // 2, n - 1) if 0 < k <= n]
+        for ids in frontiers:
+            want = functools.reduce(operator.or_, (masks[v] for v in ids), 0)
+            assert _union_rows(masks, _mask_of(ids)) == want, (n, ids)
+
+
 def _disjoint_cycles(lengths, seed):
     """Disjoint cycles of the given lengths, vertices shuffled."""
     perm = np.random.default_rng(seed).permutation(sum(lengths)).tolist()
@@ -737,6 +758,14 @@ class TestScalarIds:
         assert layer_lists(bfs_layers(g, v, 1)) == [[1], [0, 2]]
         assert shortest_path_within(g, [0, 1, 2], 0, v) == [0, 1]
         assert not g.is_active(-1) and not g.has_edge(0, 5)
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 2), 5, (0,), None],
+                         ids=["triple", "int", "single", "none"])
+def test_from_edges_rejects_entries_that_are_not_pairs(entry):
+    # a triple once raised ValueError from the unpacking, an int TypeError
+    with pytest.raises(InputError, match=rf"edge list entry {re.escape(repr(entry))} is not a pair"):
+        Graph.from_edges(3, [(0, 1), entry])
 
 
 NEGATIVE_SIZES = {
