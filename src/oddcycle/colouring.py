@@ -13,9 +13,9 @@ and of the ``_BLOCK``-sized row blocks the table is walked in: every other
 module reads a colouring through the functions here. A colour class is
 built in row blocks of about ``4 * _BLOCK`` entries: each block is compared
 with the colour into one reused bool buffer and packed into row ints, so a
-class needs its rows and one block of scratch, not an n x n temporary. ``certify`` alone
-reads ``table`` itself, on purpose, so that the verifiers stay independent
-of the producers.
+class needs its rows and one block of scratch, not an n x n temporary.
+``certify`` alone reads ``table`` itself, on purpose, so that the verifiers
+stay independent of the producers.
 
 A table is checked once, where it enters: ``EdgeColouring(...)`` checks one
 from outside the package, symmetry a row block at a time. A builder here

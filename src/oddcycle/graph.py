@@ -11,9 +11,9 @@ rows once; that union gives the next layer and the layer's *inner* mask,
 its vertices with a neighbour in the layer (BFS parity conflicts), so no
 layer is scanned twice, and a conflict cycle is built only for a nonzero
 inner mask. ``_union_rows`` takes the frontier apart from its top set bit
-in an inline loop, with no per-bit generator, so each step shortens it. The kernel stores no parent:
-``_walk_back`` recovers a witness path on demand, the parent of a layer-d
-vertex being its lowest neighbour in layer d-1.
+in an inline loop, with no per-bit generator, so each step shortens it. The
+kernel stores no parent: ``_walk_back`` recovers a witness path on demand,
+the parent of a layer-d vertex being its lowest neighbour in layer d-1.
 """
 
 from __future__ import annotations
